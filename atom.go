@@ -59,7 +59,6 @@ import (
 
 	"atom/internal/beacon"
 	"atom/internal/dvss"
-	"atom/internal/elgamal"
 	"atom/internal/protocol"
 )
 
@@ -211,15 +210,6 @@ func (n *Network) Groups() int { return n.d.NumGroups() }
 // internal/distributed.Cluster, which a continuous Service then drives
 // through ServeOptions.Mixer). Most callers never need it.
 func (n *Network) Deployment() *protocol.Deployment { return n.d }
-
-// PadStats reports the offline pad bank's size and lifetime hit/miss
-// counters — how much of the mixing rerandomization the offline/online
-// split is serving from precompute (ServeOptions.Prewarm fills the
-// bank; the daemon's /metrics scrapes this).
-type PadStats = elgamal.PadStats
-
-// PadStats returns the network's current offline-pad accounting.
-func (n *Network) PadStats() PadStats { return n.d.PadStats() }
 
 // SubmitMessage pads, encrypts and submits msg for the given user,
 // choosing the entry group as user mod G (an untrusted load balancer's

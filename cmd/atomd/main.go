@@ -17,16 +17,11 @@
 //
 //	atomd -listen :9000 -serve -interval 500ms -capacity 1024
 //
-// -prewarm N keeps re-encryption pads banked offline for rounds of up
-// to N vectors: the scheduler tops the bank up between seals, so sealed
-// rounds spend their online time on the data-dependent peel instead of
-// fresh randomness. -members hands sealed rounds to a fleet of
-// pre-started atomd -member hosts instead of the in-process engine
-// (addresses GID-major, one per member), and -chunk streams each
-// re-encryption chain in bounded chunks so downstream members verify
-// chunk c while upstream members still prove chunk c+1:
+// -members hands sealed rounds to a fleet of pre-started atomd -member
+// hosts instead of the in-process engine (addresses GID-major, one per
+// member):
 //
-//	atomd -listen :9000 -serve -members host1:9100,host1:9101,… -chunk 256
+//	atomd -listen :9000 -serve -members host1:9100,host1:9101,…
 //
 // With -member, atomd instead hosts one group member of a distributed
 // round engine (internal/distributed): it listens on a TCP endpoint,
@@ -113,9 +108,7 @@ func main() {
 		interval    = flag.Duration("interval", time.Second, "-serve: round scheduler's seal deadline (Options.RoundInterval)")
 		capacity    = flag.Int("capacity", 0, "-serve: seal a round early at this many submissions (0 = deadline only)")
 		inflight    = flag.Int("inflight", 2, "-serve: rounds mixing concurrently (bounded pipeline depth)")
-		prewarmN    = flag.Int("prewarm", 0, "-serve: keep re-encryption pads banked offline for rounds of up to this many vectors (0 = off; consumed by the in-process mixer)")
 		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
-		chunkSz     = flag.Int("chunk", 0, "-members: stream each re-encryption chain in chunks of at most this many vectors per destination batch (0 = whole batches)")
 		fastAddr    = flag.String("fastpath", "", "-serve: multiplexed binary submit listener address (\":0\" = ephemeral; advertised to clients via Info)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
 		dkgMode     = flag.Bool("dkg", false, "establish trust with the dealerless setup ceremony: per-group joint-Feldman DKGs and a chained verifiable randomness beacon (persisted and resumed with -state-dir)")
@@ -245,7 +238,6 @@ func main() {
 	var m *daemon.Metrics
 	if *metricsAddr != "" {
 		m = daemon.NewMetrics()
-		m.SetNetwork(srv.Network())
 		if st != nil {
 			m.SetStore(st)
 		}
@@ -302,31 +294,28 @@ func main() {
 			RoundInterval: *interval,
 			MaxBatch:      *capacity,
 			MaxInFlight:   *inflight,
-			Prewarm:       *prewarmN,
 		}
 		if st != nil {
 			opts.Journal = st
 		}
 		if *membersF != "" {
 			// Remote fleet: every group member is a pre-started
-			// `atomd -member` host; this daemon only coordinates (and the
-			// pad bank stays idle — pads feed the in-process mixer).
+			// `atomd -member` host; this daemon only coordinates.
 			remote, err := memberBook(*membersF, cfg.Groups, cfg.GroupSize)
 			if err != nil {
 				log.Fatalf("atomd: -members: %v", err)
 			}
 			cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
-				Attach:    distributed.TCPAttach(coordHost(*listen)),
-				Remote:    remote,
-				Workers:   *workers,
-				ChunkSize: *chunkSz,
+				Attach:  distributed.TCPAttach(coordHost(*listen)),
+				Remote:  remote,
+				Workers: *workers,
 			})
 			if err != nil {
 				log.Fatalf("atomd: joining member fleet: %v", err)
 			}
 			defer cluster.Close()
 			opts.Mixer = cluster
-			log.Printf("atomd: distributed rounds over %d remote members (chunk %d)", len(remote), *chunkSz)
+			log.Printf("atomd: distributed rounds over %d remote members", len(remote))
 		}
 		if err := srv.EnableService(context.Background(), opts); err != nil {
 			log.Fatalf("atomd: starting continuous service: %v", err)

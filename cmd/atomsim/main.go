@@ -11,19 +11,11 @@
 //	atomsim -distributed -churn 2   # exceed the budget: ErrMemberLost → wire recovery
 //	atomsim -serve -rounds 3        # continuous service: back-to-back pipelined rounds
 //	atomsim -crash                  # crash-restart smoke: SIGKILL a member mid-round, resume from its state dir
-//	atomsim -storm -clients 10000 -conns 4   # ingestion load test over the binary fast path
-//	atomsim -storm -drain -prewarm 65536     # drain benchmark: seal→publish for one full round, pads banked while it fills
-//	atomsim -storm -drain -drain-memnet -chunk 256   # same, mixed over the memnet cluster with chunk-streamed chains
 //	atomsim -dkg -churn 1           # trust-complete setup smoke: DKG under churn, verifiable beacon, resharing, persistence
 //
-// -storm measures the ingestion frontend in isolation: it pre-encrypts
-// one submission per logical client, multiplexes the whole fleet over a
-// few fast-path TCP connections (-conns), shapes arrivals with -rate
-// and -arrival (uniform, poisson, or flash crowd; rate 0 floods), and
-// reports the sustained admission throughput with p50/p99 admit
-// latency. The round never seals during the window, so the number is
-// pure ingestion — framing, batched proof verification, duplicate
-// detection — with mixing out of the picture.
+// atomsim demonstrates and smoke-tests; it does not measure. The one
+// place the system's cost is recorded is the reference benchmark
+// (benchmark/README.md: bash benchmark/run.sh).
 //
 // -serve runs the continuous pipeline end to end: a daemon hosts the
 // deployment with its ingestion frontend enabled, the mixing runs as
@@ -110,16 +102,6 @@ func main() {
 		serve    = flag.Bool("serve", false, "run the continuous service: a client fleet drives back-to-back pipelined rounds over the distributed cluster")
 		dkgDemo  = flag.Bool("dkg", false, "trust-complete setup smoke: committee DKG under -churn, chained beacon, dealerless network round, resharing epoch, persistence round-trip, laggard catchup")
 		crash    = flag.Bool("crash", false, "crash-restart smoke: hard-kill a TCP-hosted member mid-round, restart it from its state dir, assert rejoin without re-plan or recovery")
-		storm    = flag.Bool("storm", false, "ingestion load test: a huge multiplexed client fleet floods the binary submit path; reports sustained msgs/sec and p50/p99 admit latency")
-		clients  = flag.Int("clients", 10000, "-storm: logical clients (one pre-encrypted submission each)")
-		conns    = flag.Int("conns", 4, "-storm: TCP connections the fleet multiplexes over")
-		rate     = flag.Float64("rate", 0, "-storm: aggregate arrival rate in msgs/sec (0 = flood: closed-loop maximum)")
-		arrival  = flag.String("arrival", "uniform", "-storm: arrival process: uniform, poisson, or flash")
-		stormTO  = flag.Duration("timeout", 5*time.Minute, "-storm: hard deadline for all submissions to be acked")
-		drain    = flag.Bool("drain", false, "-storm: drain benchmark — flood one round, seal at the batch cap, report seal→publish msgs/sec and submit→publish e2e latency (trap variant)")
-		drainNet = flag.Bool("drain-memnet", false, "-storm -drain: mix the sealed round over the WAN-latency memnet cluster (chunk streaming applies) instead of in-process")
-		chunkSz  = flag.Int("chunk", 0, "-serve/-distributed/-drain-memnet: stream each re-encryption chain in chunks of at most this many vectors per destination batch (0 = whole batches)")
-		prewarm  = flag.Int("prewarm", 0, "-storm -drain: cap of precomputed re-encryption pads (vectors) banked while the round fills (0 = off; in-process mixer only)")
 		rounds   = flag.Int("rounds", 3, "-serve: how many back-to-back rounds the fleet drives")
 		inflight = flag.Int("inflight", 2, "-serve: rounds mixing concurrently")
 		interval = flag.Duration("interval", 2*time.Second, "-serve: round scheduler's seal deadline (the fleet's full batches normally seal first)")
@@ -134,26 +116,13 @@ func main() {
 		}()
 		log.Printf("atomsim: pprof on %s/debug/pprof/", *pprof)
 	}
-	if !*all && *fig == 0 && *table == 0 && !*live && !*dist && !*serve && !*crash && !*storm && !*dkgDemo {
+	if !*all && *fig == 0 && *table == 0 && !*live && !*dist && !*serve && !*crash && !*dkgDemo {
 		*all = true
 	}
 
 	if *dkgDemo {
 		if err := runDKGDemo(*churn, *workers); err != nil {
 			log.Fatalf("atomsim: trust-complete setup smoke FAILED: %v", err)
-		}
-		return
-	}
-
-	if *storm {
-		if *drain {
-			if err := runDrain(*clients, *conns, *workers, *prewarm, *chunkSz, *drainNet, *wanMin, *wanMax, *stormTO); err != nil {
-				log.Fatalf("atomsim: drain: %v", err)
-			}
-			return
-		}
-		if err := runStorm(*clients, *conns, *rate, *arrival, *stormTO, *workers); err != nil {
-			log.Fatalf("atomsim: storm: %v", err)
 		}
 		return
 	}
@@ -166,14 +135,14 @@ func main() {
 	}
 
 	if *serve {
-		if err := runServe(*rounds, *liveMsgs, *liveNIZK, *workers, *inflight, *chunkSz, *interval, *wanMin, *wanMax); err != nil {
+		if err := runServe(*rounds, *liveMsgs, *liveNIZK, *workers, *inflight, *interval, *wanMin, *wanMax); err != nil {
 			log.Fatalf("atomsim: %v", err)
 		}
 		return
 	}
 
 	if *dist {
-		if err := runDistributed(*liveMsgs, *liveNIZK, *workers, *chunkSz, *wanMin, *wanMax, *churn); err != nil {
+		if err := runDistributed(*liveMsgs, *liveNIZK, *workers, *wanMin, *wanMax, *churn); err != nil {
 			log.Fatalf("atomsim: %v", err)
 		}
 		return
@@ -290,7 +259,7 @@ func submitDistributed(d *protocol.Deployment, client *protocol.Client, variant 
 // lands on: degraded completion within the h−1 budget, or the typed
 // member-lost abort followed by §4.5 buddy-group recovery over the
 // wire and a clean follow-up round.
-func runDistributed(msgs int, nizk bool, workers, chunk int, wanMin, wanMax time.Duration, churn int) error {
+func runDistributed(msgs int, nizk bool, workers int, wanMin, wanMax time.Duration, churn int) error {
 	variant := protocol.VariantTrap
 	if nizk {
 		variant = protocol.VariantNIZK
@@ -328,7 +297,6 @@ func runDistributed(msgs int, nizk bool, workers, chunk int, wanMin, wanMax time
 	cluster, err := distributed.NewCluster(d, distributed.Options{
 		Attach:          distributed.MemAttach(net),
 		Workers:         workers,
-		ChunkSize:       chunk,
 		Heartbeat:       200 * time.Millisecond,
 		LivenessTimeout: 2 * time.Second,
 		Log:             log.Printf,
@@ -589,7 +557,7 @@ func runCrash(msgs, workers int) error {
 // memnet actors, cross-round pipelining) as its mixing engine, and a
 // synthetic two-connection client fleet submitting wire-encoded batches
 // over TCP until nRounds rounds have published back to back.
-func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, interval, wanMin, wanMax time.Duration) error {
+func runServe(nRounds, perRound int, nizk bool, workers, inflight int, interval, wanMin, wanMax time.Duration) error {
 	variant, vname := atom.Trap, "trap"
 	if nizk {
 		variant, vname = atom.NIZK, "nizk"
@@ -653,7 +621,6 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight, chunk int, in
 	cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
 		Attach:      distributed.MemAttach(net),
 		Workers:     workers,
-		ChunkSize:   chunk,
 		MaxInFlight: inflight,
 	})
 	if err != nil {

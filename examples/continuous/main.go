@@ -59,21 +59,25 @@ func main() {
 		}
 	}
 
-	// Drain three published rounds off the results stream onto the
-	// board.
-	for rounds := 0; rounds < 3; rounds++ {
+	// Drain published rounds off the results stream onto the board
+	// until every post is up. How the posts split into rounds is the
+	// scheduler's call: a seal trails the admission that triggers it,
+	// so a fast poster lands more than MaxBatch posts in one round.
+	rounds := 0
+	for left := len(posts); left > 0; rounds++ {
 		out := <-svc.Results()
 		published, err := mb.PublishOutcome(&out)
 		if err != nil {
 			log.Fatalf("round %d: %v", out.Round, err)
 		}
+		left -= len(published)
 		fmt.Printf("round %d published %d posts (batch of %d admitted, %d in flight at seal)\n",
 			out.Round, len(published), out.Stats.Ingest.Admitted, out.Stats.Ingest.InFlight)
 	}
 	svc.Close()
 
 	board := mb.Board()
-	fmt.Printf("bulletin board holds %d posts across %d rounds\n", len(board), 3)
+	fmt.Printf("bulletin board holds %d posts across %d rounds\n", len(board), rounds)
 	for _, p := range board[:3] {
 		fmt.Printf("  r%d/%d: %s\n", p.Round, p.Seq, p.Message)
 	}

@@ -43,11 +43,10 @@ type Metrics struct {
 	submitConns    atomic.Int64
 	submitQueueHWM atomic.Int64
 
-	// Drain-plane series (the offline/online mixing split).
+	// Seal→publish time summed over pipelined rounds.
 	drainNs atomic.Uint64
 
-	st  atomic.Pointer[store.Store]
-	net atomic.Pointer[atom.Network]
+	st atomic.Pointer[store.Store]
 }
 
 // NewMetrics returns an empty collector.
@@ -56,10 +55,6 @@ func NewMetrics() *Metrics { return &Metrics{} }
 // SetStore attaches a state store whose journal counters the exposition
 // reports as store_* series.
 func (m *Metrics) SetStore(st *store.Store) { m.st.Store(st) }
-
-// SetNetwork attaches the deployment whose offline pad bank the
-// exposition reports as atom_pad_pool_* series.
-func (m *Metrics) SetNetwork(n *atom.Network) { m.net.Store(n) }
 
 // Instrument returns an Observer that updates the counters and then
 // forwards every callback to next (which may be nil). Install the
@@ -163,12 +158,6 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	gauge("atom_submit_conns", "Open fast-path submit connections.", m.submitConns.Load())
 	gauge("atom_submit_queue_hwm", "High-water mark of the fast-path admission queue depth.", m.submitQueueHWM.Load())
 	counter("atom_drain_ns", "Nanoseconds from seal to publish summed over pipelined rounds.", m.drainNs.Load())
-	if n := m.net.Load(); n != nil {
-		ps := n.PadStats()
-		gauge("atom_pad_pool_size", "Re-encryption pads currently banked offline.", int64(ps.Size))
-		counter("atom_pad_pool_hits", "Mixing slots rerandomized from the offline pad bank.", ps.Hits)
-		counter("atom_pad_pool_misses", "Mixing slots that fell back to fresh online randomness.", ps.Misses)
-	}
 	if st := m.st.Load(); st != nil {
 		sm := st.Metrics()
 		counter("store_journal_bytes_total", "Bytes appended to the state journal.", sm.JournalBytes)

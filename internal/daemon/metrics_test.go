@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"context"
-	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -61,7 +59,7 @@ func TestDebugMux(t *testing.T) {
 		}
 	})
 
-	t.Run("pad and drain series", func(t *testing.T) {
+	t.Run("drain series", func(t *testing.T) {
 		m := NewMetrics()
 		obs := m.Instrument(nil)
 		obs.RoundMixed(atom.RoundStats{Messages: 3, Drain: 1500 * time.Millisecond})
@@ -72,38 +70,6 @@ func TestDebugMux(t *testing.T) {
 		body := rec.Body.String()
 		if !strings.Contains(body, "atom_drain_ns 2000000000") {
 			t.Fatalf("drain counter did not accumulate seal→publish time: %q", body)
-		}
-		if strings.Contains(body, "atom_pad_pool_size") {
-			t.Fatal("pad series exposed without an attached network")
-		}
-
-		// With a network attached, the scrape reflects the live pad bank.
-		n, err := atom.NewNetwork(atom.Config{
-			Servers: 4, Groups: 2, GroupSize: 2, MessageSize: 32,
-			Variant: atom.Trap, Iterations: 2, Seed: []byte("metrics-test"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetNetwork(n)
-		if err := n.Deployment().Prewarm(context.Background(), 4); err != nil {
-			t.Fatal(err)
-		}
-		ps := n.PadStats()
-		if ps.Size == 0 {
-			t.Fatal("prewarm banked no pads")
-		}
-		rec = httptest.NewRecorder()
-		m.ServeHTTP(rec, nil)
-		body = rec.Body.String()
-		for _, want := range []string{
-			fmt.Sprintf("atom_pad_pool_size %d", ps.Size),
-			"atom_pad_pool_hits 0",
-			"atom_pad_pool_misses 0",
-		} {
-			if !strings.Contains(body, want) {
-				t.Fatalf("scrape missing %q: %q", want, body)
-			}
 		}
 	})
 

@@ -60,13 +60,6 @@ type Options struct {
 	// Workers bounds each actor's crypto pool. Zero selects CPUs/G —
 	// locally hosted groups share this machine, like MixConfig.
 	Workers int
-	// ChunkSize streams each group's re-encryption chain in chunks of
-	// at most this many vectors per destination batch (see
-	// MemberConfig.ChunkSize): downstream members verify chunk c while
-	// upstream members are still proving chunk c+1, draining sealed
-	// layers at admission speed instead of lock-stepping whole batches.
-	// 0 forwards whole batches.
-	ChunkSize int
 	// RoundTimeout bounds one round's mixing (default 5m) in addition
 	// to the caller's context. It spans churn restarts: a round that
 	// keeps losing members does not get a fresh budget per restart.
@@ -680,7 +673,6 @@ func (c *Cluster) provision(ctx context.Context, fresh bool) ([]MemberID, error)
 			Coordinator: c.coord.Addr(),
 			Variant:     cfg.Variant,
 			Workers:     c.opts.Workers,
-			ChunkSize:   c.opts.ChunkSize,
 			Topo:        spec,
 			Heartbeat:   c.opts.Heartbeat,
 			Escrows:     c.d.EscrowPieces(id.GID, id.Pos+1),

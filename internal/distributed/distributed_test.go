@@ -14,6 +14,7 @@ import (
 	"atom/internal/elgamal"
 	"atom/internal/protocol"
 	"atom/internal/transport"
+	"atom/internal/wirecodec"
 )
 
 // testConfig is small enough for -race CI but still a real network:
@@ -31,7 +32,7 @@ func testConfig(variant protocol.Variant, workers int) protocol.Config {
 	}
 }
 
-func newDeployment(t *testing.T, variant protocol.Variant, workers int) (*protocol.Deployment, *protocol.Client) {
+func newDeployment(t testing.TB, variant protocol.Variant, workers int) (*protocol.Deployment, *protocol.Client) {
 	t.Helper()
 	cfg := testConfig(variant, workers)
 	d, err := protocol.NewDeployment(cfg)
@@ -416,8 +417,12 @@ func TestRemoteHostedMember(t *testing.T) {
 	}
 }
 
-// TestMemberConfigWire round-trips the join payload.
-func TestMemberConfigWire(t *testing.T) {
+// memberConfigVectors returns a fully populated join payload and the
+// same record hand-encoded in the unversioned PR 10–12 layout, which
+// carried one more int (a chunk size; 0 = off, 64) in front of
+// Heartbeat.
+func memberConfigVectors(t testing.TB) (real MemberConfig, stale [][]byte) {
+	t.Helper()
 	d, _ := newDeployment(t, protocol.VariantNIZK, 1)
 	r, err := d.GroupRoster(0)
 	if err != nil {
@@ -426,7 +431,7 @@ func TestMemberConfigWire(t *testing.T) {
 	pk0, _ := d.GroupPK(0)
 	pk1, _ := d.GroupPK(1)
 	pk2, _ := d.GroupPK(2)
-	real := MemberConfig{
+	real = MemberConfig{
 		GID: 0, Pos: 1,
 		Indices: r.Indices, Secret: r.Secrets[1], EffPubs: r.EffPubs,
 		GroupPK: r.PK,
@@ -440,6 +445,34 @@ func TestMemberConfigWire(t *testing.T) {
 		},
 	}
 	real.GroupPKs = append(real.GroupPKs, pk0, pk1, pk2)
+	real.ConfigHash = bytes.Repeat([]byte{0xc4}, 32)
+
+	var tail wirecodec.Enc
+	tail.U64(uint64(real.Heartbeat))
+	tail.U64(uint64(len(real.Escrows)))
+	for _, esc := range real.Escrows {
+		tail.I(esc.GID)
+		tail.I(esc.Pos)
+		tail.Scalar(esc.Piece)
+	}
+	tail.Bytes(real.ConfigHash)
+	full := real.Marshal()
+	head := full[:len(full)-len(tail.Out())]
+	if !bytes.Equal(full[len(head):], tail.Out()) {
+		t.Fatal("hand-encoded tail does not match MemberConfig.Marshal")
+	}
+	for _, chunk := range []int{0, 64} {
+		var e wirecodec.Enc
+		e.I(chunk)
+		stale = append(stale, bytes.Join([][]byte{head, e.Out(), tail.Out()}, nil))
+	}
+	return real, stale
+}
+
+// TestMemberConfigWire round-trips the join payload and refuses a
+// record persisted in the PR 10–12 layout rather than misreading it.
+func TestMemberConfigWire(t *testing.T) {
+	real, stale := memberConfigVectors(t)
 	back, err := UnmarshalMemberConfig(real.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -455,6 +488,11 @@ func TestMemberConfigWire(t *testing.T) {
 		back.Escrows[0].GID != 1 || back.Escrows[1].Pos != 1 ||
 		!back.Escrows[0].Piece.Equal(real.Escrows[0].Piece) {
 		t.Fatalf("churn fields did not round-trip: %+v", back)
+	}
+	for i, b := range stale {
+		if c, err := UnmarshalMemberConfig(b); err == nil {
+			t.Fatalf("PR 10–12 layout record %d decoded as %+v, want an error", i, c)
+		}
 	}
 }
 

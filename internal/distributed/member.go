@@ -76,15 +76,6 @@ type MemberConfig struct {
 	Variant protocol.Variant
 	// Workers bounds the actor's crypto worker pool (<1 = serial).
 	Workers int
-	// ChunkSize streams the re-encryption chain in fixed-size chunks of
-	// at most this many vectors per destination batch: a member forwards
-	// chunk c downstream as soon as it is re-encrypted and proved, while
-	// it keeps working on chunk c+1 — so downstream verification overlaps
-	// upstream proving instead of waiting for whole layers. Each chunk is
-	// still verified before anything is built on it, and a bad chunk
-	// aborts with the same blame attribution as a bad whole-batch step.
-	// 0 (or negative) forwards each layer's batches whole.
-	ChunkSize int
 	// Topo rebuilds the permutation network.
 	Topo TopoSpec
 	// Heartbeat is the member's liveness-beacon period toward the
@@ -107,21 +98,6 @@ type assembly struct {
 	// workers is the round's worker knob carried by the inbound batch
 	// messages (MixJob.Workers, threaded through every hop).
 	workers int
-}
-
-// reencAssembly accumulates a chunk-streamed re-encryption chain's
-// finished chunks back at the first member (step K). Per-message
-// transport latency can reorder chunks in flight, so each chunk is
-// buffered at its stream position (a filled slot doubles as the
-// duplicate check) and the batches are concatenated in chunk order
-// once the last one lands. Proof verification is not deferred by the
-// buffering: every chunk was verified on receipt in handleReEnc.
-type reencAssembly struct {
-	parts  [][][]elgamal.Vector // per-chunk per-destination outputs
-	w      work                 // per-chunk work totals, summed
-	seen   int                  // chunks accumulated so far
-	chunks int                  // total chunks the layer streams in
-	nb     int                  // destination batch count, fixed by the first chunk
 }
 
 // tamperHook injects a malicious shuffle for one (round, layer) — the
@@ -153,9 +129,6 @@ type Actor struct {
 
 	// pending[round][layer] assembles inbound batches (first member).
 	pending map[uint64]map[int]*assembly
-	// reencAsm[round][layer] assembles the chunk-streamed re-encryption
-	// chain's step-K chunks (first member).
-	reencAsm map[uint64]map[int]*reencAssembly
 	// dropped marks rounds canceled by the coordinator.
 	dropped  map[uint64]bool
 	maxRound uint64
@@ -203,12 +176,11 @@ func NewActor(cfg MemberConfig, ep transport.Endpoint) (*Actor, error) {
 		return nil, err
 	}
 	a := &Actor{
-		cfg:      cfg,
-		ep:       ep,
-		topo:     topo,
-		pending:  make(map[uint64]map[int]*assembly),
-		reencAsm: make(map[uint64]map[int]*reencAssembly),
-		dropped:  make(map[uint64]bool),
+		cfg:     cfg,
+		ep:      ep,
+		topo:    topo,
+		pending: make(map[uint64]map[int]*assembly),
+		dropped: make(map[uint64]bool),
 	}
 	a.hb.gid = cfg.GID
 	a.hb.idx = cfg.Indices[cfg.Pos]
@@ -230,7 +202,6 @@ func (a *Actor) reconfigure(cfg MemberConfig) error {
 	a.cfg = cfg
 	a.topo = topo
 	a.pending = make(map[uint64]map[int]*assembly)
-	a.reencAsm = make(map[uint64]map[int]*reencAssembly)
 	a.dropped = make(map[uint64]bool)
 	a.maxRound = 0
 	a.mu.Lock()
@@ -450,11 +421,6 @@ func (a *Actor) observeRound(round uint64) {
 			delete(a.pending, r)
 		}
 	}
-	for r := range a.reencAsm {
-		if floor-(r>>8) > pipelineWindow {
-			delete(a.reencAsm, r)
-		}
-	}
 	for r := range a.dropped {
 		if floor-(r>>8) > pipelineWindow {
 			delete(a.dropped, r)
@@ -465,7 +431,6 @@ func (a *Actor) observeRound(round uint64) {
 func (a *Actor) drop(round uint64) {
 	a.dropped[round] = true
 	delete(a.pending, round)
-	delete(a.reencAsm, round)
 }
 
 // handleShareReq answers the coordinator's §4.5 escrow solicitation:
@@ -749,56 +714,12 @@ func (a *Actor) handleDivide(ctx context.Context, round uint64, msg *transport.M
 		return layer, err
 	}
 	_, pks := a.destKeys(layer)
-	return layer, a.startReEnc(ctx, round, layer, protocol.Divide(out, len(pks)), w)
+	return layer, a.runReEnc(ctx, round, layer, protocol.Divide(out, len(pks)), w)
 }
 
-// startReEnc opens the layer's re-encryption chain. With chunking off
-// the whole divided batch travels as one message; with ChunkSize set it
-// streams in fixed-size chunks — each chunk is re-encrypted, proved and
-// forwarded before the next one is touched, so the successor verifies
-// chunk c while this member is still proving chunk c+1. The inherited
-// shuffle-chain accounting rides chunk 0; later chunks carry only their
-// own additions (the first member sums them back together at step K).
-func (a *Actor) startReEnc(ctx context.Context, round uint64, layer int, ins [][]elgamal.Vector, w work) error {
-	chunkSz := a.cfg.ChunkSize
-	chunks := 1
-	if chunkSz > 0 {
-		for _, b := range ins {
-			if n := (len(b) + chunkSz - 1) / chunkSz; n > chunks {
-				chunks = n
-			}
-		}
-	}
-	if chunks == 1 {
-		return a.runReEnc(ctx, round, layer, ins, w, 0, 1)
-	}
-	for c := 0; c < chunks; c++ {
-		sub := make([][]elgamal.Vector, len(ins))
-		for i, b := range ins {
-			lo, hi := c*chunkSz, (c+1)*chunkSz
-			if lo > len(b) {
-				lo = len(b)
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			sub[i] = b[lo:hi]
-		}
-		cw := work{Workers: w.Workers}
-		if c == 0 {
-			cw = w
-		}
-		if err := a.runReEnc(ctx, round, layer, sub, cw, c, chunks); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runReEnc performs this member's decrypt-and-reencrypt of one chunk
-// (chunk 0 of 1 = the whole layer) across every destination batch and
-// forwards the chain (step K wraps to the first member).
-func (a *Actor) runReEnc(ctx context.Context, round uint64, layer int, ins [][]elgamal.Vector, w work, chunk, chunks int) error {
+// runReEnc performs this member's decrypt-and-reencrypt of every batch
+// and forwards the chain (step K wraps to the first member).
+func (a *Actor) runReEnc(ctx context.Context, round uint64, layer int, ins [][]elgamal.Vector, w work) error {
 	a.noteProgress(round, layer, "reenc")
 	engine, pool := a.engine(ctx, w.Workers)
 	_, pks := a.destKeys(layer)
@@ -831,28 +752,21 @@ func (a *Actor) runReEnc(ctx context.Context, round uint64, layer int, ins [][]e
 	next := (a.cfg.Pos + 1) % k
 	return a.sendChain(ctx, a.cfg.Peers[next], a.cfg.GID, a.cfg.Indices[next], &transport.Message{
 		Type: msgReEnc, Round: round,
-		Payload: encodeReEncMsg(layer, w, a.cfg.Pos+1, chunk, chunks, batches),
+		Payload: encodeReEncMsg(layer, w, a.cfg.Pos+1, batches),
 	})
 }
 
 // handleReEnc verifies the predecessor's re-encryption steps, then
 // either re-encrypts itself (mid-chain) or — at step K, back at the
 // first member — clears the Y slots and forwards the finished batches.
-// Chunk-streamed chains route through here once per chunk: mid-chain
-// members are stateless (verify the chunk, build on it, forward it);
-// the first member accumulates chunks and finishes the layer when the
-// last one lands. Verify-before-build-on holds per chunk.
 func (a *Actor) handleReEnc(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
-	layer, w, step, chunk, chunks, batches, err := decodeReEncMsg(msg.Payload)
+	layer, w, step, batches, err := decodeReEncMsg(msg.Payload)
 	if err != nil {
 		return -1, fmt.Errorf("distributed: group %d: bad reenc payload: %w", a.cfg.GID, err)
 	}
 	k := len(a.cfg.Peers)
 	if step < 1 || step > k || a.cfg.Pos != step%k {
 		return layer, fmt.Errorf("distributed: group %d member %d: reenc step %d misrouted", a.cfg.GID, a.cfg.Pos, step)
-	}
-	if chunks < 1 || chunk < 0 || chunk >= chunks {
-		return layer, fmt.Errorf("distributed: group %d layer %d: reenc chunk %d of %d out of range", a.cfg.GID, layer, chunk, chunks)
 	}
 	a.observeRound(round)
 	if err := a.checkLayer(layer); err != nil {
@@ -894,52 +808,9 @@ func (a *Actor) handleReEnc(ctx context.Context, round uint64, msg *transport.Me
 		outs[i] = batches[i].Out
 	}
 	if step == k {
-		if chunks == 1 {
-			return layer, a.finishLayer(ctx, round, layer, outs, w)
-		}
-		return layer, a.assembleReEncChunk(ctx, round, layer, outs, w, chunk, chunks)
+		return layer, a.finishLayer(ctx, round, layer, outs, w)
 	}
-	return layer, a.runReEnc(ctx, round, layer, outs, w, chunk, chunks)
-}
-
-// assembleReEncChunk (first member, step K of a chunk-streamed chain)
-// buffers one verified chunk at its stream position and finishes the
-// layer once every chunk has landed. A chunk that contradicts the
-// stream shape — different total, a position already filled, a batch
-// count that does not match — is a protocol violation and aborts the
-// round.
-func (a *Actor) assembleReEncChunk(ctx context.Context, round uint64, layer int, outs [][]elgamal.Vector, w work, chunk, chunks int) error {
-	byLayer := a.reencAsm[round]
-	if byLayer == nil {
-		byLayer = make(map[int]*reencAssembly)
-		a.reencAsm[round] = byLayer
-	}
-	asm := byLayer[layer]
-	if asm == nil {
-		asm = &reencAssembly{parts: make([][][]elgamal.Vector, chunks), chunks: chunks, nb: len(outs)}
-		byLayer[layer] = asm
-	}
-	if asm.chunks != chunks || chunk >= len(asm.parts) || asm.parts[chunk] != nil || len(outs) != asm.nb {
-		return fmt.Errorf("distributed: group %d layer %d: reenc chunk %d of %d inconsistent with stream (have %d of %d)",
-			a.cfg.GID, layer, chunk, chunks, asm.seen, asm.chunks)
-	}
-	asm.parts[chunk] = outs
-	asm.w.add(w)
-	asm.seen++
-	if asm.seen < asm.chunks {
-		return nil
-	}
-	delete(byLayer, layer)
-	if len(byLayer) == 0 {
-		delete(a.reencAsm, round)
-	}
-	final := make([][]elgamal.Vector, asm.nb)
-	for _, part := range asm.parts {
-		for i := range part {
-			final[i] = append(final[i], part[i]...)
-		}
-	}
-	return a.finishLayer(ctx, round, layer, final, asm.w)
+	return layer, a.runReEnc(ctx, round, layer, outs, w)
 }
 
 // finishLayer (first member) clears the Y slots and hands each finished

@@ -88,20 +88,6 @@ type work struct {
 	BusyNs   int64
 }
 
-// add folds another chunk's accounting into w — the first member sums
-// a chunk-streamed layer's per-chunk totals into the msgLayer report.
-// Workers is a knob, not a counter, so the maximum wins.
-func (w *work) add(o work) {
-	w.Msgs += o.Msgs
-	w.Shuffles += o.Shuffles
-	w.ReEncs += o.ReEncs
-	w.Proofs += o.Proofs
-	w.BusyNs += o.BusyNs
-	if o.Workers > w.Workers {
-		w.Workers = o.Workers
-	}
-}
-
 func encWork(e *wirecodec.Enc, w work) {
 	e.I(w.Msgs)
 	e.I(w.Workers)
@@ -212,20 +198,12 @@ type reencBatch struct {
 }
 
 // reencMsg: layer, work, step (receiver position; K wraps to the first
-// member for final verification), chunk/chunks (the chunk-streamed
-// chain's position: chunk c of chunks; whole-batch messages travel as
-// 0 of 1), the sender's β per-batch steps. In a chunked chain each
-// message carries only its chunk's vector segments, and the work totals
-// ride per chunk — the inherited pre-chain accounting on chunk 0, each
-// member's per-chunk additions on every chunk — so the first member
-// sums chunks into the layer report.
-func encodeReEncMsg(layer int, w work, step, chunk, chunks int, batches []reencBatch) []byte {
+// member for final verification), the sender's β per-batch steps.
+func encodeReEncMsg(layer int, w work, step int, batches []reencBatch) []byte {
 	var e wirecodec.Enc
 	e.I(layer)
 	encWork(&e, w)
 	e.I(step)
-	e.I(chunk)
-	e.I(chunks)
 	e.U64(uint64(len(batches)))
 	for _, rb := range batches {
 		e.Vectors(rb.In)
@@ -238,7 +216,7 @@ func encodeReEncMsg(layer int, w work, step, chunk, chunks int, batches []reencB
 	return e.Out()
 }
 
-func decodeReEncMsg(b []byte) (layer int, w work, step, chunk, chunks int, batches []reencBatch, err error) {
+func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch, err error) {
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
 		return
@@ -247,12 +225,6 @@ func decodeReEncMsg(b []byte) (layer int, w work, step, chunk, chunks int, batch
 		return
 	}
 	if step, err = d.I(); err != nil {
-		return
-	}
-	if chunk, err = d.I(); err != nil {
-		return
-	}
-	if chunks, err = d.I(); err != nil {
 		return
 	}
 	var n int
@@ -468,7 +440,6 @@ func (c *MemberConfig) Marshal() []byte {
 	e.I(c.Topo.Groups)
 	e.I(c.Topo.Iterations)
 	e.I(c.Topo.Reps)
-	e.I(c.ChunkSize)
 	e.U64(uint64(c.Heartbeat))
 	e.U64(uint64(len(c.Escrows)))
 	for _, esc := range c.Escrows {
@@ -533,9 +504,6 @@ func UnmarshalMemberConfig(b []byte) (*MemberConfig, error) {
 		return nil, err
 	}
 	if c.Topo.Reps, err = d.I(); err != nil {
-		return nil, err
-	}
-	if c.ChunkSize, err = d.I(); err != nil {
 		return nil, err
 	}
 	hb, err := d.U64()

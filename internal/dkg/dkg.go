@@ -23,7 +23,7 @@
 // same group key — even when byzantine members send different messages
 // to different peers. The transport is the authenticated channel; in a
 // deployment where relays are untrusted the response/justification
-// payloads would additionally be signed (noted in ARCHITECTURE.md).
+// payloads would additionally be signed (noted in docs/ARCHITECTURE.md).
 //
 // Resharing reuses the same three phases with two changes: the dealers
 // are a threshold subset of the old group dealing λ_d·oldShare_d (λ the

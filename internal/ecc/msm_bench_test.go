@@ -8,7 +8,8 @@ import (
 // Benchmarks for the multi-scalar and fixed-base batch pipelines — the
 // two primitives every shuffle-sized operation reduces to. CI runs
 // these as a smoke (and reads the allocs/op column as a regression
-// guard); scripts/bench.sh tracks the protocol-level numbers.
+// guard); the reference benchmark (benchmark/) tracks the
+// protocol-level numbers.
 
 func benchPairs(n int) ([]*Scalar, []*Point) {
 	rng := rand.New(rand.NewSource(int64(n)))

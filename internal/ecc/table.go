@@ -1,7 +1,9 @@
 package ecc
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Fixed-base comb tables. For a base P and window width w, the table
@@ -139,12 +141,20 @@ func BaseMulAddBatch(adds []*Point, ks []*Scalar) []*Point {
 // public keys), keyed by compressed point encoding. Bounded: a
 // long-lived deployment sees a handful of distinct keys, but a test
 // run generating thousands of throwaway keys must not accumulate
-// megabyte-scale tables forever.
+// megabyte-scale tables forever. A full registry evicts the entry
+// looked up longest ago, so the keys a live deployment mixes under
+// outlast the dead keys of deployments set up around it.
 const tableRegistryCap = 8
+
+type tableEntry struct {
+	tab  *combTable
+	used atomic.Uint64 // tableClock at the last hit
+}
 
 var (
 	tableRegistryMu sync.RWMutex
-	tableRegistry   = make(map[[33]byte]*combTable, tableRegistryCap)
+	tableRegistry   = make(map[[33]byte]*tableEntry, tableRegistryCap)
+	tableClock      atomic.Uint64
 )
 
 func tableKey(p *Point) [33]byte {
@@ -153,27 +163,41 @@ func tableKey(p *Point) [33]byte {
 	return k
 }
 
+// lookupKey returns the registered comb for key, stamping the hit.
+func lookupKey(key [33]byte) *combTable {
+	tableRegistryMu.RLock()
+	defer tableRegistryMu.RUnlock()
+	e := tableRegistry[key]
+	if e == nil {
+		return nil
+	}
+	e.used.Store(tableClock.Add(1))
+	return e.tab
+}
+
 func lookupTable(p *Point) *combTable {
 	if p.IsIdentity() {
 		return nil
 	}
-	key := tableKey(p)
-	tableRegistryMu.RLock()
-	t := tableRegistry[key]
-	tableRegistryMu.RUnlock()
-	return t
+	return lookupKey(tableKey(p))
 }
 
 func storeTable(key [33]byte, t *combTable) {
 	tableRegistryMu.Lock()
-	if len(tableRegistry) >= tableRegistryCap {
-		for k := range tableRegistry {
-			delete(tableRegistry, k)
-			break
+	defer tableRegistryMu.Unlock()
+	if _, ok := tableRegistry[key]; !ok && len(tableRegistry) >= tableRegistryCap {
+		var lru [33]byte
+		oldest := uint64(math.MaxUint64)
+		for k, e := range tableRegistry {
+			if u := e.used.Load(); u < oldest {
+				lru, oldest = k, u
+			}
 		}
+		delete(tableRegistry, lru)
 	}
-	tableRegistry[key] = t
-	tableRegistryMu.Unlock()
+	e := &tableEntry{tab: t}
+	e.used.Store(tableClock.Add(1))
+	tableRegistry[key] = e
 }
 
 // WarmBase precomputes and caches a fixed-base comb for p (typically a
@@ -186,10 +210,7 @@ func WarmBase(p *Point) {
 		return
 	}
 	key := tableKey(p)
-	tableRegistryMu.RLock()
-	_, ok := tableRegistry[key]
-	tableRegistryMu.RUnlock()
-	if ok {
+	if lookupKey(key) != nil {
 		return
 	}
 	storeTable(key, buildComb(p))

@@ -1,12 +1,9 @@
 package elgamal
 
 import (
-	"bytes"
-	"crypto/rand"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"atom/internal/ecc"
 	"atom/internal/parallel"
@@ -23,24 +20,21 @@ type Pad struct {
 	BK *ecc.Point // base^k
 }
 
-// PadPool banks precomputed pads (and permutation entropy) for one
-// mixing base — a group public key. One pool serves both operations
-// that rerandomize toward that key: shuffles inside the group (base =
-// the group's own key) and re-encryptions toward it from upstream
-// groups. Fill runs offline on the parallel pool through the fused
-// fixed-base comb pipelines; Take consumes serially, so the online
-// path stays deterministic at any worker count. Exhaustion is not an
-// error — consumers fall back to the fresh-randomness path for any
-// slots past the bank.
+// PadPool banks precomputed pads for one mixing base — a group public
+// key. Fill runs offline on the parallel pool through the fused
+// fixed-base comb pipelines; ReEncBatchPads consumes serially, so its
+// output stays deterministic at any worker count. Exhaustion is not an
+// error — slots past the bank fall back to fresh randomness.
+//
+// No mixing path uses the bank: filling it costs what the online
+// exponentiations it replaces cost. It is kept as the measured
+// primitive behind the benchmark's elgamal.reenc_pads / pad_fill
+// ledger entries.
 type PadPool struct {
 	base *ecc.Point
 
 	mu   sync.Mutex
 	pads []Pad
-	ent  []byte
-
-	hits   atomic.Uint64 // pad-served slots
-	misses atomic.Uint64 // slots that fell back to fresh randomness
 }
 
 // NewPadPool creates an empty pool for the given base and warms the
@@ -51,28 +45,10 @@ func NewPadPool(base *ecc.Point) *PadPool {
 	return &PadPool{base: base.Clone()}
 }
 
-// Base returns the mixing base the pool precomputes for.
-func (p *PadPool) Base() *ecc.Point { return p.base }
-
-// Size reports the number of banked pads.
-func (p *PadPool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pads)
-}
-
-// Stats returns the pool's lifetime hit/miss counters: slots served
-// from the bank vs slots that fell back to fresh randomness.
-func (p *PadPool) Stats() (hits, misses uint64) {
-	return p.hits.Load(), p.misses.Load()
-}
-
 // Fill tops the bank up to target pads, drawing scalars from rnd
 // serially and fanning the g^k / base^k evaluations over the worker
-// pool (nil = serial). It also banks 8 bytes of permutation entropy
-// per pad, so shuffle permutations during the online phase come from
-// precomputed randomness too. Filling past target is a no-op; a
-// canceled pool context aborts with the pool's error.
+// pool (nil = serial). Filling past target is a no-op; a canceled pool
+// context aborts with the pool's error.
 func (p *PadPool) Fill(target int, rnd io.Reader, pool *parallel.Pool) error {
 	p.mu.Lock()
 	need := target - len(p.pads)
@@ -104,126 +80,28 @@ func (p *PadPool) Fill(target int, rnd io.Reader, pool *parallel.Pool) error {
 	}); err != nil {
 		return err
 	}
-	ent := make([]byte, 8*need)
-	if _, err := io.ReadFull(orRand(rnd), ent); err != nil {
-		return fmt.Errorf("elgamal: pad entropy: %w", err)
-	}
 	p.mu.Lock()
 	for i := 0; i < need; i++ {
 		p.pads = append(p.pads, Pad{K: ks[i], GK: gks[i], BK: bks[i]})
 	}
-	p.ent = append(p.ent, ent...)
 	p.mu.Unlock()
 	return nil
 }
 
-// take removes up to n pads from the bank, recording the served slots
-// as hits and the shortfall as misses. It must be called serially with
-// respect to the consuming batch (the shuffle/re-enc entry points do),
-// so output stays deterministic at any worker count.
+// take removes up to n pads from the bank. It must be called serially
+// with respect to the consuming batch (ReEncBatchPads does), so output
+// stays deterministic at any worker count.
 func (p *PadPool) take(n int) []Pad {
 	if p == nil || n <= 0 {
 		return nil
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	m := n
 	if m > len(p.pads) {
 		m = len(p.pads)
 	}
 	out := p.pads[:m:m]
 	p.pads = p.pads[m:]
-	p.mu.Unlock()
-	p.hits.Add(uint64(m))
-	p.misses.Add(uint64(n - m))
 	return out
-}
-
-// entropy hands back up to n banked random bytes for permutation
-// sampling; the caller chains them in front of its live reader.
-func (p *PadPool) entropy(n int) []byte {
-	if p == nil || n <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	m := n
-	if m > len(p.ent) {
-		m = len(p.ent)
-	}
-	out := p.ent[:m:m]
-	p.ent = p.ent[m:]
-	p.mu.Unlock()
-	return out
-}
-
-// entropyReader serves the banked bytes first and falls back to rnd —
-// a mid-permutation exhaustion just continues on live randomness.
-func (p *PadPool) entropyReader(n int, rnd io.Reader) io.Reader {
-	banked := p.entropy(n)
-	if len(banked) == 0 {
-		return rnd
-	}
-	return io.MultiReader(bytes.NewReader(banked), orRand(rnd))
-}
-
-func orRand(rnd io.Reader) io.Reader {
-	if rnd == nil {
-		return rand.Reader
-	}
-	return rnd
-}
-
-// Pads is a registry of pad pools keyed by mixing base, one pool per
-// group public key — the deployment-scoped offline precompute store.
-type Pads struct {
-	mu    sync.Mutex
-	pools map[string]*PadPool
-}
-
-// NewPads returns an empty registry.
-func NewPads() *Pads { return &Pads{pools: make(map[string]*PadPool)} }
-
-// For returns the pool for the given base, creating it on first use.
-// A nil registry or nil base returns nil (callers treat a nil pool as
-// "no pads": every slot falls back to fresh randomness).
-func (s *Pads) For(base *ecc.Point) *PadPool {
-	if s == nil || base == nil {
-		return nil
-	}
-	key := string(base.Bytes())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[key]
-	if !ok {
-		p = NewPadPool(base)
-		s.pools[key] = p
-	}
-	return p
-}
-
-// PadStats aggregates the registry's pools for metrics exposition.
-type PadStats struct {
-	Size   int    // pads currently banked across all pools
-	Hits   uint64 // lifetime pad-served slots
-	Misses uint64 // lifetime fresh-randomness fallbacks
-}
-
-// Stats sums the registry's pools. Safe on a nil registry.
-func (s *Pads) Stats() PadStats {
-	var st PadStats
-	if s == nil {
-		return st
-	}
-	s.mu.Lock()
-	pools := make([]*PadPool, 0, len(s.pools))
-	for _, p := range s.pools {
-		pools = append(pools, p)
-	}
-	s.mu.Unlock()
-	for _, p := range pools {
-		st.Size += p.Size()
-		h, m := p.Stats()
-		st.Hits += h
-		st.Misses += m
-	}
-	return st
 }

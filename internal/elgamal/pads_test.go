@@ -18,15 +18,15 @@ func fillPool(t *testing.T, base *ecc.Point, n int, seed byte, pool *parallel.Po
 	if err := p.Fill(n, &streamReader{state: seed}, pool); err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != n {
-		t.Fatalf("filled pool holds %d pads, want %d", p.Size(), n)
+	if len(p.pads) != n {
+		t.Fatalf("filled pool holds %d pads, want %d", len(p.pads), n)
 	}
 	return p
 }
 
-// TestPadPoolFillTakeStats: Fill tops up to target (idempotently), take
-// consumes serially and the hit/miss counters account for every slot.
-func TestPadPoolFillTakeStats(t *testing.T) {
+// TestPadPoolFillTake: Fill tops up to target (idempotently) with
+// well-formed pads and take hands out at most what is banked.
+func TestPadPoolFillTake(t *testing.T) {
 	kp, err := KeyGen(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +36,8 @@ func TestPadPoolFillTakeStats(t *testing.T) {
 	if err := p.Fill(4, rand.Reader, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 10 {
-		t.Fatalf("re-fill to smaller target changed size to %d", p.Size())
+	if len(p.pads) != 10 {
+		t.Fatalf("re-fill to smaller target changed size to %d", len(p.pads))
 	}
 	// Every pad must satisfy GK = g^k, BK = base^k.
 	taken := p.take(3)
@@ -49,66 +49,9 @@ func TestPadPoolFillTakeStats(t *testing.T) {
 			t.Fatalf("pad %d is not (k, g^k, pk^k)", i)
 		}
 	}
-	// Overdraw: 7 left, ask for 9 → 7 hits, 2 misses.
+	// Overdraw: 7 left, ask for 9.
 	if got := len(p.take(9)); got != 7 {
 		t.Fatalf("overdraw returned %d pads, want 7", got)
-	}
-	hits, misses := p.Stats()
-	if hits != 10 || misses != 2 {
-		t.Fatalf("stats hits=%d misses=%d, want 10/2", hits, misses)
-	}
-	if p.Size() != 0 {
-		t.Fatalf("drained pool still holds %d pads", p.Size())
-	}
-}
-
-// TestShuffleBatchPadsDeterministicAcrossWorkers: with identical pad
-// banks and an identical randomness stream, the padded shuffle must
-// produce byte-identical output at every worker count (the offline
-// draw is serial; only the point arithmetic fans out), and the
-// returned randomness must still open every output slot.
-func TestShuffleBatchPadsDeterministicAcrossWorkers(t *testing.T) {
-	kp, err := KeyGen(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := makeBatch(t, kp.PK, 21)
-	// Pads cover only part of the batch, so the run crosses the
-	// pad→fresh boundary — the trickiest spot for determinism.
-	refPool := fillPool(t, kp.PK, 9, 11, nil)
-	ref, refPerm, refRands, err := ShuffleBatchPads(kp.PK, batch, &streamReader{state: 7}, nil, refPool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		pool := parallel.New(context.Background(), workers)
-		pads := fillPool(t, kp.PK, 9, 11, pool)
-		out, perm, rands, err := ShuffleBatchPads(kp.PK, batch, &streamReader{state: 7}, pool, pads)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range perm {
-			if perm[i] != refPerm[i] {
-				t.Fatalf("workers=%d: permutation diverged at %d", workers, i)
-			}
-		}
-		for i := range out {
-			if !out[i].Equal(ref[i]) {
-				t.Fatalf("workers=%d: output %d diverged", workers, i)
-			}
-			if !rands[i][0].Equal(refRands[i][0]) {
-				t.Fatalf("workers=%d: randomness %d diverged", workers, i)
-			}
-			// Pad or fresh, the returned scalar opens the slot.
-			want := RerandomizeWithRandomness(kp.PK, batch[perm[i]][0], rands[i][0])
-			if !out[i][0].Equal(want) {
-				t.Fatalf("workers=%d: randomness %d does not open output", workers, i)
-			}
-		}
-		hits, misses := pads.Stats()
-		if hits != 9 || misses != 21-9 {
-			t.Fatalf("workers=%d: stats hits=%d misses=%d, want 9/12", workers, hits, misses)
-		}
 	}
 }
 
@@ -147,15 +90,14 @@ func TestReEncBatchPadsDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: randomness %d does not open output", workers, i)
 			}
 		}
-		hits, misses := pads.Stats()
-		if hits != 6 || misses != 17-6 {
-			t.Fatalf("workers=%d: stats hits=%d misses=%d, want 6/11", workers, hits, misses)
+		if len(pads.pads) != 0 {
+			t.Fatalf("workers=%d: a 17-slot batch left %d of 6 pads banked", workers, len(pads.pads))
 		}
 	}
 
 	// A pool banked for the WRONG base must be ignored, not consumed:
-	// the output still opens under the right key and the pool records
-	// neither hits nor misses.
+	// the output still opens under the right key and the pool keeps
+	// every pad.
 	wrong := fillPool(t, kp.PK, 6, 23, nil)
 	out, rss, err := ReEncBatchPads(kp.SK, next.PK, batch, nil, nil, wrong)
 	if err != nil {
@@ -167,11 +109,8 @@ func TestReEncBatchPadsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("mismatched-base fallback: slot %d does not open", i)
 		}
 	}
-	if hits, misses := wrong.Stats(); hits != 0 || misses != 0 {
-		t.Fatalf("mismatched-base pool was touched: hits=%d misses=%d", hits, misses)
-	}
-	if wrong.Size() != 6 {
-		t.Fatalf("mismatched-base pool lost pads: %d left", wrong.Size())
+	if len(wrong.pads) != 6 {
+		t.Fatalf("mismatched-base pool lost pads: %d left", len(wrong.pads))
 	}
 
 	// Exit layer (⊥ destination): pads must never be consumed.
@@ -189,43 +128,7 @@ func TestReEncBatchPadsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("exit-layer padded output %d diverged from plain path", i)
 		}
 	}
-	if exitPads.Size() != 6 {
-		t.Fatalf("exit layer consumed pads: %d left", exitPads.Size())
-	}
-}
-
-// TestPadsRegistry: For keys pools by base, nil-safety contracts hold,
-// and Stats aggregates across pools.
-func TestPadsRegistry(t *testing.T) {
-	var nilPads *Pads
-	if nilPads.For(nil) != nil {
-		t.Fatal("nil registry must hand out nil pools")
-	}
-	if st := nilPads.Stats(); st.Size != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatal("nil registry stats must be zero")
-	}
-	kp1, _ := KeyGen(rand.Reader)
-	kp2, _ := KeyGen(rand.Reader)
-	s := NewPads()
-	if s.For(nil) != nil {
-		t.Fatal("nil base must yield a nil pool")
-	}
-	p1 := s.For(kp1.PK)
-	if p1 != s.For(kp1.PK) {
-		t.Fatal("same base must yield the same pool")
-	}
-	if p1 == s.For(kp2.PK) {
-		t.Fatal("different bases must yield different pools")
-	}
-	if err := p1.Fill(4, rand.Reader, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.For(kp2.PK).Fill(3, rand.Reader, nil); err != nil {
-		t.Fatal(err)
-	}
-	p1.take(5) // 4 hits, 1 miss
-	st := s.Stats()
-	if st.Size != 3 || st.Hits != 4 || st.Misses != 1 {
-		t.Fatalf("aggregate stats = %+v, want size 3 hits 4 misses 1", st)
+	if len(exitPads.pads) != 6 {
+		t.Fatalf("exit layer consumed pads: %d left", len(exitPads.pads))
 	}
 }

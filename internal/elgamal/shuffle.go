@@ -41,7 +41,7 @@ func RandomPerm(n int, rnd io.Reader) ([]int, error) {
 // (out[i] = Rerandomize(in[perm[i]], rands[i][j])), which the caller
 // feeds to nizk.ProveShuffle in the NIZK variant and then discards.
 func ShuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader) (out []Vector, perm []int, rands [][]*ecc.Scalar, err error) {
-	return shuffleBatch(pk, in, rnd, nil, nil)
+	return shuffleBatch(pk, in, rnd, nil)
 }
 
 // ShuffleBatchPar is ShuffleBatch with the per-message point arithmetic
@@ -51,35 +51,12 @@ func ShuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader) (out []Vector, perm
 // be safe for concurrent use and the batch consumes the randomness
 // stream in the same order at every worker count.
 func ShuffleBatchPar(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool) (out []Vector, perm []int, rands [][]*ecc.Scalar, err error) {
-	return shuffleBatch(pk, in, rnd, pool, nil)
+	return shuffleBatch(pk, in, rnd, pool)
 }
 
-// ShuffleBatchPads is ShuffleBatchPar drawing its rerandomizers — and
-// the permutation entropy — from the pool of precomputed pads: every
-// padded slot costs two point additions instead of two fixed-base
-// evaluations. Slots past the bank (and the whole batch when pads is
-// nil or precomputed for a different base) fall back to the fresh-
-// randomness path mid-batch with no seam: the returned permutation and
-// randomness have identical semantics either way, so proof generation
-// is unchanged. Pads are consumed serially up front, preserving the
-// deterministic-output-at-any-worker-count contract.
-func ShuffleBatchPads(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) (out []Vector, perm []int, rands [][]*ecc.Scalar, err error) {
-	return shuffleBatch(pk, in, rnd, pool, pads)
-}
-
-func shuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) (out []Vector, perm []int, rands [][]*ecc.Scalar, err error) {
-	if pads != nil && !pads.base.Equal(pk) {
-		pads = nil // precomputed for another base; use fresh randomness
-	}
+func shuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool) (out []Vector, perm []int, rands [][]*ecc.Scalar, err error) {
 	n := len(in)
-	permRnd := rnd
-	if pads != nil {
-		// Banked entropy first, live reader past it. Fisher–Yates over n
-		// slots reads ~1 byte per draw at mixnet sizes with < 2 expected
-		// rejection retries, so 4n banked bytes nearly always cover it.
-		permRnd = pads.entropyReader(4*n, rnd)
-	}
-	perm, err = RandomPerm(n, permRnd)
+	perm, err = RandomPerm(n, rnd)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -106,20 +83,12 @@ func shuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool
 			seedC[offs[i]+j] = ct.C
 		}
 	}
-	// Precomputed pads cover the first m slots; the rest draw fresh
-	// scalars in one slab-allocated batch. rands sub-slices the flat
-	// scalar array, so the per-vector views cost no extra allocations.
-	taken := pads.take(total)
-	m := len(taken)
-	fresh, err := ecc.RandomScalars(rnd, total-m)
+	// One slab-allocated batch of scalars; rands sub-slices it, so the
+	// per-vector views cost no extra allocations.
+	flatK, err := ecc.RandomScalars(rnd, total)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	flatK := make([]*ecc.Scalar, total)
-	for t := 0; t < m; t++ {
-		flatK[t] = taken[t].K
-	}
-	copy(flatK[m:], fresh)
 	rands = make([][]*ecc.Scalar, n)
 	for i := 0; i < n; i++ {
 		rands[i] = flatK[offs[i]:offs[i+1]:offs[i+1]]
@@ -136,22 +105,6 @@ func shuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool
 	if err := pool.Each(chunks, func(c int) error {
 		lo, hi := c*total/chunks, (c+1)*total/chunks
 		if lo == hi {
-			return nil
-		}
-		// Padded slots: R' = g^k + R and C' = pk^k + C with g^k, pk^k
-		// precomputed offline — two point additions per component.
-		padHi := hi
-		if padHi > m {
-			padHi = m
-		}
-		for t := lo; t < padHi; t++ {
-			outR[t] = taken[t].GK.Add(seedR[t])
-			outC[t] = taken[t].BK.Add(seedC[t])
-		}
-		if lo < m {
-			lo = m
-		}
-		if lo >= hi {
 			return nil
 		}
 		copy(outR[lo:hi], ecc.BaseMulAddBatch(seedR[lo:hi], flatK[lo:hi]))

@@ -18,7 +18,6 @@ import (
 	"atom/internal/elgamal"
 	"atom/internal/groupmgr"
 	"atom/internal/nizk"
-	"atom/internal/parallel"
 	"atom/internal/topology"
 )
 
@@ -62,12 +61,6 @@ type Deployment struct {
 	groups  []*GroupState
 	rnd     io.Reader
 	escrows map[escrowKey]*dvss.Escrow
-
-	// pads is the offline precompute store: per-group-key pools of
-	// (k, g^k, pk^k) rerandomization pads filled by Prewarm between
-	// rounds and consumed by the online shuffle/re-enc path. Always
-	// non-nil; empty pools simply fall back to fresh randomness.
-	pads *elgamal.Pads
 
 	// roundSeq issues round ids.
 	roundSeq atomic.Uint64
@@ -123,7 +116,6 @@ func newDeployment(cfg Config, s Setup) (*Deployment, error) {
 		groups:  make([]*GroupState, len(infos)),
 		rnd:     rand.Reader,
 		escrows: make(map[escrowKey]*dvss.Escrow),
-		pads:    elgamal.NewPads(),
 	}
 
 	// Group key establishment — the in-process trusted dealer or the
@@ -198,62 +190,6 @@ func (d *Deployment) NumGroups() int { return len(d.groups) }
 // Topology returns the deployment's permutation network — what a
 // distributed mixer needs to route inter-group batches.
 func (d *Deployment) Topology() topology.Topology { return d.topo }
-
-// PadStats reports the offline pad bank: pads currently banked across
-// all per-base pools plus lifetime hit/miss counters (slots served from
-// the bank vs fresh-randomness fallbacks).
-func (d *Deployment) PadStats() elgamal.PadStats { return d.pads.Stats() }
-
-// maxPadBank caps the per-base pad bank Prewarm will fill to, bounding
-// the offline store's memory no matter how large the predicted batch is
-// (~130k pads ≈ a few tens of MB per base; past the cap the online path
-// falls back to fresh randomness for the tail).
-const maxPadBank = 1 << 17
-
-// Prewarm fills the offline pad pools for an expected sealed batch of
-// `vectors` layer-0 ciphertext vectors — the offline half of the
-// offline/online mixing split. For every group key it banks enough
-// (k, g^k, pk^k) pads to cover the group's share of the batch across
-// all T iterations: per layer each of the threshold chain members
-// shuffles the whole group batch under the group's own key, and (on
-// every non-exit layer) upstream chains re-encrypt the same share
-// toward the key. The fill fans over a worker pool sized like a mixing
-// round; running it between a seal and the next one moves the
-// rerandomization exponentiations off the online drain path.
-//
-// Prewarm is additive and idempotent: pools already at target are left
-// alone, so calling it every round only tops up what the last round
-// consumed. Exhaustion mid-round is never an error — the online path
-// falls back to fresh randomness past the bank.
-func (d *Deployment) Prewarm(ctx context.Context, vectors int) error {
-	if vectors <= 0 {
-		return nil
-	}
-	cfg := d.Config()
-	G := len(d.groups)
-	T := d.topo.Iterations()
-	k := cfg.Threshold()
-	comps := cfg.NumPoints()
-	perG := (vectors + G - 1) / G
-	// Shuffle pads under the group's own key: T layers × k members ×
-	// the group batch. Re-enc pads toward the key: the batch arrives
-	// re-encrypted on layers 1..T-1 (the exit layer decrypts to ⊥ and
-	// consumes no pads).
-	need := (2*T - 1) * k * perG * comps
-	if need > maxPadBank {
-		need = maxPadBank
-	}
-	pool := parallel.New(ctx, cfg.Mix.effectiveWorkers(G))
-	for _, g := range d.groups {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("protocol: prewarm canceled: %w", err)
-		}
-		if err := d.pads.For(g.PK).Fill(need, d.rnd, pool); err != nil {
-			return fmt.Errorf("protocol: prewarm group %d: %w", g.Info.ID, err)
-		}
-	}
-	return nil
-}
 
 // GroupRoster is one group's public wiring plus the per-member secret
 // material for a round: the DVSS indices of the active chain in mixing
@@ -704,7 +640,6 @@ func (m localMixer) MixRound(job *MixJob) (*MixOutcome, error) {
 					destPKs:  pks,
 					rnd:      rand.Reader,
 					workers:  job.Workers,
-					pads:     d.pads,
 				}
 				if a := job.Adversary; a != nil && a.Layer == layer && a.GID == gi {
 					p.tamper = a.Tamper

@@ -35,11 +35,6 @@ type MemberEngine struct {
 	GroupPK *ecc.Point
 	// Pool bounds the engine's crypto parallelism; nil runs serially.
 	Pool *parallel.Pool
-	// Pads, when non-nil, is the offline precompute store: shuffles and
-	// re-encryptions draw their rerandomizers from the per-base pad
-	// pools and fall back to fresh randomness past the bank. Nil keeps
-	// the all-online path.
-	Pads *elgamal.Pads
 }
 
 // ShuffleStep is one member's verifiable shuffle: the input batch, the
@@ -72,7 +67,7 @@ type ReEncStep struct {
 // caller can interpose — the deployment's adversary hook tampers with
 // the output here — before ProveStep seals the step.
 func (e *MemberEngine) Shuffle(member int, batch []elgamal.Vector, rnd io.Reader) (out []elgamal.Vector, perm []int, rands [][]*ecc.Scalar, err error) {
-	out, perm, rands, err = elgamal.ShuffleBatchPads(e.GroupPK, batch, rnd, e.Pool, e.Pads.For(e.GroupPK))
+	out, perm, rands, err = elgamal.ShuffleBatchPar(e.GroupPK, batch, rnd, e.Pool)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("protocol: group %d member %d shuffle: %w", e.GID, member, err)
 	}
@@ -121,7 +116,7 @@ func (e *MemberEngine) VerifyShuffle(s *ShuffleStep, pool *parallel.Pool) error 
 // layer), generating per-vector proofs in the NIZK variant. eff/effPub
 // are the member's effective key pair for the active subset.
 func (e *MemberEngine) ReEnc(member int, eff *ecc.Scalar, effPub, destPK *ecc.Point, batch []elgamal.Vector, rnd io.Reader) (*ReEncStep, error) {
-	next, rss, err := elgamal.ReEncBatchPads(eff, destPK, batch, rnd, e.Pool, e.Pads.For(destPK))
+	next, rss, err := elgamal.ReEncBatchPar(eff, destPK, batch, rnd, e.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: group %d member %d reenc: %w", e.GID, member, err)
 	}

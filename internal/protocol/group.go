@@ -128,10 +128,6 @@ type mixParams struct {
 	// workers bounds the group's crypto worker pool (MixConfig, already
 	// resolved by the deployment; < 1 means serial).
 	workers int
-	// pads, when non-nil, is the deployment's offline precompute store;
-	// the engine draws shuffle and re-enc randomness from it, falling
-	// back to fresh draws past the bank.
-	pads *elgamal.Pads
 }
 
 // runIteration executes Algorithm 1 (or Algorithm 2 when variant is
@@ -180,7 +176,7 @@ func (g *GroupState) runIteration(p mixParams) ([][]elgamal.Vector, *StepTrace, 
 		return make([][]elgamal.Vector, beta), trace, nil
 	}
 	pool := parallel.New(p.ctx, workers)
-	engine := &MemberEngine{GID: g.Info.ID, Variant: p.variant, GroupPK: g.PK, Pool: pool, Pads: p.pads}
+	engine := &MemberEngine{GID: g.Info.ID, Variant: p.variant, GroupPK: g.PK, Pool: pool}
 
 	// Keep every member's step so all proofs can be verified
 	// concurrently after the chain.

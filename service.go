@@ -50,17 +50,6 @@ type ServeOptions struct {
 	// sealing — the open round keeps ingesting, growing — until a mix
 	// slot frees: ingestion backpressure instead of unbounded memory.
 	QueueDepth int
-	// Prewarm enables the offline half of the offline/online mixing
-	// split: a background prewarmer tracks the open round's fill as
-	// admissions land and tops the deployment's pad pools up to cover
-	// the predicted sealed batch (an EWMA of recent sealed sizes,
-	// nudged live by the open round's pending count), so by the time a
-	// round seals most of its rerandomization exponentiations are
-	// already banked. The value caps the per-round vector count the
-	// prewarmer will provision for; 0 disables prewarming. Only the
-	// in-process mixer consumes pads — over a distributed cluster the
-	// members own their randomness and this knob is inert.
-	Prewarm int
 	// Mixer runs the rounds' mixing. Nil selects the in-process engine;
 	// an internal/distributed.Cluster runs them over its transport.
 	Mixer Mixer
@@ -150,14 +139,6 @@ type Service struct {
 	queue    chan *sealedJob
 	queued   atomic.Int32
 	inFlight atomic.Int32
-
-	// prewarmCh feeds the prewarmer its latest batch-size prediction
-	// (nil when ServeOptions.Prewarm is 0). Sends coalesce: the channel
-	// holds one pending prediction and newer values replace it, so the
-	// single prewarm goroutine never backs up the admission path.
-	prewarmCh  chan int
-	vecsPerSub int     // sealed vectors per admitted submission (trap: 2)
-	ewma       float64 // scheduler-owned EWMA of sealed batch sizes
 
 	// resMu guards the published-outcome history and its waiters.
 	resMu      sync.Mutex
@@ -260,15 +241,6 @@ func (n *Network) Serve(ctx context.Context, opts ServeOptions) (*Service, error
 			obs.RoundSealed(job.round, job.ingest)
 		}
 		s.queue <- job // capacity reserved above; never blocks
-	}
-	if opts.Prewarm > 0 {
-		s.vecsPerSub = 1
-		if n.d.Config().Variant == protocol.VariantTrap {
-			s.vecsPerSub = 2
-		}
-		s.prewarmCh = make(chan int, 1)
-		s.wg.Add(1)
-		go s.prewarmLoop()
 	}
 	s.wg.Add(1 + opts.MaxInFlight)
 	go s.schedule()
@@ -446,15 +418,9 @@ func (s *Service) submit(fn func(*Round) error) (uint64, error) {
 }
 
 // account fires the size trigger once the round an admission landed in
-// has reached the target batch size, and feeds the prewarmer the open
-// round's fill so the offline pad bank tracks ingestion live.
+// has reached the target batch size.
 func (s *Service) account(r *Round) {
-	if s.opts.MaxBatch <= 0 && s.prewarmCh == nil {
-		return
-	}
-	pending := r.Pending()
-	s.nudgePrewarm(pending * s.vecsPerSub)
-	if s.opts.MaxBatch <= 0 || pending < s.opts.MaxBatch {
+	if s.opts.MaxBatch <= 0 || r.Pending() < s.opts.MaxBatch {
 		return
 	}
 	s.mu.Lock()
@@ -590,18 +556,6 @@ func (s *Service) rotate(final bool) bool {
 			InFlight:    int(s.inFlight.Load()),
 		},
 	}
-	// Fold the sealed size into the prewarmer's prediction: the next
-	// round's batch is expected to look like the recent ones, so the
-	// offline bank can start refilling the pads this seal is about to
-	// consume before the successor's admissions even arrive.
-	if s.prewarmCh != nil {
-		if s.ewma == 0 {
-			s.ewma = float64(sealed.BatchSize())
-		} else {
-			s.ewma = 0.5*s.ewma + 0.5*float64(sealed.BatchSize())
-		}
-		s.nudgePrewarm(int(s.ewma))
-	}
 	job.ingest.Queued = int(s.queued.Add(1))
 	s.resMu.Lock()
 	s.sealedSet[job.round] = true
@@ -616,49 +570,6 @@ func (s *Service) rotate(final bool) bool {
 		return false
 	}
 	return true
-}
-
-// nudgePrewarm hands the prewarmer a fresh batch-size prediction,
-// capped at the configured provisioning ceiling. The one-slot channel
-// coalesces: a stale pending prediction is replaced, and the admission
-// path never blocks on the prewarmer.
-func (s *Service) nudgePrewarm(vectors int) {
-	if s.prewarmCh == nil || vectors <= 0 {
-		return
-	}
-	if vectors > s.opts.Prewarm {
-		vectors = s.opts.Prewarm
-	}
-	for {
-		select {
-		case s.prewarmCh <- vectors:
-			return
-		default:
-		}
-		select {
-		case <-s.prewarmCh:
-		default:
-		}
-	}
-}
-
-// prewarmLoop is the offline phase's single worker: it drains batch
-// predictions and tops the deployment's pad pools up to cover them.
-// Fill is additive and idempotent, so repeated nudges with a growing
-// open round just extend the bank; errors are dropped — an underfilled
-// bank only means the online path falls back to fresh randomness.
-func (s *Service) prewarmLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case n := <-s.prewarmCh:
-			_ = s.n.d.Prewarm(s.ctx, n)
-		case <-s.stop:
-			return
-		case <-s.ctx.Done():
-			return
-		}
-	}
 }
 
 // dispatch is one mixing worker: it pulls sealed rounds off the queue
