@@ -47,13 +47,10 @@
 // atom.ErrTrapTripped), atom.ErrProofRejected, atom.ErrRoundAborted,
 // atom.ErrBadSubmission, … — and an Observer installed with
 // Network.SetObserver receives per-iteration and per-round
-// statistics. The one-shot surface (SubmitMessage, Run) remains as a
-// thin wrapper over an implicit current round.
+// statistics.
 package atom
 
 import (
-	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -144,9 +141,8 @@ func (c Config) internal() protocol.Config {
 
 // Network is a complete Atom deployment: groups with threshold keys,
 // the permutation-network wiring, and (in the trap variant) the
-// trustees. Rounds are opened against it with OpenRound; the
-// SubmitMessage/Run methods are the legacy one-round-at-a-time surface
-// over an implicit current round.
+// trustees. Rounds are opened against it with OpenRound, or sealed and
+// mixed back to back by the continuous Service that Serve starts.
 type Network struct {
 	d      *protocol.Deployment
 	client *protocol.Client
@@ -211,51 +207,6 @@ func (n *Network) Groups() int { return n.d.NumGroups() }
 // through ServeOptions.Mixer). Most callers never need it.
 func (n *Network) Deployment() *protocol.Deployment { return n.d }
 
-// SubmitMessage pads, encrypts and submits msg for the given user,
-// choosing the entry group as user mod G (an untrusted load balancer's
-// policy; the choice does not affect anonymity — users are anonymous
-// among all honest users, not just those sharing their entry group).
-func (n *Network) SubmitMessage(user int, msg []byte) error {
-	return n.SubmitMessageTo(user, user%n.d.NumGroups(), msg)
-}
-
-// SubmitMessageTo is SubmitMessage with an explicit entry group. It
-// targets the implicit current round; Round.SubmitTo is the same
-// operation on an explicit round.
-func (n *Network) SubmitMessageTo(user, gid int, msg []byte) error {
-	return n.submitTo(n.d.CurrentRound(), user, gid, msg)
-}
-
-// submitTo encrypts msg for entry group gid and submits it into rs —
-// the single implementation behind both the legacy surface and
-// Round.SubmitTo.
-func (n *Network) submitTo(rs *protocol.RoundState, user, gid int, msg []byte) error {
-	pk, err := n.d.GroupPK(gid)
-	if err != nil {
-		return wrapErr(err)
-	}
-	switch rs.Variant() {
-	case protocol.VariantNIZK:
-		sub, err := n.client.Submit(msg, pk, gid, entropy())
-		if err != nil {
-			return wrapErr(err)
-		}
-		return wrapErr(rs.SubmitUser(user, sub))
-	case protocol.VariantTrap:
-		tpk, err := rs.TrusteePK()
-		if err != nil {
-			return wrapErr(err)
-		}
-		sub, err := n.client.SubmitTrap(msg, pk, tpk, gid, entropy())
-		if err != nil {
-			return wrapErr(err)
-		}
-		return wrapErr(rs.SubmitTrapUser(user, sub))
-	default:
-		return fmt.Errorf("atom: unknown variant")
-	}
-}
-
 // Result is the outcome of one anonymous broadcast round.
 type Result struct {
 	// Messages holds the anonymized plaintexts in canonical (sorted)
@@ -267,34 +218,6 @@ type Result struct {
 	Stats RoundStats
 }
 
-// Run executes the current round: T mixing iterations across all
-// groups plus the variant-specific finale. A detected attack aborts
-// the round with an error classified by the package taxonomy
-// (errors.Is against ErrTrapTripped, ErrProofRejected,
-// ErrRoundAborted, …); in the trap variant the trustees destroy the
-// decryption key first, so no tampered message is ever revealed.
-//
-// Run is the blocking legacy surface; OpenRound/Round.Mix add
-// concurrency-safe submission, context cancellation and pipelining.
-func (n *Network) Run() (*Result, error) {
-	rs := n.d.CurrentRound()
-	submissions := rs.Pending()
-	res, err := n.d.RunRoundCtx(context.Background(), rs, n.hooksFor())
-	obs := n.observer()
-	if err != nil {
-		err = wrapErr(err)
-		if obs != nil && obs.RoundFailed != nil {
-			obs.RoundFailed(rs.ID(), err)
-		}
-		return nil, err
-	}
-	stats := statsFromResult(res, submissions)
-	if obs != nil && obs.RoundMixed != nil {
-		obs.RoundMixed(stats)
-	}
-	return &Result{Messages: res.Messages, Stats: stats}, nil
-}
-
 // EntryKey returns the wire encoding of group gid's public key, for
 // remote clients building submissions with Client.
 func (n *Network) EntryKey(gid int) ([]byte, error) {
@@ -303,25 +226,6 @@ func (n *Network) EntryKey(gid int) ([]byte, error) {
 		return nil, wrapErr(err)
 	}
 	return pk.Bytes(), nil
-}
-
-// TrusteeKey returns the wire encoding of the current round's trustee
-// key (trap variant only). Rounds opened with OpenRound carry their
-// own key — use Round.TrusteeKey for those.
-func (n *Network) TrusteeKey() ([]byte, error) {
-	pk, err := n.d.TrusteePK()
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return pk.Bytes(), nil
-}
-
-// SubmitEncoded accepts a wire-encoded submission produced by
-// Client.EncryptSubmission — the path cmd/atomd uses for remote users.
-// It targets the implicit current round; Round.SubmitEncoded is the
-// same operation on an explicit round.
-func (n *Network) SubmitEncoded(user int, wire []byte) error {
-	return wrapErr(n.d.CurrentRound().SubmitEncoded(user, wire))
 }
 
 // FailServer simulates a crash of the given server everywhere it
@@ -344,29 +248,12 @@ func (n *Network) Recover(gid int, replacements []int) error {
 	return n.d.RecoverGroup(gid, replacements)
 }
 
-// IdentifyMaliciousUsers runs the trap variant's retroactive blame
-// procedure after an aborted round, returning the offending user ids
-// and per-user explanations.
-func (n *Network) IdentifyMaliciousUsers() ([]int, map[int]string, error) {
-	report, err := n.d.IdentifyMaliciousUsers()
-	if err != nil {
-		return nil, nil, err
-	}
-	return report.BadUsers, report.Reasons, nil
-}
-
-// ResetRound discards the pending round's submissions (after handling
-// an aborted round); successful rounds reset automatically.
-func (n *Network) ResetRound() error { return n.d.ResetRound() }
-
 // SwitchVariant changes the active-attack defense for subsequent rounds
 // — the paper's §4.6 escalation path from traps to NIZKs under a
 // persistent denial-of-service attack. Clients must be rebuilt with the
 // new variant.
 func (n *Network) SwitchVariant(v Variant) error {
-	if err := n.d.SwitchVariant(v.internal()); err != nil {
-		return err
-	}
+	n.d.SwitchVariant(v.internal())
 	cfg := n.d.Config()
 	client, err := protocol.NewClient(&cfg)
 	if err != nil {

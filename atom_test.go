@@ -1,6 +1,7 @@
 package atom
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,6 +19,16 @@ func testNetworkConfig(v Variant, msgSize int) Config {
 	}
 }
 
+// openTestRound opens the round a test submits into and then mixes.
+func openTestRound(t *testing.T, n *Network) *Round {
+	t.Helper()
+	r, err := n.OpenRound(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestPublicAPINIZKRound(t *testing.T) {
 	n, err := NewNetwork(testNetworkConfig(NIZK, 32))
 	if err != nil {
@@ -26,15 +37,16 @@ func TestPublicAPINIZKRound(t *testing.T) {
 	if n.Groups() != 4 {
 		t.Fatalf("Groups = %d", n.Groups())
 	}
+	r := openTestRound(t, n)
 	want := map[string]bool{}
 	for u := 0; u < 8; u++ {
 		msg := fmt.Sprintf("public msg %d", u)
 		want[msg] = true
-		if err := n.SubmitMessage(u, []byte(msg)); err != nil {
+		if err := r.Submit(u, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +65,13 @@ func TestPublicAPITrapRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := openTestRound(t, n)
 	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("trap msg %d", u))); err != nil {
+		if err := r.Submit(u, []byte(fmt.Sprintf("trap msg %d", u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +97,10 @@ func TestPublicAPIEncodedSubmissionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := openTestRound(t, n)
 		var trustee []byte
 		if v == Trap {
-			if trustee, err = n.TrusteeKey(); err != nil {
+			if trustee, err = r.TrusteeKey(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,20 +108,20 @@ func TestPublicAPIEncodedSubmissionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SubmitEncoded(7, wire); err != nil {
+		if err := r.SubmitEncoded(7, wire); err != nil {
 			t.Fatal(err)
 		}
 		// Replay of the same wire bytes must be rejected.
-		if err := n.SubmitEncoded(8, wire); err == nil {
+		if err := r.SubmitEncoded(8, wire); err == nil {
 			t.Fatalf("variant %v: replayed submission accepted", v)
 		}
 		// Fill remaining groups so batches divide evenly, then run.
 		for u := 0; u < 8; u++ {
-			if err := n.SubmitMessage(u, []byte(fmt.Sprintf("filler %d", u))); err != nil {
+			if err := r.Submit(u, []byte(fmt.Sprintf("filler %d", u))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := n.Run()
+		res, err := r.Mix(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,22 +183,23 @@ func TestPublicAPIDialing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SubmitMessage(0, req); err != nil {
+	r := openTestRound(t, n)
+	if err := r.Submit(0, req); err != nil {
 		t.Fatal(err)
 	}
 	// Cover traffic: other users dial each other.
 	for u := 1; u < 8; u++ {
 		x, _ := NewDialIdentity()
 		y, _ := NewDialIdentity()
-		r, err := NewDialRequest(x.Public(), y.Public())
+		dial, err := NewDialRequest(x.Public(), y.Public())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SubmitMessage(u, r); err != nil {
+		if err := r.Submit(u, dial); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +266,13 @@ func TestPublicAPIFaultRecovery(t *testing.T) {
 	if need {
 		t.Fatal("recovery did not restore the group")
 	}
+	r := openTestRound(t, n)
 	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("m%d", u))); err != nil {
+		if err := r.Submit(u, []byte(fmt.Sprintf("m%d", u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Run(); err != nil {
+	if _, err := r.Mix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -315,46 +331,22 @@ func TestPublicAPISwitchVariant(t *testing.T) {
 	if err := n.SwitchVariant(NIZK); err != nil {
 		t.Fatal(err)
 	}
+	r := openTestRound(t, n)
 	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("post-fallback %d", u))); err != nil {
+		if err := r.Submit(u, []byte(fmt.Sprintf("post-fallback %d", u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Messages) != 8 {
 		t.Fatalf("%d messages after fallback", len(res.Messages))
 	}
-	// Trustee key must be gone in NIZK mode.
-	if _, err := n.TrusteeKey(); err == nil {
+	// Rounds opened in NIZK mode carry no trustee key.
+	if _, err := openTestRound(t, n).TrusteeKey(); err == nil {
 		t.Fatal("NIZK network still advertises a trustee key")
-	}
-}
-
-func TestPublicAPIResetRound(t *testing.T) {
-	n, err := NewNetwork(testNetworkConfig(NIZK, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SubmitMessage(0, []byte("stale")); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.ResetRound(); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("fresh %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := n.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Messages) != 8 {
-		t.Fatalf("%d messages; the stale submission should have been discarded", len(res.Messages))
 	}
 }
 

@@ -35,8 +35,9 @@ func NewClient(cfg Config) (*Client, error) {
 
 // EncryptSubmission builds a wire-encoded submission of msg for entry
 // group gid whose public key is entryKey (as returned by
-// Network.EntryKey). In the trap variant trusteeKey (Network.TrusteeKey)
-// must also be supplied; pass nil for the NIZK variant.
+// Network.EntryKey). In the trap variant the target round's trusteeKey
+// (Round.TrusteeKey, Service.Current) must also be supplied; pass nil
+// for the NIZK variant.
 func (c *Client) EncryptSubmission(msg, entryKey, trusteeKey []byte, gid int) ([]byte, error) {
 	pk, err := ecc.PointFromBytes(entryKey)
 	if err != nil {

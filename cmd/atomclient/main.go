@@ -1,46 +1,31 @@
 // Command atomclient is the user side of an atomd deployment: it
-// fetches the round's public keys, performs all cryptography locally
-// (padding, onion encryption, proof of plaintext knowledge, and — in
-// the trap variant — trap generation and commitment), ships the opaque
-// submission, and can trigger and print a round. Every request is
-// bounded by -timeout, so a dead daemon fails fast instead of hanging.
+// fetches the deployment's public keys and the open round, performs all
+// cryptography locally (padding, onion encryption, proof of plaintext
+// knowledge, and — in the trap variant — trap generation and
+// commitment), ships the opaque submissions into whichever round the
+// daemon's continuous service has open (re-fetching when a round seals
+// mid-batch), and with -await waits for the rounds that admitted them to
+// publish. Every request is bounded by -timeout, so a dead daemon fails
+// fast instead of hanging.
 //
-// One-round-at-a-time (legacy surface):
+//	atomclient -server host:9000 -user 3 -submit "hello world" -await
 //
-//	atomclient -server host:9000 -user 3 -submit "hello world"
-//	atomclient -server host:9000 -run
+// One process drives load over one connection: -count replicates
+// -submit, -submit-file reads one message per line, and users count up
+// from -user:
 //
-// Pipelined rounds: open a round (printing its id and, in the trap
-// variant, its trustee key), submit into a specific round — possibly
-// while an earlier one mixes — then mix it:
+//	atomclient -server host:9000 -submit "load %d" -count 256 -await
+//	atomclient -server host:9000 -submit-file messages.txt
 //
-//	atomclient -server host:9000 -open -user 3 -submit "hello"
-//	atomclient -server host:9000 -round 7 -user 4 -submit "hi" -trusteekey <hex from -open>
-//	atomclient -server host:9000 -round 7 -mix
-//
-// Batch submission drives load from one process over one connection:
-// -count replicates -submit, -submit-file reads one message per line,
-// and users count up from -user. Against an atomd -serve deployment,
-// -ingest targets whichever round the continuous service has open
-// (re-fetching when a round seals mid-batch) and -await waits for the
-// batch's round to publish:
-//
-//	atomclient -server host:9000 -submit "load %d" -count 256 -ingest -await
-//	atomclient -server host:9000 -submit-file messages.txt -ingest
-//
-// With -fast the batch rides the daemon's multiplexed binary submit
-// path instead of one gob RPC per message: submissions are pipelined
-// over a single connection and verdicts arrive as coalesced async acks,
-// so one process drives thousands of logical users at wire speed. The
-// daemon advertises the fast-path address through Info (atomd
-// -fastpath); -fast requires -ingest:
-//
-//	atomclient -server host:9000 -submit "load %d" -count 4096 -ingest -fast -await
+// When the daemon advertises a fast path (atomd -fastpath, through
+// Info), the batch rides its multiplexed binary submit path instead of
+// one gob RPC per message: submissions are pipelined over a single
+// connection and verdicts arrive as coalesced async acks, so one process
+// drives thousands of logical users at wire speed.
 package main
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,159 +42,64 @@ import (
 func main() {
 	var (
 		server  = flag.String("server", "127.0.0.1:9000", "atomd address")
-		user    = flag.Int("user", 0, "user id (picks the entry group: user mod G)")
+		user    = flag.Int("user", 0, "user id of the first message (picks the entry group: user mod G)")
 		submit  = flag.String("submit", "", "message to submit")
-		run     = flag.Bool("run", false, "trigger the legacy blocking round and print results")
-		open    = flag.Bool("open", false, "open a new round and print its id")
-		round   = flag.Uint64("round", 0, "round id for -submit/-mix (0 = the daemon's current round)")
-		mix     = flag.Bool("mix", false, "mix the round given by -round and print results")
-		tkey    = flag.String("trusteekey", "", "hex trustee key of the target round (trap variant, with -round)")
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-request deadline")
-		count   = flag.Int("count", 1, "batch mode: submit this many copies of -submit (a %d in the text becomes the message index)")
-		file    = flag.String("submit-file", "", "batch mode: submit every line of this file as one message")
-		ingest  = flag.Bool("ingest", false, "target the continuous service's open round (atomd -serve)")
-		await   = flag.Bool("await", false, "with -ingest: wait for the submitted round to publish and print it")
-		fast    = flag.Bool("fast", false, "with -ingest: pipeline the batch over the daemon's binary submit path (atomd -fastpath)")
+		count   = flag.Int("count", 1, "submit this many copies of -submit (a %d in the text becomes the message index)")
+		file    = flag.String("submit-file", "", "submit every line of this file as one message")
+		await   = flag.Bool("await", false, "wait for the rounds that admitted the batch to publish and print them")
 	)
 	flag.Parse()
-	if *fast && !*ingest {
-		log.Fatal("atomclient: -fast needs -ingest (the fast path feeds the continuous service)")
-	}
-	if *submit == "" && *file == "" && !*run && !*open && !*mix {
-		log.Fatal("atomclient: nothing to do (use -open, -submit, -submit-file, -mix and/or -run)")
+	if *submit == "" && *file == "" {
+		log.Fatal("atomclient: nothing to do (use -submit or -submit-file)")
 	}
 
 	ctx := context.Background()
-	withDeadline := func() (context.Context, context.CancelFunc) {
-		return context.WithTimeout(ctx, *timeout)
-	}
-
 	cli, err := daemon.Dial(*server)
 	if err != nil {
 		log.Fatalf("atomclient: %v", err)
 	}
 	defer cli.Close()
 
-	rctx, cancel := withDeadline()
+	rctx, cancel := context.WithTimeout(ctx, *timeout)
 	info, err := cli.Info(rctx)
 	cancel()
 	if err != nil {
 		log.Fatalf("atomclient: fetching deployment info: %v", err)
 	}
 
-	var opened *daemon.RoundInfo
-	if *open {
-		rctx, cancel := withDeadline()
-		opened, err = cli.OpenRound(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: opening round: %v", err)
-		}
-		if len(opened.TrusteeKey) > 0 {
-			fmt.Printf("opened round %d (trustee key %x)\n", opened.ID, opened.TrusteeKey)
-		} else {
-			fmt.Printf("opened round %d\n", opened.ID)
-		}
+	msgs := buildBatch(*submit, *file, *count)
+	variant := atom.NIZK
+	if info.Trap {
+		variant = atom.Trap
+	}
+	// Only the fields the client-side crypto needs must match the
+	// daemon; keys arrive over the wire.
+	ac, err := atom.NewClient(atom.Config{
+		Servers: 1, Groups: info.Groups, GroupSize: 1,
+		MessageSize: info.MessageSize, Variant: variant, Iterations: 1,
+	})
+	if err != nil {
+		log.Fatalf("atomclient: %v", err)
 	}
 
-	if *submit != "" || *file != "" {
-		msgs := buildBatch(*submit, *file, *count)
-		variant := atom.NIZK
-		if info.Trap {
-			variant = atom.Trap
-		}
-		// Only the fields the client-side crypto needs must match the
-		// daemon; keys arrive over the wire.
-		ac, err := atom.NewClient(atom.Config{
-			Servers: 1, Groups: info.Groups, GroupSize: 1,
-			MessageSize: info.MessageSize, Variant: variant, Iterations: 1,
-		})
-		if err != nil {
-			log.Fatalf("atomclient: %v", err)
-		}
-
-		if *ingest {
-			// Continuous service: submit the batch into whichever round
-			// is open, re-fetching when a seal lands mid-batch.
-			var published []uint64
-			if *fast {
-				published = fastIngestBatch(ctx, info, ac, *user, msgs, *timeout)
-			} else {
-				published = ingestBatch(ctx, cli, ac, info, *user, msgs, *timeout)
-			}
-			if *await {
-				for _, rid := range published {
-					rctx, cancel := withDeadline()
-					out, err := cli.Await(rctx, rid)
-					cancel()
-					if err != nil {
-						log.Fatalf("atomclient: awaiting round %d: %v", rid, err)
-					}
-					fmt.Printf("round %d published:\n", rid)
-					printMessages(out)
-				}
-			}
-		} else {
-			// One-shot rounds: the legacy current round, or an explicit
-			// open round. Trustee keys are per-round: a submission must
-			// encrypt against the key of the round it targets. The
-			// current round's key comes from info; an explicitly opened
-			// round's from the open reply or the -trusteekey flag.
-			trusteeKey := info.TrusteeKey
-			target := *round
-			if opened != nil {
-				target = opened.ID
-				trusteeKey = opened.TrusteeKey
-			} else if target != 0 && info.Trap {
-				if *tkey == "" {
-					log.Fatal("atomclient: -round submissions on a trap deployment need -trusteekey (printed by -open)")
-				}
-				if trusteeKey, err = hex.DecodeString(*tkey); err != nil {
-					log.Fatalf("atomclient: bad -trusteekey: %v", err)
-				}
-			}
-			ri := &daemon.RoundInfo{ID: target, TrusteeKey: trusteeKey}
-			submitFn := cli.SubmitRound
-			if target == 0 {
-				submitFn = func(ctx context.Context, _ uint64, user int, wire []byte) error {
-					return cli.Submit(ctx, user, wire)
-				}
-			}
-			rctx, cancel := context.WithTimeout(ctx, *timeout*time.Duration(len(msgs)))
-			n, err := daemon.SubmitBatch(rctx, ac, info, ri, *user, msgs, submitFn)
+	var admitted []uint64
+	if info.SubmitAddr != "" {
+		admitted = fastIngestBatch(ctx, info, ac, *user, msgs, *timeout)
+	} else {
+		admitted = ingestBatch(ctx, cli, ac, info, *user, msgs, *timeout)
+	}
+	if *await {
+		for _, rid := range admitted {
+			rctx, cancel := context.WithTimeout(ctx, *timeout)
+			out, err := cli.Await(rctx, rid)
 			cancel()
 			if err != nil {
-				log.Fatalf("atomclient: submitting (after %d accepted): %v", n, err)
+				log.Fatalf("atomclient: awaiting round %d: %v", rid, err)
 			}
-			fmt.Printf("submitted %d message(s) as users %d..%d\n", n, *user, *user+n-1)
+			fmt.Printf("round %d published:\n", rid)
+			printMessages(out)
 		}
-	}
-
-	if *mix {
-		target := *round
-		if opened != nil && target == 0 {
-			target = opened.ID
-		}
-		if target == 0 {
-			log.Fatal("atomclient: -mix needs -round (or -open)")
-		}
-		rctx, cancel := withDeadline()
-		msgs, err := cli.Mix(rctx, target)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: mixing round %d: %v", target, err)
-		}
-		printMessages(msgs)
-	}
-
-	if *run {
-		rctx, cancel := withDeadline()
-		msgs, err := cli.RunRound(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: round: %v", err)
-		}
-		printMessages(msgs)
 	}
 }
 
@@ -267,10 +157,7 @@ func ingestBatch(ctx context.Context, cli *daemon.Client, ac *atom.Client, info 
 			log.Fatalf("atomclient: fetching open round: %v", err)
 		}
 		rctx, cancel = context.WithTimeout(ctx, timeout*time.Duration(len(remaining)))
-		n, err := daemon.SubmitBatch(rctx, ac, info, ri, user, remaining, func(ctx context.Context, round uint64, user int, wire []byte) error {
-			_, serr := cli.SubmitInto(ctx, round, user, wire)
-			return serr
-		})
+		n, err := daemon.SubmitBatch(rctx, cli, ac, info, ri, user, remaining)
 		cancel()
 		if n > 0 {
 			fmt.Printf("submitted %d message(s) into round %d\n", n, ri.ID)
@@ -294,9 +181,6 @@ func ingestBatch(ctx context.Context, cli *daemon.Client, ac *atom.Client, info 
 // against the successor. Returns every round id the batch landed in.
 func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
 	base int, msgs [][]byte, timeout time.Duration) []uint64 {
-	if info.SubmitAddr == "" {
-		log.Fatal("atomclient: the daemon advertises no fast path (start atomd with -fastpath)")
-	}
 	fc, err := daemon.DialFast(info.SubmitAddr)
 	if err != nil {
 		log.Fatalf("atomclient: dialing fast path %s: %v", info.SubmitAddr, err)

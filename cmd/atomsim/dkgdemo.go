@@ -127,15 +127,20 @@ func runDKGDemo(churn, workers int) error {
 	}
 	const msgs = 8
 	want := make(map[string]bool, msgs)
-	submit := func(n *atom.Network, tag string) error {
+	// mixOne opens a round, submits the tagged batch and mixes it.
+	mixOne := func(tag string) (*atom.Result, error) {
+		round, err := n.OpenRound(context.Background())
+		if err != nil {
+			return nil, err
+		}
 		for u := 0; u < msgs; u++ {
 			m := fmt.Sprintf("dealerless %s %02d", tag, u)
 			want[m] = true
-			if err := n.SubmitMessage(u, []byte(m)); err != nil {
-				return err
+			if err := round.Submit(u, []byte(m)); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return round.Mix(context.Background())
 	}
 	parity := func(res *atom.Result) error {
 		if len(res.Messages) != msgs {
@@ -148,10 +153,7 @@ func runDKGDemo(churn, workers int) error {
 		}
 		return nil
 	}
-	if err := submit(n, "r1"); err != nil {
-		return err
-	}
-	res, err := n.Run()
+	res, err := mixOne("r1")
 	if err != nil {
 		return fmt.Errorf("first dealerless round: %w", err)
 	}
@@ -179,10 +181,7 @@ func runDKGDemo(churn, workers int) error {
 	if members := n.Deployment().GroupMembers(0); members[1] != 99 {
 		return fmt.Errorf("resharing did not seat the replacement: roster %v", members)
 	}
-	if err := submit(n, "r2"); err != nil {
-		return err
-	}
-	if res, err = n.Run(); err != nil {
+	if res, err = mixOne("r2"); err != nil {
 		return fmt.Errorf("post-epoch round: %w", err)
 	}
 	if err := parity(res); err != nil {

@@ -695,11 +695,7 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight int, interval,
 				for i := range msgs {
 					msgs[i] = fmt.Appendf(nil, "serve r%02d u%03d", r, base+i)
 				}
-				_, errs[c] = daemon.SubmitBatch(ctx, enc, info, ri, base, msgs,
-					func(ctx context.Context, round uint64, user int, wire []byte) error {
-						_, serr := clients[c].SubmitInto(ctx, round, user, wire)
-						return serr
-					})
+				_, errs[c] = daemon.SubmitBatch(ctx, clients[c], enc, info, ri, base, msgs)
 			}(c)
 		}
 		wg.Wait()

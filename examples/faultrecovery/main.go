@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -31,13 +32,20 @@ func main() {
 		log.Fatalf("building network: %v", err)
 	}
 
-	submit := func() {
+	ctx := context.Background()
+	// mixRound opens a round, submits eight messages and mixes it.
+	mixRound := func() (*atom.Result, error) {
+		round, err := net.OpenRound(ctx)
+		if err != nil {
+			log.Fatalf("opening round: %v", err)
+		}
 		for user := 0; user < 8; user++ {
 			msg := fmt.Sprintf("resilient message %d", user)
-			if err := net.SubmitMessage(user, []byte(msg)); err != nil {
+			if err := round.Submit(user, []byte(msg)); err != nil {
 				log.Fatalf("user %d: %v", user, err)
 			}
 		}
+		return round.Mix(ctx)
 	}
 
 	// --- Round 1: one crash per group is within the h−1 budget. ---
@@ -47,8 +55,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	submit()
-	res, err := net.Run()
+	res, err := mixRound()
 	if err != nil {
 		log.Fatalf("round 1 should have survived: %v", err)
 	}
@@ -66,15 +73,12 @@ func main() {
 	fmt.Printf("group 0 needs recovery: %v\n", need)
 
 	// Attempting to mix with a dead group fails with a typed error the
-	// operator can match on — errors.Is, not string parsing.
-	submit()
-	if _, err := net.Run(); !errors.Is(err, atom.ErrRecoveryNeeded) {
+	// operator can match on — errors.Is, not string parsing. The aborted
+	// round is spent; users resubmit into the next one.
+	if _, err := mixRound(); !errors.Is(err, atom.ErrRecoveryNeeded) {
 		log.Fatalf("expected ErrRecoveryNeeded, got: %v", err)
 	}
 	fmt.Println("mixing refused: errors.Is(err, atom.ErrRecoveryNeeded) — recovering…")
-	if err := net.ResetRound(); err != nil { // discard the aborted round
-		log.Fatal(err)
-	}
 
 	// Buddy-group recovery: replacement servers collect escrowed share
 	// pieces from a live buddy group, reconstruct the lost shares, and
@@ -85,8 +89,7 @@ func main() {
 	need, _ = net.NeedsRecovery(0)
 	fmt.Printf("after buddy-group recovery, group 0 needs recovery: %v\n", need)
 
-	submit()
-	res, err = net.Run()
+	res, err = mixRound()
 	if err != nil {
 		log.Fatalf("post-recovery round failed: %v", err)
 	}

@@ -1,18 +1,18 @@
 // Package daemon serves an Atom deployment over TCP: remote clients
-// fetch the round's public keys, perform all cryptography locally
+// fetch the deployment's public keys, perform all cryptography locally
 // (padding, onion encryption, NIZKs, traps), and ship opaque wire
-// submissions; an operator opens rounds, triggers mixing and reads
-// anonymized results. cmd/atomd and cmd/atomclient are thin wrappers
-// around this package.
+// submissions into the continuous service's open round; the service
+// seals and mixes rounds on its own schedule and clients await the
+// round that admitted them. cmd/atomd and cmd/atomclient are thin
+// wrappers around this package.
 //
-// The RPC surface is round-aware and pipelined: OpenRound hands out a
-// round id (plus that round's trustee key in the trap variant), Submit
-// targets a specific round, and Mix runs asynchronously on the server —
-// so clients can open round r+1 and submit into it while round r is
-// still mixing. Every client method takes a context.Context whose
-// deadline bounds the request round trip, so a dead server fails the
-// call instead of hanging it. The legacy one-round-at-a-time calls
-// (Submit/RunRound without a round id) remain for compatibility.
+// The gob RPC surface is four requests: Info (deployment description),
+// ServeInfo (the open round's id plus, in the trap variant, its trustee
+// key), SubmitInto (one submission; EnableFastPath adds the binary
+// multiplexed alternative) and Await (a round's published result).
+// Round r+1 ingests while round r mixes. Every client method takes a
+// context.Context whose deadline bounds the request round trip, so a
+// dead server fails the call instead of hanging it.
 //
 // The daemon hosts the full multi-group deployment in one process —
 // the configuration the paper's single-machine experiments use. The
@@ -39,18 +39,8 @@ import (
 
 // Message types of the daemon protocol.
 const (
-	msgInfo         = "info"
-	msgInfoReply    = "info-reply"
-	msgSubmit       = "submit"
-	msgSubmitReply  = "submit-reply"
-	msgRun          = "run"
-	msgRunReply     = "run-reply"
-	msgOpen         = "open"
-	msgOpenReply    = "open-reply"
-	msgRSubmit      = "submit-round"
-	msgRSubmitReply = "submit-round-reply"
-	msgMix          = "mix"
-	msgMixReply     = "mix-reply"
+	msgInfo      = "info"
+	msgInfoReply = "info-reply"
 
 	// Continuous-service (ingestion frontend) messages: clients fetch
 	// the currently open round, submit into it, and await a round's
@@ -69,15 +59,14 @@ type Info struct {
 	MessageSize int
 	Trap        bool
 	EntryKeys   [][]byte
-	TrusteeKey  []byte
 	// SubmitAddr is the binary fast-path listener's address, empty when
 	// the daemon runs gob-only (see EnableFastPath).
 	SubmitAddr string
 }
 
-// RoundInfo describes one opened round.
+// RoundInfo describes the service's open round.
 type RoundInfo struct {
-	// ID is the server-assigned round id, passed to SubmitRound/Mix.
+	// ID is the server-assigned round id, passed to SubmitInto/Await.
 	ID uint64
 	// TrusteeKey is the round's trustee public key (trap variant only);
 	// submissions into this round must be encrypted against it.
@@ -240,19 +229,16 @@ type Server struct {
 	network *atom.Network
 	cfg     atom.Config
 
-	mu     sync.Mutex
-	rounds map[uint64]*atom.Round
-
 	// svc, when non-nil, is the continuous ingestion-and-mixing
-	// pipeline the serve-mode messages target.
+	// pipeline the serve-info, ingest and await requests target.
 	svc atomic.Pointer[atom.Service]
 
 	// fast, when non-nil, is the binary multiplexed ingestion listener
 	// (see EnableFastPath).
 	fast *fastPath
 
-	mixes sync.WaitGroup
-	done  chan struct{}
+	awaits sync.WaitGroup
+	done   chan struct{}
 }
 
 // NewServer builds the deployment and starts listening on addr
@@ -277,7 +263,6 @@ func NewServerWith(addr string, cfg atom.Config, network *atom.Network) (*Server
 		node:    node,
 		network: network,
 		cfg:     cfg,
-		rounds:  make(map[uint64]*atom.Round),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -289,8 +274,8 @@ func (s *Server) Addr() string { return s.node.Addr() }
 func (s *Server) Network() *atom.Network { return s.network }
 
 // EnableService starts the continuous ingestion-and-mixing pipeline
-// (atom.Network.Serve) and activates the serve-mode wire surface:
-// ServeInfo, SubmitInto and Await. The ctx is the pipeline's hard-stop
+// (atom.Network.Serve) that ServeInfo, SubmitInto and Await (and the
+// fast path) talk to. The ctx is the pipeline's hard-stop
 // switch; Close drains it gracefully.
 func (s *Server) EnableService(ctx context.Context, opts atom.ServeOptions) error {
 	svc, err := s.network.Serve(ctx, opts)
@@ -306,8 +291,8 @@ func (s *Server) EnableService(ctx context.Context, opts atom.ServeOptions) erro
 func (s *Server) Service() *atom.Service { return s.svc.Load() }
 
 // Serve processes requests until Close. It is safe to run in a
-// goroutine. Mix requests run asynchronously so the daemon keeps
-// serving submissions into other rounds while one round mixes.
+// goroutine. Await requests park off the request loop, so the daemon
+// keeps serving submissions while clients wait for rounds to publish.
 func (s *Server) Serve() {
 	for msg := range s.node.Inbox() {
 		if resp := s.handle(msg); resp != nil {
@@ -315,7 +300,7 @@ func (s *Server) Serve() {
 			_ = s.node.Send(msg.From, resp)
 		}
 	}
-	s.mixes.Wait()
+	s.awaits.Wait()
 	close(s.done)
 }
 
@@ -336,93 +321,8 @@ func (s *Server) handle(msg *transport.Message) *transport.Message {
 			}
 			info.EntryKeys = append(info.EntryKeys, key)
 		}
-		if s.cfg.Variant == atom.Trap {
-			key, err := s.network.TrusteeKey()
-			if err != nil {
-				return fail(msgInfoReply, err)
-			}
-			info.TrusteeKey = key
-		}
 		info.SubmitAddr = s.FastAddr()
 		return &transport.Message{Type: msgInfoReply, Payload: encodeReply(&reply{OK: true, Info: info})}
-
-	case msgOpen:
-		round, err := s.network.OpenRound(context.Background())
-		if err != nil {
-			return fail(msgOpenReply, err)
-		}
-		ri := &RoundInfo{ID: round.ID()}
-		if s.cfg.Variant == atom.Trap {
-			if ri.TrusteeKey, err = round.TrusteeKey(); err != nil {
-				return fail(msgOpenReply, err)
-			}
-		}
-		s.mu.Lock()
-		s.rounds[round.ID()] = round
-		s.mu.Unlock()
-		return &transport.Message{Type: msgOpenReply, Payload: encodeReply(&reply{OK: true, Round: ri})}
-
-	case msgSubmit:
-		if len(msg.Payload) < 8 {
-			return fail(msgSubmitReply, fmt.Errorf("daemon: short submit payload"))
-		}
-		user := int(binary.BigEndian.Uint64(msg.Payload[:8]))
-		if err := s.network.SubmitEncoded(user, msg.Payload[8:]); err != nil {
-			return fail(msgSubmitReply, err)
-		}
-		return &transport.Message{Type: msgSubmitReply, Payload: encodeReply(&reply{OK: true})}
-
-	case msgRSubmit:
-		if len(msg.Payload) < 16 {
-			return fail(msgRSubmitReply, fmt.Errorf("daemon: short submit payload"))
-		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
-		user := int(binary.BigEndian.Uint64(msg.Payload[8:16]))
-		round, err := s.round(rid)
-		if err != nil {
-			return fail(msgRSubmitReply, err)
-		}
-		if err := round.SubmitEncoded(user, msg.Payload[16:]); err != nil {
-			return fail(msgRSubmitReply, err)
-		}
-		return &transport.Message{Type: msgRSubmitReply, Payload: encodeReply(&reply{OK: true})}
-
-	case msgRun:
-		// Legacy blocking round: handled inline, so it serializes the
-		// inbox exactly as the one-round-at-a-time surface promises.
-		res, err := s.network.Run()
-		if err != nil {
-			return fail(msgRunReply, err)
-		}
-		return &transport.Message{Type: msgRunReply, Payload: encodeReply(&reply{OK: true, Messages: res.Messages})}
-
-	case msgMix:
-		if len(msg.Payload) < 8 {
-			return fail(msgMixReply, fmt.Errorf("daemon: short mix payload"))
-		}
-		rid := binary.BigEndian.Uint64(msg.Payload[:8])
-		round, err := s.round(rid)
-		if err != nil {
-			return fail(msgMixReply, err)
-		}
-		from, seq := msg.From, msg.Round
-		s.mixes.Add(1)
-		go func() {
-			defer s.mixes.Done()
-			res, err := round.Mix(context.Background())
-			s.mu.Lock()
-			delete(s.rounds, rid)
-			s.mu.Unlock()
-			var resp *transport.Message
-			if err != nil {
-				resp = fail(msgMixReply, err)
-			} else {
-				resp = &transport.Message{Type: msgMixReply, Payload: encodeReply(&reply{OK: true, Messages: res.Messages})}
-			}
-			resp.Round = seq
-			_ = s.node.Send(from, resp)
-		}()
-		return nil
 
 	case msgServeInfo:
 		svc := s.svc.Load()
@@ -465,9 +365,9 @@ func (s *Server) handle(msg *transport.Message) *transport.Message {
 		}
 		rid := binary.BigEndian.Uint64(msg.Payload[:8])
 		from, seq := msg.From, msg.Round
-		s.mixes.Add(1)
+		s.awaits.Add(1)
 		go func() {
-			defer s.mixes.Done()
+			defer s.awaits.Done()
 			// The park is bounded server-side: a bogus or long-gone
 			// round id must not pin a goroutine until shutdown (the
 			// client's own deadline is usually far shorter anyway).
@@ -493,26 +393,13 @@ func (s *Server) handle(msg *transport.Message) *transport.Message {
 	}
 }
 
-func (s *Server) round(id uint64) (*atom.Round, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	round, ok := s.rounds[id]
-	if !ok {
-		// Matches the local taxonomy: a consumed or unknown round is
-		// closed to further operations.
-		return nil, fmt.Errorf("%w: no open round %d", atom.ErrRoundClosed, id)
-	}
-	return round, nil
-}
-
 func fail(typ string, err error) *transport.Message {
 	return &transport.Message{Type: typ, Payload: encodeReply(&reply{Error: err.Error(), ErrorKind: classify(err)})}
 }
 
 // Close shuts the daemon down: the fast path stops accepting (its
 // queued submissions flush), the continuous service (if enabled) drains
-// gracefully, then the endpoint closes and in-flight mixes and awaits
-// finish.
+// gracefully, then the endpoint closes and in-flight awaits finish.
 func (s *Server) Close() error {
 	if s.fast != nil {
 		s.fast.close()
@@ -528,7 +415,7 @@ func (s *Server) Close() error {
 // Client talks to a daemon. Each client owns its own TCP endpoint (the
 // reply channel) and demultiplexes replies by request sequence number,
 // so its methods are safe for concurrent use — submissions into round
-// r+1 can be in flight while a Mix of round r is outstanding.
+// r+1 can be in flight while an Await of round r is outstanding.
 type Client struct {
 	node   *transport.TCPNode
 	server string
@@ -651,65 +538,6 @@ func (c *Client) Info(ctx context.Context) (*Info, error) {
 	return r.Info, nil
 }
 
-// OpenRound opens a new round on the daemon, returning its id and (in
-// the trap variant) the round's trustee key. The round accepts
-// submissions immediately — including while an earlier round mixes.
-func (c *Client) OpenRound(ctx context.Context) (*RoundInfo, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgOpen})
-	if err != nil {
-		return nil, err
-	}
-	if r.Round == nil {
-		return nil, fmt.Errorf("daemon: empty open reply")
-	}
-	return r.Round, nil
-}
-
-// Submit ships a wire-encoded submission for the given user into the
-// daemon's current (legacy) round.
-func (c *Client) Submit(ctx context.Context, user int, wire []byte) error {
-	payload := make([]byte, 8+len(wire))
-	binary.BigEndian.PutUint64(payload[:8], uint64(user))
-	copy(payload[8:], wire)
-	_, err := c.roundTrip(ctx, &transport.Message{Type: msgSubmit, Payload: payload})
-	return err
-}
-
-// SubmitRound ships a wire-encoded submission into a specific open
-// round. Safe for concurrent use.
-func (c *Client) SubmitRound(ctx context.Context, round uint64, user int, wire []byte) error {
-	payload := make([]byte, 16+len(wire))
-	binary.BigEndian.PutUint64(payload[:8], round)
-	binary.BigEndian.PutUint64(payload[8:16], uint64(user))
-	copy(payload[16:], wire)
-	_, err := c.roundTrip(ctx, &transport.Message{Type: msgRSubmit, Payload: payload})
-	return err
-}
-
-// Mix seals and mixes the given round on the daemon, returning the
-// anonymized messages. The server mixes asynchronously: other client
-// calls (Info, OpenRound, SubmitRound into later rounds) proceed while
-// a Mix is outstanding.
-func (c *Client) Mix(ctx context.Context, round uint64) ([][]byte, error) {
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, round)
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgMix, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	return r.Messages, nil
-}
-
-// RunRound triggers a legacy blocking round and returns the anonymized
-// messages.
-func (c *Client) RunRound(ctx context.Context) ([][]byte, error) {
-	r, err := c.roundTrip(ctx, &transport.Message{Type: msgRun})
-	if err != nil {
-		return nil, err
-	}
-	return r.Messages, nil
-}
-
 // ServeInfo fetches the continuous service's currently open round: its
 // id and, in the trap variant, its trustee key. Clients encrypt against
 // that key and SubmitInto that round; when the round seals under them
@@ -759,18 +587,14 @@ func (c *Client) Await(ctx context.Context, round uint64) ([][]byte, error) {
 	return r.Messages, nil
 }
 
-// SubmitBatch encrypts msgs locally and ships them over one connection
-// as users base, base+1, …, spreading them across entry groups — the
-// batch-submission path cmd/atomclient's -count/-submit-file flags and
-// the atomsim -serve fleet share. ri names the target round (and, trap
-// variant, carries its trustee key); submit is the per-submission RPC —
-// Client.SubmitInto for a continuous service, Client.SubmitRound for an
-// explicitly opened round. It returns how many submissions were
-// accepted; on the first failure it returns that error (an
-// ErrRoundClosed mid-batch means the round sealed — re-fetch and retry
-// the remainder).
-func SubmitBatch(ctx context.Context, enc *atom.Client, info *Info, ri *RoundInfo, base int, msgs [][]byte,
-	submit func(ctx context.Context, round uint64, user int, wire []byte) error) (int, error) {
+// SubmitBatch encrypts msgs locally and ships them over c as users base,
+// base+1, …, spreading them across entry groups — the batch-submission
+// path cmd/atomclient's gob mode and the atomsim -serve fleet share. ri
+// names the target round (and, trap variant, carries its trustee key).
+// It returns how many submissions were accepted; on the first failure it
+// returns that error (an ErrRoundClosed mid-batch means the round sealed
+// — re-fetch and retry the remainder).
+func SubmitBatch(ctx context.Context, c *Client, enc *atom.Client, info *Info, ri *RoundInfo, base int, msgs [][]byte) (int, error) {
 	for i, m := range msgs {
 		user := base + i
 		gid := user % info.Groups
@@ -778,7 +602,7 @@ func SubmitBatch(ctx context.Context, enc *atom.Client, info *Info, ri *RoundInf
 		if err != nil {
 			return i, err
 		}
-		if err := submit(ctx, ri.ID, user, wire); err != nil {
+		if _, err := c.SubmitInto(ctx, ri.ID, user, wire); err != nil {
 			return i, err
 		}
 	}

@@ -2,13 +2,15 @@ package daemon
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"atom"
+	"atom/internal/transport"
 )
 
 func startServer(t *testing.T, variant atom.Variant) (*Server, atom.Config) {
@@ -31,8 +33,14 @@ func startServer(t *testing.T, variant atom.Variant) (*Server, atom.Config) {
 	return srv, cfg
 }
 
+// sealAt returns service options under which a round seals exactly when
+// its n-th submission is admitted, never on the clock.
+func sealAt(n int) atom.ServeOptions {
+	return atom.ServeOptions{RoundInterval: time.Hour, MaxBatch: n, MaxInFlight: 2}
+}
+
 func TestDaemonEndToEndNIZK(t *testing.T) {
-	srv, cfg := startServer(t, atom.NIZK)
+	srv, cfg := startServeServer(t, atom.NIZK, sealAt(8))
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +63,7 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{}
+	var round uint64
 	for u := 0; u < 8; u++ {
 		gid := u % info.Groups
 		msg := fmt.Sprintf("over the wire %d", u)
@@ -63,11 +72,12 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Submit(t.Context(), u, wire); err != nil {
+		// NIZK encodings are round-independent: pin 0 is "whichever is open".
+		if round, err = cli.SubmitInto(t.Context(), 0, u, wire); err != nil {
 			t.Fatal(err)
 		}
 	}
-	msgs, err := cli.RunRound(t.Context())
+	msgs, err := cli.Await(t.Context(), round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +91,43 @@ func TestDaemonEndToEndNIZK(t *testing.T) {
 	}
 }
 
+// submitTrapRound encrypts users messages "r<tag> u<i>" against the open
+// round's trustee key and submits them pinned to that round.
+func submitTrapRound(t *testing.T, cli *Client, ac *atom.Client, info *Info, ri *RoundInfo, tag, users int) {
+	t.Helper()
+	for u := 0; u < users; u++ {
+		gid := u % info.Groups
+		wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("r%d u%d", tag, u)), info.EntryKeys[gid], ri.TrusteeKey, gid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.SubmitInto(t.Context(), ri.ID, u, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// nextRound polls ServeInfo until the open round is no longer prev.
+func nextRound(t *testing.T, cli *Client, prev uint64) *RoundInfo {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		ri, err := cli.ServeInfo(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ri.ID != prev {
+			return ri
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("round %d never sealed", prev)
+		}
+	}
+}
+
+// TestDaemonEndToEndTrap runs two trap rounds back to back over the
+// wire; the trustee key rotates per round, so each is fetched afresh.
 func TestDaemonEndToEndTrap(t *testing.T) {
-	srv, cfg := startServer(t, atom.Trap)
+	srv, cfg := startServeServer(t, atom.Trap, sealAt(8))
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -93,94 +138,40 @@ func TestDaemonEndToEndTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Trap || len(info.TrusteeKey) == 0 {
+	if !info.Trap {
 		t.Fatalf("trap deployment not advertised: %+v", info)
 	}
 	ac, err := atom.NewClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < 8; u++ {
-		gid := u % info.Groups
-		wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("trap wire %d", u)),
-			info.EntryKeys[gid], info.TrusteeKey, gid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cli.Submit(t.Context(), u, wire); err != nil {
-			t.Fatal(err)
-		}
-	}
-	msgs, err := cli.RunRound(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 8 {
-		t.Fatalf("round returned %d messages", len(msgs))
-	}
-}
-
-func TestDaemonRejectsGarbageSubmission(t *testing.T) {
-	srv, _ := startServer(t, atom.NIZK)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if err := cli.Submit(t.Context(), 0, []byte("not a submission")); err == nil {
-		t.Fatal("garbage submission accepted")
-	}
-	// Replay rejection over the wire.
-	info, _ := cli.Info(t.Context())
-	cfg := atom.Config{Servers: 12, Groups: 4, GroupSize: 3, MessageSize: 32,
-		Variant: atom.NIZK, Iterations: 2, Seed: []byte("daemon-test")}
-	ac, _ := atom.NewClient(cfg)
-	wire, err := ac.EncryptSubmission([]byte("once"), info.EntryKeys[0], nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Submit(t.Context(), 1, wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Submit(t.Context(), 2, wire); err == nil {
-		t.Fatal("replayed submission accepted over the wire")
-	}
-}
-
-func TestDaemonMultipleRounds(t *testing.T) {
-	srv, cfg := startServer(t, atom.Trap)
-	cli, _ := Dial(srv.Addr())
-	defer cli.Close()
-	info, _ := cli.Info(t.Context())
-	ac, _ := atom.NewClient(cfg)
+	prev := &RoundInfo{} // no round has id 0
 	for round := 0; round < 2; round++ {
-		// The trustee key rotates per round; refetch it.
-		info, _ = cli.Info(t.Context())
-		for u := 0; u < 4; u++ {
-			wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("r%d u%d", round, u)),
-				info.EntryKeys[u%info.Groups], info.TrusteeKey, u%info.Groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Submit(t.Context(), u, wire); err != nil {
-				t.Fatal(err)
-			}
+		ri := nextRound(t, cli, prev.ID)
+		if len(ri.TrusteeKey) == 0 {
+			t.Fatalf("round %d carries no trustee key", ri.ID)
 		}
-		msgs, err := cli.RunRound(t.Context())
+		if string(ri.TrusteeKey) == string(prev.TrusteeKey) {
+			t.Fatalf("round %d reuses round %d's trustee key", ri.ID, prev.ID)
+		}
+		submitTrapRound(t, cli, ac, info, ri, round, 8)
+		msgs, err := cli.Await(t.Context(), ri.ID)
 		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+			t.Fatalf("round %d: %v", ri.ID, err)
 		}
-		if len(msgs) != 4 {
-			t.Fatalf("round %d returned %d messages", round, len(msgs))
+		if len(msgs) != 8 {
+			t.Fatalf("round %d returned %d messages", ri.ID, len(msgs))
 		}
+		prev = ri
 	}
 }
 
+// TestDaemonPipelinedRounds: round r+1 opens and ingests over the wire
+// while round r mixes. Round r's mix is held at its first iteration
+// until every round-r+1 submission has been admitted, so ingestion that
+// waited on the mixer would deadlock the test instead of passing it.
 func TestDaemonPipelinedRounds(t *testing.T) {
-	// Round r+1 opens and ingests over the wire while round r mixes:
-	// the Mix RPC is asynchronous on the server and the client
-	// demultiplexes replies by request id.
-	srv, cfg := startServer(t, atom.Trap)
+	srv, cfg := startServeServer(t, atom.Trap, sealAt(4))
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -195,58 +186,38 @@ func TestDaemonPipelinedRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	submit := func(ri *RoundInfo, round, users int) {
-		t.Helper()
-		for u := 0; u < users; u++ {
-			gid := u % info.Groups
-			wire, err := ac.EncryptSubmission([]byte(fmt.Sprintf("r%d u%d", round, u)),
-				info.EntryKeys[gid], ri.TrusteeKey, gid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.SubmitRound(t.Context(), ri.ID, u, wire); err != nil {
-				t.Fatal(err)
+	r0, err := cli.ServeInfo(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	srv.Network().SetObserver(&atom.Observer{IterationDone: func(it atom.IterationStats) {
+		if it.Round == r0.ID && it.Layer == 0 {
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
 			}
 		}
-	}
+	}})
 
-	r0, err := cli.OpenRound(t.Context())
+	submitTrapRound(t, cli, ac, info, r0, 0, 4) // seals r0; its mix starts and parks
+	r1 := nextRound(t, cli, r0.ID)
+	submitTrapRound(t, cli, ac, info, r1, 1, 4)
+	if _, mixing := srv.Service().Pending(); mixing == 0 {
+		t.Fatal("round 0 published before its mix was released")
+	}
+	close(release)
+
+	mix0, err := cli.Await(t.Context(), r0.ID)
 	if err != nil {
-		t.Fatal(err)
-	}
-	submit(r0, 0, 4)
-
-	// Kick off the mix of round 0 concurrently…
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var mix0 [][]byte
-	var mix0Err error
-	go func() {
-		defer wg.Done()
-		mix0, mix0Err = cli.Mix(t.Context(), r0.ID)
-	}()
-
-	// …and, without waiting, open round 1 and submit into it.
-	r1, err := cli.OpenRound(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.ID == r0.ID {
-		t.Fatal("round ids must differ")
-	}
-	submit(r1, 1, 4)
-
-	wg.Wait()
-	if mix0Err != nil {
-		t.Fatalf("round 0 mix: %v", mix0Err)
+		t.Fatalf("round 0: %v", err)
 	}
 	if len(mix0) != 4 {
 		t.Fatalf("round 0 returned %d messages", len(mix0))
 	}
-	mix1, err := cli.Mix(t.Context(), r1.ID)
+	mix1, err := cli.Await(t.Context(), r1.ID)
 	if err != nil {
-		t.Fatalf("round 1 mix: %v", err)
+		t.Fatalf("round 1: %v", err)
 	}
 	if len(mix1) != 4 {
 		t.Fatalf("round 1 returned %d messages", len(mix1))
@@ -256,14 +227,10 @@ func TestDaemonPipelinedRounds(t *testing.T) {
 			t.Fatalf("round 1 leaked message %q", m)
 		}
 	}
-	// Mixing a consumed round is an error.
-	if _, err := cli.Mix(t.Context(), r0.ID); err == nil {
-		t.Fatal("re-mixing a finished round succeeded")
-	}
 }
 
 func TestDaemonTypedErrorsOverWire(t *testing.T) {
-	srv, cfg := startServer(t, atom.NIZK)
+	srv, cfg := startServeServer(t, atom.NIZK, sealAt(64))
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +240,7 @@ func TestDaemonTypedErrorsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Submit(t.Context(), 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
+	if _, err := cli.SubmitInto(t.Context(), 0, 0, []byte("garbage")); !errors.Is(err, atom.ErrBadSubmission) {
 		t.Fatalf("garbage submission: got %v, want ErrBadSubmission", err)
 	}
 	ac, _ := atom.NewClient(cfg)
@@ -281,12 +248,65 @@ func TestDaemonTypedErrorsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Submit(t.Context(), 1, wire); err != nil {
+	open, err := cli.SubmitInto(t.Context(), 0, 1, wire)
+	if err != nil {
 		t.Fatal(err)
 	}
-	err = cli.Submit(t.Context(), 2, wire)
+	_, err = cli.SubmitInto(t.Context(), 0, 2, wire)
 	if !errors.Is(err, atom.ErrDuplicateSubmission) || !errors.Is(err, atom.ErrBadSubmission) {
 		t.Fatalf("replay: got %v, want ErrDuplicateSubmission (and ErrBadSubmission)", err)
+	}
+	// Awaiting a round the service has not opened yet cannot succeed: it
+	// is refused at once, typed, instead of parking until the deadline.
+	ctx, cancel := context.WithTimeout(t.Context(), 2*time.Second)
+	defer cancel()
+	if _, err := cli.Await(ctx, open+50); !errors.Is(err, atom.ErrRoundClosed) {
+		t.Fatalf("await of unopened round %d: got %v, want ErrRoundClosed", open+50, err)
+	}
+}
+
+// TestDaemonRetiredRequests: the request types of the retired
+// one-shot and round-handle surfaces get the typed unknown-request reply
+// an older atomclient can act on, and none of them seals the open round.
+func TestDaemonRetiredRequests(t *testing.T) {
+	srv, cfg := startServeServer(t, atom.NIZK, sealAt(64))
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	info, err := cli.Info(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, _ := atom.NewClient(cfg)
+	wire, err := ac.EncryptSubmission([]byte("still pending"), info.EntryKeys[0], nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := cli.SubmitInto(t.Context(), 0, 0, wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid := binary.BigEndian.AppendUint64(nil, open)
+	for typ, payload := range map[string][]byte{
+		"run":          nil,
+		"open":         nil,
+		"mix":          rid,
+		"submit":       append(binary.BigEndian.AppendUint64(nil, 1), wire...),
+		"submit-round": append(binary.BigEndian.AppendUint64(rid, 1), wire...),
+	} {
+		_, err := cli.roundTrip(t.Context(), &transport.Message{Type: typ, Payload: payload})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown request %q", typ)) {
+			t.Errorf("%s request: got %v, want the unknown-request error", typ, err)
+		}
+	}
+	ri, err := cli.ServeInfo(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending, queued := srv.Service().Pending(); ri.ID != open || pending != 1 || queued != 0 {
+		t.Fatalf("open round %d (was %d) holds %d submissions, %d rounds sealed: a retired request acted", ri.ID, open, pending, queued)
 	}
 }
 
@@ -399,25 +419,10 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		fill = append(fill, []byte(fmt.Sprintf("filler %d", i)))
 	}
-	if _, err := SubmitBatch(ctx, ac, info, r1info, 10, fill, func(ctx context.Context, round uint64, user int, w []byte) error {
-		_, serr := cli.SubmitInto(ctx, round, user, w)
-		return serr
-	}); err != nil {
+	if _, err := SubmitBatch(ctx, cli, ac, info, r1info, 10, fill); err != nil {
 		t.Fatalf("filling round %d: %v", r1info.ID, err)
 	}
-	var r2info *RoundInfo
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if r2info, err = cli.ServeInfo(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if r2info.ID != r1info.ID {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("round %d never sealed", r1info.ID)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r2info := nextRound(t, cli, r1info.ID)
 
 	// The same bytes into round r+1: accepted (dedup is per round).
 	if _, err := cli.SubmitInto(ctx, r2info.ID, 3, wire); err != nil {
@@ -433,11 +438,7 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	}
 
 	// Fill round r+1 to its seal target so it publishes too.
-	if _, err := SubmitBatch(ctx, ac, info, r2info, 20, [][]byte{[]byte("filler r2"), []byte("filler r2b")},
-		func(ctx context.Context, round uint64, user int, w []byte) error {
-			_, serr := cli.SubmitInto(ctx, round, user, w)
-			return serr
-		}); err != nil {
+	if _, err := SubmitBatch(ctx, cli, ac, info, r2info, 20, [][]byte{[]byte("filler r2"), []byte("filler r2b")}); err != nil {
 		t.Fatalf("filling round %d: %v", r2info.ID, err)
 	}
 

@@ -37,6 +37,8 @@ import (
 const (
 	fpMagic    = "ATOMFP1"
 	fpMaxFrame = 16 << 20
+	// fpMaxAcks caps how many verdicts one ack frame coalesces.
+	fpMaxAcks = 4096
 
 	fpTypeHello     byte = 1
 	fpTypeSubmit    byte = 2
@@ -320,10 +322,14 @@ func (fc *fastConn) readLoop() {
 // alias the frame buffer.
 func (fc *fastConn) parseSubmit(fb *frameBuf, body []byte) ([]fastSub, bool) {
 	count, body, ok := fpUvarint(body)
-	if !ok || count > uint64(len(body)) { // each submission is ≥1 byte
+	// count comes from an unauthenticated peer. A submission is at least
+	// its four uvarint headers, so a count the body cannot hold is refused
+	// outright, and the pre-size stops at one ack frame's worth: at 64 B
+	// per entry, sizing from count alone let one 16 MiB frame demand 1 GiB.
+	if !ok || count > uint64(len(body))/4 {
 		return nil, false
 	}
-	subs := make([]fastSub, 0, count)
+	subs := make([]fastSub, 0, min(count, fpMaxAcks))
 	for i := uint64(0); i < count; i++ {
 		var seq, user, round, wlen uint64
 		if seq, body, ok = fpUvarint(body); !ok {
@@ -392,7 +398,7 @@ func (fc *fastConn) ackLoop() {
 	for ack := range fc.acks {
 		pending = append(pending[:0], ack)
 	drain:
-		for len(pending) < 4096 {
+		for len(pending) < fpMaxAcks {
 			select {
 			case more, ok := <-fc.acks:
 				if !ok {
@@ -496,7 +502,7 @@ func (fp *fastPath) flush(batch []fastSub) {
 		for k, i := range idxs {
 			users[k], wires[k] = batch[i].user, batch[i].wire
 		}
-		rounds, errs := svc.SubmitEncodedBatchInto(pin, users, wires)
+		rounds, errs := svc.SubmitEncodedBatch(pin, users, wires)
 		for k, i := range idxs {
 			sub := batch[i]
 			if errs[k] != nil {

@@ -244,8 +244,8 @@ func (e *TimeoutError) Error() string {
 // Cluster is the distributed round engine: one actor per active group
 // member (hosted locally or adopted remotely), a coordinator endpoint
 // that injects sealed batches and collects exits, and an implementation
-// of protocol.Mixer, so Deployment.RunRoundVia runs the identical round
-// lifecycle — sealing, finale, blame records, rotation — over it.
+// of protocol.Mixer, so Deployment.MixSealed runs the identical round
+// lifecycle — finale, blame records — over it.
 //
 // The cluster is churn-tolerant end to end: members heartbeat the
 // coordinator, a silent or unreachable member is detected within
@@ -834,9 +834,17 @@ func (c *Cluster) KillMember(id MemberID) bool {
 
 // Run executes one round over the cluster: the deployment seals rs,
 // the actors mix it, and the deployment applies the variant finale —
-// Deployment.RunRoundVia with this cluster as the Mixer.
+// Deployment.RunRoundCtx with this cluster as the Mixer.
 func (c *Cluster) Run(ctx context.Context, rs *protocol.RoundState, hooks *protocol.RoundHooks) (*protocol.RoundResult, error) {
-	return c.d.RunRoundVia(ctx, rs, hooks, c)
+	// A context that is already dead must not consume the round.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("distributed: round %d not started: %w", rs.ID(), err)
+	}
+	sealed, err := c.d.SealRound(rs)
+	if err != nil {
+		return nil, err
+	}
+	return c.d.MixSealed(ctx, sealed, hooks, c)
 }
 
 // wireRound tags a round attempt on the wire: churn restarts of one
@@ -883,10 +891,6 @@ func (v *attemptView) inChain(id MemberID) bool {
 	}
 	return false
 }
-
-// ConcurrentRounds implements protocol.ConcurrentMixer: the cluster
-// accepts Options.MaxInFlight overlapping MixRound calls.
-func (c *Cluster) ConcurrentRounds() int { return c.opts.MaxInFlight }
 
 // errReplanned restarts a round attempt whose wiring snapshot went stale
 // because another round's loss handling re-planned the fleet.

@@ -192,7 +192,7 @@ func TestTCPRoundMatchesInProcess(t *testing.T) {
 }
 
 // TestTrapVariantDistributed: the trap variant's finale (trap
-// accounting, trustee decryption) runs in the shared RunRoundVia path,
+// accounting, trustee decryption) runs in the shared MixSealed path,
 // so a distributed trap round must also recover the plaintext set.
 func TestTrapVariantDistributed(t *testing.T) {
 	d, c := newDeployment(t, protocol.VariantTrap, 2)

@@ -24,7 +24,10 @@ type Service struct {
 	client     *protocol.Client
 	board      *bulletin.Board
 	round      uint64
-	posted     int
+
+	// open is the round Post submits into and RunRound mixes; nil until
+	// the first Post and again once a round has been sealed.
+	open *protocol.RoundState
 }
 
 // NewService creates a microblogging service over an existing
@@ -53,11 +56,28 @@ func ValidatePost(text string) error {
 	return nil
 }
 
-// Post submits one microblog message for the given user into the
-// current round, choosing the entry group by user id (an untrusted
-// load balancer would do this in a deployment, §3).
+// openRound returns the round collecting posts, opening one if the
+// previous round was mixed (or none was opened yet).
+func (s *Service) openRound() (*protocol.RoundState, error) {
+	if s.open == nil {
+		rs, err := s.deployment.OpenRound()
+		if err != nil {
+			return nil, err
+		}
+		s.open = rs
+	}
+	return s.open, nil
+}
+
+// Post submits one microblog message for the given user into the open
+// round, choosing the entry group by user id (an untrusted load
+// balancer would do this in a deployment, §3).
 func (s *Service) Post(user int, text string, rnd io.Reader) error {
 	if err := ValidatePost(text); err != nil {
+		return err
+	}
+	rs, err := s.openRound()
+	if err != nil {
 		return err
 	}
 	gid := user % s.deployment.NumGroups()
@@ -65,18 +85,15 @@ func (s *Service) Post(user int, text string, rnd io.Reader) error {
 	if err != nil {
 		return err
 	}
-	cfg := s.deployment.Config()
-	switch cfg.Variant {
+	switch rs.Variant() {
 	case protocol.VariantNIZK:
 		sub, err := s.client.Submit([]byte(text), pk, gid, rnd)
 		if err != nil {
 			return err
 		}
-		if err := s.deployment.SubmitUser(user, sub); err != nil {
-			return err
-		}
+		return rs.SubmitUser(user, sub)
 	case protocol.VariantTrap:
-		tpk, err := s.deployment.TrusteePK()
+		tpk, err := rs.TrusteePK()
 		if err != nil {
 			return err
 		}
@@ -84,18 +101,19 @@ func (s *Service) Post(user int, text string, rnd io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if err := s.deployment.SubmitTrapUser(user, sub); err != nil {
-			return err
-		}
+		return rs.SubmitTrapUser(user, sub)
 	default:
-		return fmt.Errorf("microblog: unknown variant %v", cfg.Variant)
+		return fmt.Errorf("microblog: unknown variant %v", rs.Variant())
 	}
-	s.posted++
-	return nil
 }
 
-// Posted returns the number of accepted posts for the current round.
-func (s *Service) Posted() int { return s.posted }
+// Posted returns the number of accepted posts for the open round.
+func (s *Service) Posted() int {
+	if s.open == nil {
+		return 0
+	}
+	return s.open.Pending()
+}
 
 // RunRound mixes the collected posts and publishes the anonymized batch
 // to the bulletin board, returning the published posts.
@@ -106,7 +124,14 @@ func (s *Service) RunRound() ([]bulletin.Post, error) {
 // RunRoundCtx is RunRound with cancellation/deadline propagation into
 // the mixing iterations.
 func (s *Service) RunRoundCtx(ctx context.Context) ([]bulletin.Post, error) {
-	res, err := s.deployment.RunRoundCtx(ctx, nil, nil)
+	rs, err := s.openRound()
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.deployment.RunRoundCtx(ctx, rs, nil)
+	if rs.Sealed() {
+		s.open = nil // consumed, mixed or aborted; a dead ctx leaves it open
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +140,6 @@ func (s *Service) RunRoundCtx(ctx context.Context) ([]bulletin.Post, error) {
 		return nil, err
 	}
 	s.round++
-	s.posted = 0
 	return s.board.Round(round), nil
 }
 

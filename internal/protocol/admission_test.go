@@ -137,7 +137,9 @@ func TestBatchAdmissionMatchesSerialTrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpk, err := d.TrusteePK()
+	// Admission never opens the inner ciphertext, so any round's trustee
+	// key serves for both rounds compareBatchToSerial opens.
+	tpk, err := openRound(t, d).TrusteePK()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +230,14 @@ func TestBatchAdmissionPlaintextParity(t *testing.T) {
 			}
 			users[u], wires[u] = u, sub.Encode()
 		}
-		errs, _ := d.CurrentRound().SubmitEncodedBatch(users, wires)
+		rs := openRound(t, d)
+		errs, _ := rs.SubmitEncodedBatch(users, wires)
 		for i, e := range errs {
 			if e != nil {
 				t.Fatalf("workers=%d: submission %d rejected: %v", workers, i, e)
 			}
 		}
-		res, err := d.RunRound()
+		res, err := mixRound(rs)
 		if err != nil {
 			t.Fatal(err)
 		}

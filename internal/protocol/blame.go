@@ -23,13 +23,6 @@ type BlameReport struct {
 	Reasons map[int]string
 }
 
-// IdentifyMaliciousUsers runs the blame procedure over the current
-// round's entry groups (after a legacy RunRound abort the aborted round
-// stays current until ResetRound, so its records are available here).
-func (d *Deployment) IdentifyMaliciousUsers() (*BlameReport, error) {
-	return d.currentRound().IdentifyMaliciousUsers()
-}
-
 // IdentifyMaliciousUsers runs the blame procedure over this round's
 // entry records.
 func (rs *RoundState) IdentifyMaliciousUsers() (*BlameReport, error) {

@@ -65,14 +65,14 @@ type Deployment struct {
 	// roundSeq issues round ids.
 	roundSeq atomic.Uint64
 
-	// mixMu serializes mixing: only one round runs its T iterations at
-	// a time (the paper's lock-step organization; §4.7 pipelining means
-	// overlapping ingestion with mixing, which needs no second mixer).
+	// mixMu serializes in-process mixing: only one round runs its T
+	// iterations at a time (the paper's lock-step organization; §4.7
+	// pipelining means overlapping ingestion with mixing, which needs no
+	// second mixer).
 	mixMu sync.Mutex
 
-	// mu guards cur, cfg.Variant and adversary.
+	// mu guards cfg.Variant and adversary.
 	mu        sync.Mutex
-	cur       *RoundState
 	adversary *Adversary
 }
 
@@ -168,12 +168,6 @@ func newDeployment(cfg Config, s Setup) (*Deployment, error) {
 			}
 		}
 	}
-
-	// The implicit current round backs the one-round-at-a-time legacy
-	// API (SubmitUser/RunRound without an explicit RoundState).
-	if d.cur, err = d.OpenRound(); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
@@ -245,25 +239,6 @@ func (d *Deployment) GroupPK(gid int) (*ecc.Point, error) {
 	return d.groups[gid].PK, nil
 }
 
-// currentRound returns the implicit round the legacy API operates on.
-func (d *Deployment) currentRound() *RoundState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cur
-}
-
-// CurrentRound exposes the implicit round behind the legacy
-// SubmitUser/RunRound surface, so callers can observe its id and
-// pending count or pass it to RunRoundCtx explicitly.
-func (d *Deployment) CurrentRound() *RoundState { return d.currentRound() }
-
-// TrusteePK returns the current round's trustee key (trap variant
-// only). Explicitly opened rounds carry their own key; see
-// RoundState.TrusteePK.
-func (d *Deployment) TrusteePK() (*ecc.Point, error) {
-	return d.currentRound().TrusteePK()
-}
-
 // SetAdversary installs a malicious-server hook for the next round.
 func (d *Deployment) SetAdversary(a *Adversary) {
 	d.mu.Lock()
@@ -271,22 +246,14 @@ func (d *Deployment) SetAdversary(a *Adversary) {
 	d.mu.Unlock()
 }
 
-// takeAdversary consumes the installed hook for one round.
+// takeAdversary consumes the installed hook: it is one-shot, claimed by
+// the first round to start mixing whatever that round's outcome.
 func (d *Deployment) takeAdversary() *Adversary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.adversary
-}
-
-// SubmitUser accepts a NIZK-variant submission into the current round.
-func (d *Deployment) SubmitUser(user int, sub *Submission) error {
-	return d.currentRound().SubmitUser(user, sub)
-}
-
-// SubmitTrapUser accepts a trap-variant submission into the current
-// round.
-func (d *Deployment) SubmitTrapUser(user int, sub *TrapSubmission) error {
-	return d.currentRound().SubmitTrapUser(user, sub)
+	a := d.adversary
+	d.adversary = nil
+	return a
 }
 
 func (d *Deployment) groupFor(gid int) (*GroupState, error) {
@@ -383,23 +350,13 @@ type MixOutcome struct {
 // MemberEngine-based mixing: the in-process mixer (every group in this
 // process, direct calls) and the distributed cluster
 // (internal/distributed, member actors exchanging framed messages over
-// a transport). RunRoundVia accepts either, so ingestion, sealing, the
-// variant finale, blame records and round rotation are identical no
-// matter where the cryptography physically ran.
+// a transport). MixSealed accepts either, so ingestion, sealing, the
+// variant finale and blame records are identical no matter where the
+// cryptography physically ran. MixSealed may call MixRound for several
+// rounds at once, so an implementation bounds its own concurrency (the
+// cluster admits Options.MaxInFlight rounds).
 type Mixer interface {
 	MixRound(job *MixJob) (*MixOutcome, error)
-}
-
-// ConcurrentMixer is a Mixer that tolerates overlapping MixRound calls —
-// the §4.7 cross-round pipelining contract: round r+1's layer-0 batches
-// may enter the engine while round r is still traversing later layers.
-// MixSealed skips the deployment's one-round-at-a-time mixing lock for a
-// mixer reporting more than one concurrent round (the distributed
-// cluster does; the in-process mixer stays lock-step).
-type ConcurrentMixer interface {
-	Mixer
-	// ConcurrentRounds reports how many rounds may mix at once.
-	ConcurrentRounds() int
 }
 
 // SealedRound is one round's sealed ingestion: the per-entry-group
@@ -445,14 +402,10 @@ func (s *SealedRound) BatchSize() int {
 
 // SealRound closes rs to submissions and snapshots its batches — the
 // seal-at-deadline / seal-at-capacity step of the continuous service's
-// round scheduler, split out of RunRoundVia so sealing is driven by a
-// schedule while mixing is driven by the pipeline's free slots. A nil rs
-// seals the implicit current round. Sealing a round twice (or sealing a
-// round RunRoundVia already consumed) fails with ErrRoundClosed.
+// round scheduler, so sealing is driven by a schedule while mixing is
+// driven by the pipeline's free slots. Sealing a round twice fails with
+// ErrRoundClosed.
 func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
-	if rs == nil {
-		rs = d.currentRound()
-	}
 	if !rs.mixing.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("%w: round %d already sealed", ErrRoundClosed, rs.id)
 	}
@@ -465,41 +418,19 @@ func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
 	}, nil
 }
 
-// RunRound executes the current round in lock-step — the blocking
-// one-round-at-a-time legacy surface. On success a fresh current round
-// opens automatically; after an abort the round's records are kept for
-// the §4.6 blame procedure until ResetRound.
-func (d *Deployment) RunRound() (*RoundResult, error) {
-	return d.RunRoundCtx(context.Background(), nil, nil)
-}
-
-// RunRoundCtx executes a round's T mixing iterations across the whole
-// network plus the variant-specific finale, honoring ctx cancellation
-// and deadlines between (and within) iterations. A nil rs runs the
-// implicit current round. It returns an error wrapping ErrRoundAborted
-// when a defense trips, ErrProofRejected when a NIZK proof fails,
-// ErrRecoveryNeeded when a group is under threshold, and ctx.Err()
-// when canceled.
+// RunRoundCtx seals rs and executes its T mixing iterations on the
+// in-process mixer plus the variant-specific finale, honoring ctx
+// cancellation and deadlines between (and within) iterations. It returns
+// an error wrapping ErrRoundAborted when a defense trips,
+// ErrProofRejected when a NIZK proof fails, ErrRecoveryNeeded when a
+// group is under threshold, and ctx.Err() when canceled; after an abort
+// the round's records stay available to rs.IdentifyMaliciousUsers.
 //
-// Only one round mixes at a time, but rounds opened with OpenRound keep
-// accepting submissions while this runs — the §4.7 pipelined
-// organization.
+// Only one round mixes at a time, but other open rounds keep accepting
+// submissions while this runs — the §4.7 pipelined organization.
 func (d *Deployment) RunRoundCtx(ctx context.Context, rs *RoundState, hooks *RoundHooks) (*RoundResult, error) {
-	return d.RunRoundVia(ctx, rs, hooks, nil)
-}
-
-// RunRoundVia is RunRoundCtx with an explicit Mixer: nil selects the
-// in-process mixer; a distributed.Cluster runs the same round as
-// message-passing actors over its transport. Everything around the
-// mixing — sealing, the variant-specific finale, blame records, the
-// one-shot adversary hook, current-round rotation — is shared, so the
-// two paths produce identical results and identical error taxonomies.
-func (d *Deployment) RunRoundVia(ctx context.Context, rs *RoundState, hooks *RoundHooks, mixer Mixer) (*RoundResult, error) {
-	if rs == nil {
-		rs = d.currentRound()
-	}
 	// A context that is already dead must not consume the round: the
-	// caller can retry Mix (or keep submitting) with a live one.
+	// caller can retry (or keep submitting) with a live one.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("protocol: round %d not started: %w", rs.id, err)
 	}
@@ -507,17 +438,16 @@ func (d *Deployment) RunRoundVia(ctx context.Context, rs *RoundState, hooks *Rou
 	if err != nil {
 		return nil, err
 	}
-	return d.MixSealed(ctx, sealed, hooks, mixer)
+	return d.MixSealed(ctx, sealed, hooks, nil)
 }
 
 // MixSealed mixes a sealed round's batches and applies the variant
-// finale, blame records and current-round rotation — the back half of
-// RunRoundVia, callable later and (over a ConcurrentMixer) concurrently
-// with other rounds' mixes: the continuous service seals rounds on a
-// schedule and dispatches them here as pipeline slots free up. A nil
-// mixer selects the in-process mixer. The sealed batches are single-use;
-// a second MixSealed fails with ErrRoundClosed — except after a
-// dead-on-arrival context, which leaves the sealed round retryable.
+// finale and blame records. It may run concurrently with other rounds'
+// mixes: the continuous service seals rounds on a schedule and
+// dispatches them here as pipeline slots free up. A nil mixer selects
+// the in-process mixer. The sealed batches are single-use; a second
+// MixSealed fails with ErrRoundClosed — except after a dead-on-arrival
+// context, which leaves the sealed round retryable.
 func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *RoundHooks, mixer Mixer) (*RoundResult, error) {
 	rs := sealed.rs
 	if !sealed.mixing.CompareAndSwap(false, true) {
@@ -528,17 +458,13 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 		return nil, fmt.Errorf("protocol: round %d not started: %w", rs.id, err)
 	}
 	if mixer == nil {
-		mixer = localMixer{d}
-	}
-	// Only one round mixes at a time unless the mixer is built for
-	// cross-round pipelining (the distributed cluster's actors interleave
-	// rounds layer by layer; the in-process groups do not).
-	if cm, ok := mixer.(ConcurrentMixer); !ok || cm.ConcurrentRounds() <= 1 {
+		// The in-process groups mix one round at a time; taking the lock
+		// here keeps the wait out of the round's reported Duration. Any
+		// other mixer bounds its own concurrency.
 		d.mixMu.Lock()
 		defer d.mixMu.Unlock()
+		mixer = localMixer{d}
 	}
-
-	adversary := d.takeAdversary()
 	start := time.Now()
 	job := &MixJob{
 		Ctx:       ctx,
@@ -546,17 +472,10 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 		Variant:   rs.variant,
 		Batches:   sealed.batches,
 		Workers:   rs.mix.effectiveWorkers(len(d.groups)),
-		Adversary: adversary,
+		Adversary: d.takeAdversary(),
 		Hooks:     hooks,
 	}
 	out, err := mixer.MixRound(job)
-
-	// The adversary hook is one-shot regardless of outcome.
-	d.mu.Lock()
-	if d.adversary == adversary {
-		d.adversary = nil
-	}
-	d.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -572,19 +491,6 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 	res.Admitted = sealed.admitted
 	res.Rejected = sealed.rejected
 	res.SealedBatch = sealed.BatchSize()
-	// A finished current round rotates automatically so the legacy
-	// surface keeps its auto-reset semantics (and the trap variant
-	// its per-round trustee key).
-	d.mu.Lock()
-	if d.cur == rs {
-		next, oerr := d.openRoundLocked()
-		if oerr != nil {
-			d.mu.Unlock()
-			return nil, oerr
-		}
-		d.cur = next
-	}
-	d.mu.Unlock()
 	return res, nil
 }
 
@@ -726,50 +632,6 @@ func (d *Deployment) finishRound(rs *RoundState, exitPayloads map[int][][]byte) 
 	return res, nil
 }
 
-// openRoundLocked is OpenRound for callers already holding d.mu.
-func (d *Deployment) openRoundLocked() (*RoundState, error) {
-	variant := d.cfg.Variant
-	numTrustees := d.cfg.NumTrustees
-	rs := &RoundState{
-		id:      d.roundSeq.Add(1),
-		d:       d,
-		variant: variant,
-		mix:     d.cfg.Mix,
-		groups:  make([]roundGroup, len(d.groups)),
-	}
-	for i := range rs.shards {
-		rs.shards[i].seen = make(map[string]bool)
-	}
-	for i := range rs.groups {
-		rs.groups[i].commitments = make(map[string]int)
-	}
-	if variant == VariantTrap {
-		t, err := NewTrustees(numTrustees, d.rnd)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: rotating trustee key: %w", err)
-		}
-		rs.trustees = t
-	}
-	return rs, nil
-}
-
-// ResetRound discards the current round — its submissions, duplicate
-// filters, commitments and entry records — and opens a fresh one; in
-// the trap variant that generates a fresh trustee round key (§4.4: "the
-// group keys change across rounds"). Successful rounds reset
-// automatically; after an abort, call this once blame handling is done.
-func (d *Deployment) ResetRound() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	next, err := d.openRoundLocked()
-	if err != nil {
-		return err
-	}
-	d.cur = next
-	d.adversary = nil
-	return nil
-}
-
 // sortMessages orders messages lexicographically: the exit order is
 // already unlinkable to submission order, and a canonical order makes
 // results reproducible for bulletin publication.
@@ -791,20 +653,15 @@ func hashToGroup(payload []byte, G int) int {
 // SwitchVariant changes the active-attack defense for subsequent rounds
 // — the §4.6 escalation: "If the DoS attack is persistent after many
 // rounds, Atom can fall back to using NIZKs, effectively trading off
-// performance for availability." Switching opens a fresh current round
-// (pending submissions are encoding-incompatible across variants); a
-// switch back to the trap variant provisions fresh trustees. Rounds
-// opened before the switch keep the variant they were opened under.
-func (d *Deployment) SwitchVariant(v Variant) error {
+// performance for availability." Rounds opened after the switch use the
+// new variant (a trap round provisions fresh trustees as it opens);
+// rounds opened before it keep the variant they were opened under, since
+// pending submissions are encoding-incompatible across variants.
+func (d *Deployment) SwitchVariant(v Variant) {
 	d.mu.Lock()
-	if v == d.cfg.Variant {
-		d.mu.Unlock()
-		return nil
-	}
+	defer d.mu.Unlock()
 	d.cfg.Variant = v
 	if v == VariantTrap && d.cfg.NumTrustees < 1 {
 		d.cfg.NumTrustees = d.cfg.GroupSize
 	}
-	d.mu.Unlock()
-	return d.ResetRound()
 }

@@ -19,23 +19,24 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 6)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 6)
 
 	// The disruptive user submits a trap with a bogus commitment.
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 	evil, err := c.SubmitTrap([]byte("dos"), pk, tpk, 0, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	evil.Commitment = TrapCommitment([]byte("lies"))
-	if err := d.SubmitTrapUser(666, evil); err != nil {
+	if err := rs.SubmitTrapUser(666, evil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("disrupted round succeeded")
 	}
-	report, err := d.IdentifyMaliciousUsers()
+	report, err := rs.IdentifyMaliciousUsers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,14 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		t.Fatalf("blame = %v", report.BadUsers)
 	}
 
-	// Escalate: fall back to NIZKs (§4.6), blacklisting user 666.
-	if err := d.SwitchVariant(VariantNIZK); err != nil {
-		t.Fatal(err)
-	}
+	// Escalate: fall back to NIZKs (§4.6), blacklisting user 666. Rounds
+	// opened from here on are NIZK rounds.
+	d.SwitchVariant(VariantNIZK)
 	nizkCfg := d.Config()
 	if nizkCfg.Variant != VariantNIZK {
 		t.Fatal("variant did not switch")
 	}
+	rs = openRound(t, d)
 	nc, err := NewClient(&nizkCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,17 +66,18 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.SubmitUser(u, sub); err != nil {
+		if err := rs.SubmitUser(u, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := d.RunRound()
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatalf("NIZK fallback round failed: %v", err)
 	}
 	checkMessages(t, res, want)
 
 	// Under NIZKs, server tampering is caught proactively.
+	rs = openRound(t, d)
 	want2 := map[string]bool{}
 	for u := 0; u < 8; u++ {
 		gid := u % cfg.NumGroups
@@ -83,7 +85,7 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 		msg := []byte{byte('A' + u)}
 		want2[string(msg)] = true
 		sub, _ := nc.Submit(msg, gpk, gid, rand.Reader)
-		if err := d.SubmitUser(u, sub); err != nil {
+		if err := rs.SubmitUser(u, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,21 +98,14 @@ func TestFallbackToNIZKAfterPersistentDisruption(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("NIZK fallback failed to catch tampering")
 	}
-	// The trustee-free reset path must also work.
-	if err := d.ResetRound(); err != nil {
-		t.Fatal(err)
-	}
-	// And switching back to traps provisions fresh trustees.
-	if err := d.SwitchVariant(VariantTrap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.TrusteePK(); err != nil {
+	// Switching back to traps provisions fresh trustees for the rounds
+	// that open afterwards; a repeated switch changes nothing.
+	d.SwitchVariant(VariantTrap)
+	d.SwitchVariant(VariantTrap)
+	if _, err := openRound(t, d).TrusteePK(); err != nil {
 		t.Fatalf("no trustees after switching back: %v", err)
-	}
-	if err := d.SwitchVariant(VariantTrap); err != nil {
-		t.Fatal("no-op switch should succeed")
 	}
 }

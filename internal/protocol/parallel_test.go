@@ -37,8 +37,9 @@ func TestParallelMixingMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := submitAll(t, d, c, 8)
-			res, err := d.RunRound()
+			rs := openRound(t, d)
+			want := submitAll(t, rs, c, 8)
+			res, err := mixRound(rs)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", variant, workers, err)
 			}
@@ -88,7 +89,8 @@ func TestParallelShuffleTamperAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 1, GID: 1, Member: 1,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -105,7 +107,7 @@ func TestParallelShuffleTamperAborts(t *testing.T) {
 			return out
 		},
 	})
-	_, err = d.RunRound()
+	_, err = mixRound(rs)
 	if !errors.Is(err, ErrProofRejected) {
 		t.Fatalf("got %v, want ErrProofRejected", err)
 	}
@@ -129,12 +131,13 @@ func TestParallelReEncTamperAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	// Corrupt group 2, member 0's secret share; the public commitments
 	// (what verifiers use) are untouched.
 	gk := d.groups[2].Keys[0]
 	gk.Share = gk.Share.Add(ecc.NewScalar(1))
-	_, err = d.RunRound()
+	_, err = mixRound(rs)
 	if !errors.Is(err, ErrProofRejected) {
 		t.Fatalf("got %v, want ErrProofRejected", err)
 	}
@@ -157,7 +160,8 @@ func TestCancellationIsNotBlamedOnMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The adversary hook fires mid-iteration (after group 0, member 0's
@@ -170,7 +174,7 @@ func TestCancellationIsNotBlamedOnMembers(t *testing.T) {
 			return nil // no tampering: every proof stays honest
 		},
 	})
-	_, err = d.RunRoundCtx(ctx, nil, nil)
+	_, err = d.RunRoundCtx(ctx, rs, nil)
 	if err == nil {
 		t.Fatal("canceled round succeeded")
 	}

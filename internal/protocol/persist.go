@@ -236,9 +236,6 @@ func RestoreDeployment(cfg Config, state []byte, lastRound uint64) (*Deployment,
 		seq = lastRound
 	}
 	d.roundSeq.Store(seq)
-	if d.cur, err = d.OpenRound(); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 

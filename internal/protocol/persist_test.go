@@ -32,8 +32,9 @@ func TestDeploymentStateRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := submitAll(t, d2, c, 16)
-	res, err := d2.RunRound()
+	rs := openRound(t, d2)
+	want := submitAll(t, rs, c, 16)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,9 @@ func TestSealedRoundRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := submitAll(t, d, c, 16)
-			sealed, err := d.SealRound(nil)
+			rs := openRound(t, d)
+			want := submitAll(t, rs, c, 16)
+			sealed, err := d.SealRound(rs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -27,10 +28,26 @@ func testConfig(variant Variant) Config {
 	}
 }
 
-// submitAll sends one message per user, spread evenly over entry groups,
-// and returns the expected plaintext set.
-func submitAll(t *testing.T, d *Deployment, c *Client, numUsers int) map[string]bool {
+// openRound opens the round a test submits into and then mixes.
+func openRound(t *testing.T, d *Deployment) *RoundState {
 	t.Helper()
+	rs, err := d.OpenRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// mixRound seals rs and mixes it on the in-process mixer.
+func mixRound(rs *RoundState) (*RoundResult, error) {
+	return rs.d.RunRoundCtx(context.Background(), rs, nil)
+}
+
+// submitAll sends one message per user into rs, spread evenly over entry
+// groups, and returns the expected plaintext set.
+func submitAll(t *testing.T, rs *RoundState, c *Client, numUsers int) map[string]bool {
+	t.Helper()
+	d := rs.d
 	want := make(map[string]bool, numUsers)
 	for u := 0; u < numUsers; u++ {
 		gid := u % d.NumGroups()
@@ -40,17 +57,17 @@ func submitAll(t *testing.T, d *Deployment, c *Client, numUsers int) map[string]
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch d.Config().Variant {
+		switch rs.Variant() {
 		case VariantNIZK:
 			sub, err := c.Submit(msg, pk, gid, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitUser(u, sub); err != nil {
+			if err := rs.SubmitUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		case VariantTrap:
-			tpk, err := d.TrusteePK()
+			tpk, err := rs.TrusteePK()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +75,7 @@ func submitAll(t *testing.T, d *Deployment, c *Client, numUsers int) map[string]
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitTrapUser(u, sub); err != nil {
+			if err := rs.SubmitTrapUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -98,8 +115,9 @@ func TestNIZKRoundEndToEnd(t *testing.T) {
 	}
 	// 16 users → 4 per entry group → every group's batch stays non-empty
 	// through every layer, so the shuffle accounting is exact.
-	want := submitAll(t, d, c, 16)
-	res, err := d.RunRound()
+	rs := openRound(t, d)
+	want := submitAll(t, rs, c, 16)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +151,9 @@ func TestTrapRoundEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := submitAll(t, d, c, 8)
-	res, err := d.RunRound()
+	rs := openRound(t, d)
+	want := submitAll(t, rs, c, 8)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +185,9 @@ func TestButterflyTopologyRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	want := submitAll(t, d, c, 8)
-	res, err := d.RunRound()
+	rs := openRound(t, d)
+	want := submitAll(t, rs, c, 8)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +201,8 @@ func TestNIZKDetectsTamperingServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 
 	// A malicious middle server in group 1 at layer 1 replaces one
 	// ciphertext with a rerandomized copy of another (the duplicate
@@ -205,7 +226,7 @@ func TestNIZKDetectsTamperingServer(t *testing.T) {
 			return out
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("NIZK round succeeded despite server tampering")
 	}
 }
@@ -217,7 +238,8 @@ func TestTrapDetectsDroppedCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 
 	// A malicious server drops one ciphertext mid-mix. Counts no longer
 	// balance (or a committed trap goes missing), so the trustees refuse
@@ -233,14 +255,14 @@ func TestTrapDetectsDroppedCiphertext(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	_, err = d.RunRound()
+	_, err = mixRound(rs)
 	if err == nil {
 		t.Fatal("trap round succeeded despite a dropped ciphertext")
 	}
 	if !errors.Is(err, ErrRoundAborted) {
 		t.Fatalf("expected ErrRoundAborted, got %v", err)
 	}
-	if !d.currentRound().trustees.Deleted() {
+	if !rs.trustees.Deleted() {
 		t.Error("trustees did not delete their key shares")
 	}
 }
@@ -252,7 +274,8 @@ func TestTrapDetectsDuplicatedCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 
 	// The §4.4 duplicate attack: replace one ciphertext with a
 	// rerandomized copy of another. Whichever way it lands (duplicate
@@ -276,7 +299,7 @@ func TestTrapDetectsDuplicatedCiphertext(t *testing.T) {
 			return out
 		},
 	})
-	_, err = d.RunRound()
+	_, err = mixRound(rs)
 	if err == nil {
 		t.Fatal("trap round succeeded despite a duplicated ciphertext")
 	}
@@ -292,7 +315,8 @@ func TestTrapRemovalDoesNotRevealPlaintext(t *testing.T) {
 	cfg := testConfig(VariantTrap)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 1, GID: 0, Member: 0,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -302,14 +326,14 @@ func TestTrapRemovalDoesNotRevealPlaintext(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("round should have aborted")
 	}
-	if !d.currentRound().trustees.Deleted() {
+	if !rs.trustees.Deleted() {
 		t.Fatal("trustee shares must be deleted on abort")
 	}
 	// A second release attempt must fail permanently.
-	if _, err := d.currentRound().trustees.Release(nil); err == nil {
+	if _, err := rs.trustees.Release(nil); err == nil {
 		t.Fatal("released key after deletion")
 	}
 }
@@ -324,7 +348,8 @@ func TestFaultToleranceWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	want := submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	want := submitAll(t, rs, c, 8)
 
 	// Fail one member of every group.
 	for gid := 0; gid < cfg.NumGroups; gid++ {
@@ -332,7 +357,7 @@ func TestFaultToleranceWithinBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := d.RunRound()
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatalf("round failed despite being within the fault budget: %v", err)
 	}
@@ -349,7 +374,8 @@ func TestFaultBeyondBudgetAbortsThenRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	want := submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	want := submitAll(t, rs, c, 8)
 
 	// Two failures in group 0 exceed the h−1 = 1 budget.
 	if err := d.FailGroupMember(0, 0); err != nil {
@@ -365,7 +391,7 @@ func TestFaultBeyondBudgetAbortsThenRecovers(t *testing.T) {
 	if !need {
 		t.Fatal("group 0 should need recovery")
 	}
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("round succeeded with a dead group")
 	}
 
@@ -380,17 +406,13 @@ func TestFaultBeyondBudgetAbortsThenRecovers(t *testing.T) {
 	}
 
 	// Resubmit (the aborted round was consumed) and rerun.
-	d2 := d
-	if err := d2.ResetRound(); err != nil {
-		t.Fatal(err)
-	}
-	want = submitAll(t, d2, c, 8)
-	res, err := d2.RunRound()
+	rs = openRound(t, d)
+	want = submitAll(t, rs, c, 8)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatalf("round failed after recovery: %v", err)
 	}
 	checkMessages(t, res, want)
-	_ = want
 }
 
 func TestRecoveryRequiresBuddies(t *testing.T) {
@@ -408,26 +430,27 @@ func TestBlameIdentifiesBadCommitment(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 6)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 6)
 
 	// User 99 submits a trap whose commitment is wrong: the round must
 	// abort and the blame procedure must identify exactly user 99.
 	gid := 0
 	pk, _ := d.GroupPK(gid)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 	sub, err := c.SubmitTrap([]byte("evil"), pk, tpk, gid, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub.Commitment = TrapCommitment([]byte("not the real trap"))
-	if err := d.SubmitTrapUser(99, sub); err != nil {
+	if err := rs.SubmitTrapUser(99, sub); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("round succeeded with a bad trap commitment")
 	}
-	report, err := d.IdentifyMaliciousUsers()
+	report, err := rs.IdentifyMaliciousUsers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,18 +466,19 @@ func TestBlameIdentifiesDuplicateInnerCiphertexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 6)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 6)
 
 	// Users 200 and 201 submit the same inner ciphertext (200 builds a
 	// valid submission; 201 clones the inner payload with a fresh trap).
 	gid := 1
 	pk, _ := d.GroupPK(gid)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 	subA, err := c.SubmitTrap([]byte("copied message"), pk, tpk, gid, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SubmitTrapUser(200, subA); err != nil {
+	if err := rs.SubmitTrapUser(200, subA); err != nil {
 		t.Fatal(err)
 	}
 	// Craft 201's submission: same decrypted inner payload requires
@@ -465,14 +489,14 @@ func TestBlameIdentifiesDuplicateInnerCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SubmitTrapUser(201, subB); err != nil {
+	if err := rs.SubmitTrapUser(201, subB); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("round succeeded with duplicate inner ciphertexts")
 	}
-	report, err := d.IdentifyMaliciousUsers()
+	report, err := rs.IdentifyMaliciousUsers()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,29 +15,33 @@ func TestTrapReportsCleanRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 
-	// Snapshot commitments before RunRound's auto-reset, by computing
-	// reports on synthetic exit payloads derived from a dry mixing pass:
-	// run the round but capture ExitOutputs from the result.
-	res, err := d.RunRound()
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After the reset the commitment sets are empty, so recomputing
-	// reports over the same payloads must flag the now-unexpected traps.
-	reports := d.TrapReports(res.ExitOutputs)
+	// Against the round's own commitment sets the exit payloads are clean.
+	reports := rs.TrapReports(res.ExitOutputs)
 	if len(reports) != cfg.NumGroups {
 		t.Fatalf("%d reports", len(reports))
 	}
-	sawViolation := false
 	for _, r := range reports {
+		if !r.TrapsOK || !r.InnerOK {
+			t.Errorf("clean round flagged by its own commitments: %+v", r)
+		}
+	}
+	// A fresh round's commitment sets are empty, so recomputing reports
+	// over the same payloads against it must flag the unexpected traps.
+	sawViolation := false
+	for _, r := range openRound(t, d).TrapReports(res.ExitOutputs) {
 		if !r.TrapsOK {
 			sawViolation = true
 		}
 	}
 	if !sawViolation {
-		t.Error("post-reset TrapReports should flag unexpected traps (commitment sets were cleared)")
+		t.Error("a fresh round's TrapReports should flag unexpected traps (its commitment sets are empty)")
 	}
 }
 
@@ -49,13 +53,14 @@ func TestTrapReportsClassification(t *testing.T) {
 	}
 	c, _ := NewClient(&cfg)
 	// One submission so group 0 expects exactly one trap commitment.
+	rs := openRound(t, d)
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 	sub, err := c.SubmitTrap([]byte("classified"), pk, tpk, 0, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SubmitTrapUser(0, sub); err != nil {
+	if err := rs.SubmitTrapUser(0, sub); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,17 +74,17 @@ func TestTrapReportsClassification(t *testing.T) {
 	inner[0] = kindMessage
 
 	// Case 1: missing trap → group 0 reports TrapsOK = false.
-	reports := d.TrapReports(map[int][][]byte{0: {inner}})
+	reports := rs.TrapReports(map[int][][]byte{0: {inner}})
 	if reports[0].TrapsOK {
 		t.Error("missing committed trap not reported")
 	}
 	// Case 2: unexpected trap (not matching the commitment).
-	reports = d.TrapReports(map[int][][]byte{0: {trap, inner}})
+	reports = rs.TrapReports(map[int][][]byte{0: {trap, inner}})
 	if reports[0].TrapsOK {
 		t.Error("unexpected trap accepted")
 	}
 	// Case 3: duplicate inner ciphertexts land at one checking group.
-	reports = d.TrapReports(map[int][][]byte{0: {inner, inner}})
+	reports = rs.TrapReports(map[int][][]byte{0: {inner, inner}})
 	ok := true
 	for _, r := range reports {
 		if !r.InnerOK {
@@ -119,6 +124,10 @@ func TestEndToEndQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rs, err := d.OpenRound()
+		if err != nil {
+			return false
+		}
 		users := 2 + int(seed%5)
 		want := map[string]int{}
 		for u := 0; u < users; u++ {
@@ -132,21 +141,21 @@ func TestEndToEndQuickProperty(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				if err := d.SubmitUser(u, sub); err != nil {
+				if err := rs.SubmitUser(u, sub); err != nil {
 					return false
 				}
 			case VariantTrap:
-				tpk, _ := d.TrusteePK()
+				tpk, _ := rs.TrusteePK()
 				sub, err := c.SubmitTrap(msg, pk, tpk, gid, rand.Reader)
 				if err != nil {
 					return false
 				}
-				if err := d.SubmitTrapUser(u, sub); err != nil {
+				if err := rs.SubmitTrapUser(u, sub); err != nil {
 					return false
 				}
 			}
 		}
-		res, err := d.RunRound()
+		res, err := mixRound(rs)
 		if err != nil {
 			return false
 		}
@@ -173,8 +182,9 @@ func TestExitOutputsCoverAllGroups(t *testing.T) {
 	cfg := testConfig(VariantNIZK)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 16)
-	res, err := d.RunRound()
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 16)
+	res, err := mixRound(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +209,8 @@ func TestTamperWithVectorStructure(t *testing.T) {
 	cfg := testConfig(VariantNIZK)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 0, GID: 0, Member: 0,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -212,7 +223,7 @@ func TestTamperWithVectorStructure(t *testing.T) {
 			return out
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("vector-shape tampering went undetected")
 	}
 }

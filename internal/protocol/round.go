@@ -84,8 +84,29 @@ type RoundState struct {
 // round's lifecycle.
 func (d *Deployment) OpenRound() (*RoundState, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.openRoundLocked()
+	variant, numTrustees := d.cfg.Variant, d.cfg.NumTrustees
+	d.mu.Unlock()
+	rs := &RoundState{
+		id:      d.roundSeq.Add(1),
+		d:       d,
+		variant: variant,
+		mix:     d.cfg.Mix,
+		groups:  make([]roundGroup, len(d.groups)),
+	}
+	for i := range rs.shards {
+		rs.shards[i].seen = make(map[string]bool)
+	}
+	for i := range rs.groups {
+		rs.groups[i].commitments = make(map[string]int)
+	}
+	if variant == VariantTrap {
+		t, err := NewTrustees(numTrustees, d.rnd)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: rotating trustee key: %w", err)
+		}
+		rs.trustees = t
+	}
+	return rs, nil
 }
 
 // ID returns the round's deployment-unique sequence number.

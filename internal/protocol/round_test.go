@@ -106,12 +106,16 @@ func TestRunRoundCtxCancellation(t *testing.T) {
 	cfg := testConfig(VariantNIZK)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := d.RunRoundCtx(ctx, nil, nil)
+	_, err := d.RunRoundCtx(ctx, rs, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled in the chain", err)
+	}
+	if rs.Sealed() {
+		t.Fatal("a dead context consumed the round")
 	}
 }
 
@@ -119,7 +123,8 @@ func TestRoundHooksFirePerIteration(t *testing.T) {
 	cfg := testConfig(VariantTrap)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	var mu sync.Mutex
 	var seen []IterationStats
 	hooks := &RoundHooks{IterationDone: func(it IterationStats) {
@@ -127,7 +132,7 @@ func TestRoundHooksFirePerIteration(t *testing.T) {
 		seen = append(seen, it)
 		mu.Unlock()
 	}}
-	res, err := d.RunRoundCtx(context.Background(), nil, hooks)
+	res, err := d.RunRoundCtx(context.Background(), rs, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,14 +110,8 @@ func (d *Deployment) trapFinale(rs *RoundState, exitPayloads map[int][][]byte) (
 }
 
 // TrapReports recomputes exit reports for the given payloads against
-// the CURRENT round's commitment sets, without releasing anything;
-// exposed for tests and monitoring.
-func (d *Deployment) TrapReports(exitPayloads map[int][][]byte) []ExitReport {
-	return d.currentRound().TrapReports(exitPayloads)
-}
-
-// TrapReports recomputes exit reports for the given payloads against
-// this round's commitment sets.
+// this round's commitment sets, without releasing anything; exposed for
+// tests and monitoring.
 func (rs *RoundState) TrapReports(exitPayloads map[int][][]byte) []ExitReport {
 	G := len(rs.d.groups)
 	trapsByGroup := make([][][]byte, G)

@@ -44,15 +44,16 @@ func TestTrapDetectionProbability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rs := openRound(t, d)
 		for u := 0; u < 4; u++ {
 			gid := u % 2
 			pk, _ := d.GroupPK(gid)
-			tpk, _ := d.TrusteePK()
+			tpk, _ := rs.TrusteePK()
 			sub, err := c.SubmitTrap([]byte(fmt.Sprintf("m%d", u)), pk, tpk, gid, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitTrapUser(u, sub); err != nil {
+			if err := rs.SubmitTrapUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,7 +81,7 @@ func TestTrapDetectionProbability(t *testing.T) {
 				return out
 			},
 		})
-		if _, err := d.RunRound(); err != nil {
+		if _, err := mixRound(rs); err != nil {
 			aborts++
 		}
 	}
@@ -100,8 +101,9 @@ func TestSubmissionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
+	rs := openRound(t, d)
 	pk, _ := d.GroupPK(0)
-	tpk, _ := d.TrusteePK()
+	tpk, _ := rs.TrusteePK()
 
 	good, err := c.SubmitTrap([]byte("valid"), pk, tpk, 0, rand.Reader)
 	if err != nil {
@@ -113,31 +115,31 @@ func TestSubmissionValidation(t *testing.T) {
 		// EncProof's gid binding must reject it.
 		bad := *good
 		bad.GID = 1
-		if err := d.SubmitTrapUser(1, &bad); err == nil {
+		if err := rs.SubmitTrapUser(1, &bad); err == nil {
 			t.Error("wrong-gid submission accepted")
 		}
 	})
 	t.Run("short-commitment", func(t *testing.T) {
 		bad := *good
 		bad.Commitment = []byte{1, 2, 3}
-		if err := d.SubmitTrapUser(2, &bad); err == nil {
+		if err := rs.SubmitTrapUser(2, &bad); err == nil {
 			t.Error("short commitment accepted")
 		}
 	})
 	t.Run("variant-mismatch", func(t *testing.T) {
-		if err := d.SubmitUser(3, &Submission{}); err == nil {
+		if err := rs.SubmitUser(3, &Submission{}); err == nil {
 			t.Error("NIZK submission accepted by trap deployment")
 		}
 	})
 	t.Run("bad-group-id", func(t *testing.T) {
 		bad := *good
 		bad.GID = 99
-		if err := d.SubmitTrapUser(4, &bad); err == nil {
+		if err := rs.SubmitTrapUser(4, &bad); err == nil {
 			t.Error("out-of-range group accepted")
 		}
 	})
 	t.Run("accept-then-duplicate-commitment", func(t *testing.T) {
-		if err := d.SubmitTrapUser(5, good); err != nil {
+		if err := rs.SubmitTrapUser(5, good); err != nil {
 			t.Fatalf("valid submission rejected: %v", err)
 		}
 		// A different user reusing the same commitment must be rejected
@@ -147,7 +149,7 @@ func TestSubmissionValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		other.Commitment = good.Commitment
-		if err := d.SubmitTrapUser(6, other); err == nil {
+		if err := rs.SubmitTrapUser(6, other); err == nil {
 			t.Error("duplicate trap commitment accepted")
 		}
 	})
@@ -160,6 +162,7 @@ func TestNIZKSubmissionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
+	rs := openRound(t, d)
 	pk, _ := d.GroupPK(2)
 	sub, err := c.Submit([]byte("x"), pk, 2, rand.Reader)
 	if err != nil {
@@ -169,7 +172,7 @@ func TestNIZKSubmissionValidation(t *testing.T) {
 	t.Run("wrong-point-count", func(t *testing.T) {
 		bad := *sub
 		bad.Ciphertext = sub.Ciphertext[:1]
-		if err := d.SubmitUser(0, &bad); err == nil {
+		if err := rs.SubmitUser(0, &bad); err == nil {
 			t.Error("short vector accepted")
 		}
 	})
@@ -177,37 +180,44 @@ func TestNIZKSubmissionValidation(t *testing.T) {
 		bad := *sub
 		bad.Ciphertext = sub.Ciphertext.Clone()
 		bad.Ciphertext[0].Y = ecc.Generator()
-		if err := d.SubmitUser(0, &bad); err == nil {
+		if err := rs.SubmitUser(0, &bad); err == nil {
 			t.Error("Y ≠ ⊥ submission accepted")
 		}
 	})
 	t.Run("trap-on-nizk", func(t *testing.T) {
-		if err := d.SubmitTrapUser(0, &TrapSubmission{}); err == nil {
+		if err := rs.SubmitTrapUser(0, &TrapSubmission{}); err == nil {
 			t.Error("trap submission accepted by NIZK deployment")
 		}
 	})
 	t.Run("valid", func(t *testing.T) {
-		if err := d.SubmitUser(0, sub); err != nil {
+		if err := rs.SubmitUser(0, sub); err != nil {
 			t.Errorf("valid submission rejected: %v", err)
 		}
 	})
 }
 
 func TestMultiRoundOperation(t *testing.T) {
-	// Three consecutive rounds through one deployment: state resets,
-	// trustee keys rotate, results stay correct.
+	// Three consecutive rounds through one deployment: every round starts
+	// empty, trustee keys rotate, results stay correct.
 	cfg := testConfig(VariantTrap)
 	d, err := NewDeployment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(&cfg)
+	var prevKey string
 	for round := 0; round < 3; round++ {
 		want := map[string]bool{}
-		tpk, err := d.TrusteePK()
+		rs := openRound(t, d)
+		tpk, err := rs.TrusteePK()
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The trustee key must have rotated.
+		if string(tpk.Bytes()) == prevKey {
+			t.Fatalf("round %d: trustee key did not rotate", round)
+		}
+		prevKey = string(tpk.Bytes())
 		for u := 0; u < 8; u++ {
 			gid := u % cfg.NumGroups
 			pk, _ := d.GroupPK(gid)
@@ -217,29 +227,27 @@ func TestMultiRoundOperation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.SubmitTrapUser(u, sub); err != nil {
+			if err := rs.SubmitTrapUser(u, sub); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := d.RunRound()
+		res, err := mixRound(rs)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		checkMessages(t, res, want)
-
-		// The trustee key must have rotated.
-		tpk2, _ := d.TrusteePK()
-		if string(tpk.Bytes()) == string(tpk2.Bytes()) {
-			t.Fatalf("round %d: trustee key did not rotate", round)
-		}
 	}
 }
 
-func TestResetRoundAfterAbort(t *testing.T) {
+// TestCleanRoundAfterAbort: an aborted round leaves nothing behind on the
+// deployment — the adversary hook was one-shot, and the next round opens
+// empty and mixes clean.
+func TestCleanRoundAfterAbort(t *testing.T) {
 	cfg := testConfig(VariantTrap)
 	d, _ := NewDeployment(cfg)
 	c, _ := NewClient(&cfg)
-	submitAll(t, d, c, 8)
+	rs := openRound(t, d)
+	submitAll(t, rs, c, 8)
 	d.SetAdversary(&Adversary{
 		Layer: 0, GID: 0, Member: 0,
 		Tamper: func(batch []elgamal.Vector) []elgamal.Vector {
@@ -249,17 +257,14 @@ func TestResetRoundAfterAbort(t *testing.T) {
 			return batch[:len(batch)-1]
 		},
 	})
-	if _, err := d.RunRound(); err == nil {
+	if _, err := mixRound(rs); err == nil {
 		t.Fatal("round should abort")
 	}
-	// Recovery path: reset and run a clean round.
-	if err := d.ResetRound(); err != nil {
-		t.Fatal(err)
-	}
-	want := submitAll(t, d, c, 8)
-	res, err := d.RunRound()
+	rs = openRound(t, d)
+	want := submitAll(t, rs, c, 8)
+	res, err := mixRound(rs)
 	if err != nil {
-		t.Fatalf("post-reset round failed: %v", err)
+		t.Fatalf("post-abort round failed: %v", err)
 	}
 	checkMessages(t, res, want)
 }

@@ -172,7 +172,7 @@ type Observer struct {
 }
 
 // SetObserver installs the network's observer; rounds opened afterwards
-// (and the legacy Run path) report through it. Passing nil removes it.
+// report through it. Passing nil removes it.
 func (n *Network) SetObserver(obs *Observer) { n.obs.Store(&observerBox{obs}) }
 
 // observerBox wraps the pointer so atomic.Value accepts a nil observer.

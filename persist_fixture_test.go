@@ -68,16 +68,13 @@ func TestPR6StateFixtureGenerate(t *testing.T) {
 	if err := st.PutDeployment(n.MarshalState()); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := n.d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestRound(t, n)
 	for u, msg := range pr6FixtureMessages() {
-		if err := n.submitTo(rs, u, u%cfg.Groups, []byte(msg)); err != nil {
+		if err := r.Submit(u, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sealed, err := n.d.SealRound(rs)
+	sealed, err := n.d.SealRound(r.rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,20 +37,17 @@ func TestServiceResumesSealedRoundAfterCrash(t *testing.T) {
 
 	// Admit a batch and seal it — journaling the seal the way the
 	// service's scheduler does — then "crash" before anything mixes.
-	rs, err := n.d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestRound(t, n)
 	const users = 8
 	want := make(map[string]bool, users)
 	for u := 0; u < users; u++ {
 		msg := fmt.Sprintf("crash-redispatch %02d", u)
 		want[msg] = true
-		if err := n.submitTo(rs, u, u%cfg.Groups, []byte(msg)); err != nil {
+		if err := r.Submit(u, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sealed, err := n.d.SealRound(rs)
+	sealed, err := n.d.SealRound(r.rs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,13 +63,43 @@ func (r *Round) Submit(user int, msg []byte) error {
 // SubmitTo is Submit with an explicit entry group. Safe for concurrent
 // use.
 func (r *Round) SubmitTo(user, gid int, msg []byte) error {
-	if err := r.n.submitTo(r.rs, user, gid, msg); err != nil {
-		return err
+	if err := r.encryptAndSubmit(user, gid, msg); err != nil {
+		return wrapErr(err)
 	}
 	if obs := r.n.observer(); obs != nil && obs.SubmissionAccepted != nil {
 		obs.SubmissionAccepted(r.rs.ID(), user, gid)
 	}
 	return nil
+}
+
+// encryptAndSubmit plays the user's side of a submission in-process:
+// encrypt msg for entry group gid (and, in the trap variant, this
+// round's trustee key), then hand it to admission.
+func (r *Round) encryptAndSubmit(user, gid int, msg []byte) error {
+	pk, err := r.n.d.GroupPK(gid)
+	if err != nil {
+		return err
+	}
+	switch r.rs.Variant() {
+	case protocol.VariantNIZK:
+		sub, err := r.n.client.Submit(msg, pk, gid, entropy())
+		if err != nil {
+			return err
+		}
+		return r.rs.SubmitUser(user, sub)
+	case protocol.VariantTrap:
+		tpk, err := r.rs.TrusteePK()
+		if err != nil {
+			return err
+		}
+		sub, err := r.n.client.SubmitTrap(msg, pk, tpk, gid, entropy())
+		if err != nil {
+			return err
+		}
+		return r.rs.SubmitTrapUser(user, sub)
+	default:
+		return fmt.Errorf("atom: unknown variant")
+	}
 }
 
 // SubmitEncoded accepts a wire-encoded submission produced by

@@ -476,19 +476,6 @@ func TestObserverHooks(t *testing.T) {
 	if st.Shuffles == 0 || st.ReEncs == 0 {
 		t.Fatalf("work counters empty: %+v", st)
 	}
-
-	// The legacy Run path reports through the same observer.
-	for u := 0; u < 8; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("legacy observed %d", u))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := n.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mixedRounds.Load() != 2 {
-		t.Fatalf("legacy Run did not report RoundMixed (count %d)", mixedRounds.Load())
-	}
 }
 
 func TestRoundTrusteeKeysAreIndependent(t *testing.T) {

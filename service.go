@@ -264,7 +264,7 @@ func (n *Network) Serve(ctx context.Context, opts ServeOptions) (*Service, error
 // caller can WaitRound for the message's batch). A submission racing
 // the scheduler's seal lands in the next round.
 func (s *Service) Submit(user int, msg []byte) (uint64, error) {
-	return s.submit(func(r *Round) error { return r.Submit(user, msg) })
+	return s.submit(0, func(r *Round) error { return r.Submit(user, msg) })
 }
 
 // SubmitEncoded admits a wire-encoded submission — the path remote
@@ -275,143 +275,100 @@ func (s *Service) Submit(user int, msg []byte) (uint64, error) {
 // open round with Current. Pass round 0 to target whichever round is
 // open (NIZK encodings are round-independent).
 func (s *Service) SubmitEncoded(round uint64, user int, wire []byte) (uint64, error) {
-	if round == 0 {
-		return s.submit(func(r *Round) error { return r.SubmitEncoded(user, wire) })
-	}
-	s.mu.Lock()
-	r := s.open
-	s.mu.Unlock()
-	if r == nil {
-		return 0, ErrServiceClosed
-	}
-	if r.ID() != round {
-		return 0, fmt.Errorf("%w: round %d is not open for submissions (round %d is)", ErrRoundClosed, round, r.ID())
-	}
-	err := r.SubmitEncoded(user, wire)
+	return s.submit(round, func(r *Round) error { return r.SubmitEncoded(user, wire) })
+}
+
+// SubmitEncodedBatch admits many wire-encoded submissions, verifying
+// their admission proofs as a single batch — the daemon's multiplexed
+// ingestion frontend lands here. round pins the batch exactly as in
+// SubmitEncoded; rounds[i] is the round that admitted wires[i] (0 when
+// errs[i] is non-nil). With round 0, submissions racing the scheduler's
+// seal retry into the successor round, so one batch can straddle a
+// rotation; everything else keeps the serial path's typed errors.
+func (s *Service) SubmitEncodedBatch(round uint64, users []int, wires [][]byte) (rounds []uint64, errs []error) {
+	return s.submitBatch(round, users, wires, 0)
+}
+
+// submitBatch is one attempt of SubmitEncodedBatch; the submissions a
+// seal raced go through another attempt and their verdicts are scattered
+// back (rare, so only that path copies anything).
+func (s *Service) submitBatch(round uint64, users []int, wires [][]byte, attempt int) (rounds []uint64, errs []error) {
+	rounds = make([]uint64, len(wires))
+	errs = make([]error, len(wires))
+	r, err := s.resolve(round)
 	if err != nil {
-		return 0, err
-	}
-	s.account(r)
-	return r.ID(), nil
-}
-
-// SubmitEncodedBatch admits many wire-encoded submissions into whichever
-// round is open, verifying their admission proofs as a single batch —
-// the daemon's multiplexed ingestion frontend lands here. rounds[i] is
-// the round that admitted wires[i] (0 when errs[i] is non-nil).
-// Submissions racing the scheduler's seal retry into the successor
-// round, so one batch can straddle a rotation; everything else keeps the
-// serial path's typed errors.
-func (s *Service) SubmitEncodedBatch(users []int, wires [][]byte) (rounds []uint64, errs []error) {
-	rounds = make([]uint64, len(wires))
-	errs = make([]error, len(wires))
-	// remaining indexes the submissions still without a verdict; seal
-	// races shrink it across attempts.
-	remaining := make([]int, len(wires))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	for attempt := 0; len(remaining) > 0; attempt++ {
-		s.mu.Lock()
-		r := s.open
-		s.mu.Unlock()
-		if r == nil {
-			for _, i := range remaining {
-				errs[i] = ErrServiceClosed
-			}
-			return rounds, errs
-		}
-		subUsers := make([]int, len(remaining))
-		subWires := make([][]byte, len(remaining))
-		for k, i := range remaining {
-			subUsers[k], subWires[k] = users[i], wires[i]
-		}
-		batchErrs := r.SubmitEncodedBatch(subUsers, subWires)
-		var retry []int
-		admitted := false
-		for k, err := range batchErrs {
-			i := remaining[k]
-			switch {
-			case err == nil:
-				rounds[i] = r.ID()
-				admitted = true
-			case errors.Is(err, ErrRoundClosed) && attempt < 3:
-				retry = append(retry, i)
-			default:
-				errs[i] = err
-			}
-		}
-		if admitted {
-			s.account(r)
-		}
-		remaining = retry
-	}
-	return rounds, errs
-}
-
-// SubmitEncodedBatchInto is SubmitEncodedBatch pinned to a specific
-// round — the batched analog of SubmitEncoded's nonzero-round form
-// (trap-variant encodings bind to a round's trustee key, so they must
-// not silently retry into a successor round). round 0 delegates to
-// SubmitEncodedBatch. If the pinned round is no longer open every
-// submission fails with ErrRoundClosed and the client re-fetches the
-// open round.
-func (s *Service) SubmitEncodedBatchInto(round uint64, users []int, wires [][]byte) (rounds []uint64, errs []error) {
-	if round == 0 {
-		return s.SubmitEncodedBatch(users, wires)
-	}
-	rounds = make([]uint64, len(wires))
-	errs = make([]error, len(wires))
-	fill := func(err error) ([]uint64, []error) {
-		for i := range errs {
-			errs[i] = err
+		for k := range errs {
+			errs[k] = err
 		}
 		return rounds, errs
 	}
-	s.mu.Lock()
-	r := s.open
-	s.mu.Unlock()
-	if r == nil {
-		return fill(ErrServiceClosed)
-	}
-	if r.ID() != round {
-		return fill(fmt.Errorf("%w: round %d is not open for submissions (round %d is)", ErrRoundClosed, round, r.ID()))
-	}
-	batchErrs := r.SubmitEncodedBatch(users, wires)
+	var retry []int
 	admitted := false
-	for i, err := range batchErrs {
-		if err == nil {
-			rounds[i] = r.ID()
+	for k, err := range r.SubmitEncodedBatch(users, wires) {
+		switch {
+		case err == nil:
+			rounds[k] = r.ID()
 			admitted = true
-		} else {
-			errs[i] = err
+		case sealRaced(round, err, attempt):
+			retry = append(retry, k)
+		default:
+			errs[k] = err
 		}
 	}
 	if admitted {
 		s.account(r)
 	}
+	if len(retry) > 0 {
+		retryUsers := make([]int, len(retry))
+		retryWires := make([][]byte, len(retry))
+		for j, k := range retry {
+			retryUsers[j], retryWires[j] = users[k], wires[k]
+		}
+		retryRounds, retryErrs := s.submitBatch(round, retryUsers, retryWires, attempt+1)
+		for j, k := range retry {
+			rounds[k], errs[k] = retryRounds[j], retryErrs[j]
+		}
+	}
 	return rounds, errs
 }
 
-// submit runs fn against the open round, retrying into the next round
-// when a seal races the submission.
-func (s *Service) submit(fn func(*Round) error) (uint64, error) {
+// resolve returns the round a submission pinned to round goes into: the
+// open one, which a nonzero pin must name.
+func (s *Service) resolve(round uint64) (*Round, error) {
+	s.mu.Lock()
+	r := s.open
+	s.mu.Unlock()
+	if r == nil {
+		return nil, ErrServiceClosed
+	}
+	if round != 0 && r.ID() != round {
+		return nil, fmt.Errorf("%w: round %d is not open for submissions (round %d is)", ErrRoundClosed, round, r.ID())
+	}
+	return r, nil
+}
+
+// sealRaced reports whether err means the scheduler sealed the resolved
+// round under an unpinned submission, which the successor round then
+// takes. A pinned submission never retries (its encoding binds to the
+// pinned round), and anything else is a real rejection, counted by the
+// round's own RoundState.
+func sealRaced(round uint64, err error, attempt int) bool {
+	return round == 0 && attempt < 3 && errors.Is(err, ErrRoundClosed)
+}
+
+// submit runs fn against the round the pin resolves to and fires the
+// size trigger on admission.
+func (s *Service) submit(round uint64, fn func(*Round) error) (uint64, error) {
 	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		r := s.open
-		s.mu.Unlock()
-		if r == nil {
-			return 0, ErrServiceClosed
+		r, err := s.resolve(round)
+		if err != nil {
+			return 0, err
 		}
-		err := fn(r)
-		if err == nil {
+		if err = fn(r); err == nil {
 			s.account(r)
 			return r.ID(), nil
 		}
-		// ErrRoundClosed here means the scheduler sealed r under us —
-		// the next open round takes the submission. Anything else is a
-		// real rejection (counted by the round's own RoundState).
-		if !errors.Is(err, ErrRoundClosed) || attempt >= 3 {
+		if !sealRaced(round, err, attempt) {
 			return 0, err
 		}
 	}
@@ -661,8 +618,14 @@ func (s *Service) Results() <-chan RoundOutcome { return s.results }
 // outcome. It returns immediately for recently published rounds (the
 // service retains the last 128 outcomes; older ones fail with
 // ErrResultExpired rather than waiting forever), and fails when ctx
-// ends or the service closes before the round publishes.
+// ends or the service closes before the round publishes. Round ids are
+// issued in order and the service publishes only rounds it sealed, so an
+// id above the open round's cannot publish yet and is refused with
+// ErrRoundClosed instead of parking a waiter.
 func (s *Service) WaitRound(ctx context.Context, round uint64) (*RoundOutcome, error) {
+	s.mu.Lock()
+	open := s.open
+	s.mu.Unlock()
 	s.resMu.Lock()
 	if out, ok := s.done[round]; ok {
 		s.resMu.Unlock()
@@ -676,6 +639,10 @@ func (s *Service) WaitRound(ctx context.Context, round uint64) (*RoundOutcome, e
 		// eviction mark that is NOT pending can no longer arrive.
 		s.resMu.Unlock()
 		return nil, fmt.Errorf("%w: round %d", ErrResultExpired, round)
+	}
+	if open != nil && round > open.ID() {
+		s.resMu.Unlock()
+		return nil, fmt.Errorf("%w: round %d has not opened (round %d is open for submissions)", ErrRoundClosed, round, open.ID())
 	}
 	ch := make(chan *RoundOutcome, 1)
 	s.waiters[round] = append(s.waiters[round], ch)

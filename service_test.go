@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -466,6 +467,24 @@ func TestServiceWaitRoundExpired(t *testing.T) {
 	if _, err := svc.WaitRound(context.Background(), 7); !errors.Is(err, ErrResultExpired) {
 		t.Fatalf("WaitRound for an evicted round: %v, want ErrResultExpired", err)
 	}
+	// An id above the open round's cannot publish yet: refused at once,
+	// naming the open round, with no waiter left parked.
+	open, _, err := svc.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err = svc.WaitRound(ctx, open+60)
+	if !errors.Is(err, ErrRoundClosed) || !strings.Contains(err.Error(), fmt.Sprintf("round %d is open", open)) {
+		t.Fatalf("WaitRound for a future round: %v, want ErrRoundClosed naming round %d", err, open)
+	}
+	svc.resMu.Lock()
+	parked := len(svc.waiters)
+	svc.resMu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d waiters parked for a round that cannot publish", parked)
+	}
 }
 
 // TestServiceDuplicateRejection checks admission control across
@@ -597,7 +616,7 @@ func TestServiceBatchSubmit(t *testing.T) {
 	// A byte-identical replay of the first submission rides along.
 	users[5], wires[5] = 5, append([]byte(nil), wires[0]...)
 
-	rounds, errs := svc.SubmitEncodedBatch(users, wires)
+	rounds, errs := svc.SubmitEncodedBatch(0, users, wires)
 	for i := 0; i < 5; i++ {
 		if errs[i] != nil {
 			t.Fatalf("submission %d rejected: %v", i, errs[i])

@@ -2,6 +2,7 @@ package atom
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -36,15 +37,16 @@ func TestTrustCompleteEndToEnd(t *testing.T) {
 	if head, _ := n.BeaconChain().Head(); head != 1 {
 		t.Fatalf("beacon head = %d after setup, want 1", head)
 	}
+	r := openTestRound(t, n)
 	want := map[string]bool{}
 	for u := 0; u < 6; u++ {
 		msg := fmt.Sprintf("dealerless msg %d", u)
 		want[msg] = true
-		if err := n.SubmitMessage(u, []byte(msg)); err != nil {
+		if err := r.Submit(u, []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +105,13 @@ func TestReshareRotatesOperator(t *testing.T) {
 	}
 	// The epoch is transparent to users: submissions encrypted to the
 	// (unchanged) entry keys still mix with the rotated membership.
+	r := openTestRound(t, n)
 	for u := 0; u < 6; u++ {
-		if err := n.SubmitMessage(u, []byte(fmt.Sprintf("post-epoch %d", u))); err != nil {
+		if err := r.Submit(u, []byte(fmt.Sprintf("post-epoch %d", u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +245,13 @@ func TestTrustPersistResume(t *testing.T) {
 		t.Fatalf("resumed journal head = %d, want 6", resumed.MaxBeaconRound())
 	}
 	// The restored network still mixes (keys survived the store).
+	r := openTestRound(t, n2)
 	for u := 0; u < 4; u++ {
-		if err := n2.SubmitMessage(u, []byte(fmt.Sprintf("resumed %d", u))); err != nil {
+		if err := r.Submit(u, []byte(fmt.Sprintf("resumed %d", u))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := n2.Run()
+	res, err := r.Mix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
