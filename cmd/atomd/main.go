@@ -20,9 +20,9 @@
 //	atomd -listen :9000 -members host1:9100,host1:9101,…
 //
 // With -member, atomd instead hosts one group member of a distributed
-// round engine (internal/distributed): it listens on a TCP endpoint,
-// waits for a coordinator's join message carrying the member's
-// material, and serves mixing rounds as a message-passing actor until
+// round engine (internal/distributed.HostMember): it listens on a TCP
+// endpoint holding no key material, adopts the config a coordinator
+// sends it, and serves mixing rounds as a message-passing actor until
 // interrupted:
 //
 //	atomd -member -listen :9100
@@ -30,21 +30,22 @@
 // The coordinating process builds a distributed.Cluster whose
 // Options.Remote map points at these addresses. Everything churn-
 // related — the member's heartbeat period, the coordinator's liveness
-// timeout, re-planning after a loss, buddy-group recovery — is
-// configured by the coordinator (distributed.Options) and arrives in
-// the join message; a -member process needs no tuning flags.
+// timeout, re-planning after a loss, buddy-group recovery — is the
+// coordinator's business and arrives in the config message; a -member
+// process needs no tuning flags.
 //
 // Durable state (-state-dir): with a state directory, atomd persists
 // its durable material in an fsync'd journal (internal/store) — a
-// member's provisioned config on every join/reconfig, a coordinator's
-// key material, sealed batches and published outcomes — and a
-// restarted process replays it: a -member host re-adopts its old
-// identity at its old address and announces the rejoin (the
-// coordinator re-admits it without burning h−1 budget, when its
-// Options.RestartGrace allows), and a full-mode coordinator restores
-// its keys and re-dispatches any sealed-but-unmixed rounds instead of
-// re-running the DKG. Without -state-dir a crash falls back to the
-// live churn path: loss detection, re-planning, buddy recovery.
+// member's config every time it adopts one, a coordinator's key
+// material, sealed batches and published outcomes — and a restarted
+// process replays it: a -member host boots already configured under its
+// old identity at its old address and announces the rejoin, and because
+// its acks told the coordinator it persists its config, the coordinator
+// waits for it (30 s) and re-admits it without burning h−1 budget; a
+// full-mode coordinator restores its keys and re-dispatches any
+// sealed-but-unmixed rounds instead of re-running the DKG. Without
+// -state-dir a crash falls back to the live churn path: loss detection,
+// re-planning, buddy recovery.
 //
 // With -dkg, setup establishes trust without a dealer: a joint-Feldman
 // ceremony elects a beacon committee whose threshold VRF drives a
@@ -59,9 +60,10 @@
 //	atomd -listen :9000 -dkg -beacon-interval 30s -state-dir /var/lib/atomd
 //
 // A group-config file (-config, JSON — see store.GroupConfig) replaces
-// the roster/topology/crypto flags, and its canonical hash rides the
-// provisioning wire: a member started with one config file refuses a
-// coordinator provisioned from another (atom.ErrConfigMismatch).
+// the roster/topology/crypto flags, and its canonical hash rides every
+// config message: a coordinator and members started from the same file
+// join, a member started with one file refuses a coordinator started
+// from another (atom.ErrConfigMismatch).
 //
 // -metrics serves Prometheus text-format counters at /metrics.
 package main
@@ -102,7 +104,7 @@ func main() {
 		member      = flag.Bool("member", false, "host one distributed-round group member instead of a full deployment")
 		interval    = flag.Duration("interval", time.Second, "round scheduler's seal deadline (Options.RoundInterval)")
 		capacity    = flag.Int("capacity", 0, "seal a round early at this many submissions (0 = deadline only)")
-		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth)")
+		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth; with -members, rounds in flight over the fleet)")
 		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
 		fastAddr    = flag.String("fastpath", "", "multiplexed binary submit listener address (\":0\" = ephemeral; advertised to clients via Info)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
@@ -116,22 +118,24 @@ func main() {
 	flag.Parse()
 
 	var gc *store.GroupConfig
+	var configHash []byte // nil without -config: the fleet is not gated
 	if *configPath != "" {
 		var err error
 		if gc, err = store.LoadGroupConfig(*configPath); err != nil {
 			log.Fatalf("atomd: %v", err)
 		}
+		configHash = gc.Hash()
 	}
 
 	if *member {
-		hostMember(*listen, *stateDir, *metricsAddr, *pprofAddr, gc)
+		hostMember(*listen, *stateDir, *metricsAddr, *pprofAddr, configHash)
 		return
 	}
 
 	var cfg atom.Config
 	if gc != nil {
 		cfg = configFromFile(gc)
-		log.Printf("atomd: group config %s (hash %x)", *configPath, gc.Hash()[:8])
+		log.Printf("atomd: group config %s (hash %x)", *configPath, configHash[:8])
 	} else {
 		v := atom.Trap
 		switch *variant {
@@ -211,11 +215,7 @@ func main() {
 					log.Fatalf("atomd: persisting trust transcript: %v", err)
 				}
 			}
-			var hash []byte
-			if gc != nil {
-				hash = gc.Hash()
-			}
-			if err := st.PutEpoch(0, hash); err != nil {
+			if err := st.PutEpoch(0, configHash); err != nil {
 				log.Fatalf("atomd: persisting epoch: %v", err)
 			}
 		}
@@ -299,9 +299,11 @@ func main() {
 			log.Fatalf("atomd: -members: %v", err)
 		}
 		cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
-			Attach:  distributed.TCPAttach(coordHost(*listen)),
-			Remote:  remote,
-			Workers: *workers,
+			Attach:     distributed.TCPAttach(coordHost(*listen)),
+			Remote:     remote,
+			Workers:    *workers,
+			ConfigHash: configHash,
+			Log:        log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("atomd: joining member fleet: %v", err)
@@ -427,16 +429,16 @@ func verboseObserver() *atom.Observer {
 
 // hostMember serves one distributed-round member actor over TCP until
 // interrupted. The member's key material and wiring arrive in the
-// coordinator's join message — or, with -state-dir, replay from the
+// coordinator's config message — or, with -state-dir, replay from the
 // journal so a crashed host resumes its old identity at its old
 // address.
-func hostMember(listen, stateDir, metricsAddr, pprofAddr string, gc *store.GroupConfig) {
+func hostMember(listen, stateDir, metricsAddr, pprofAddr string, configHash []byte) {
 	node, err := transport.ListenTCP(listen, 4096)
 	if err != nil {
 		log.Fatalf("atomd: %v", err)
 	}
 
-	var opts distributed.HostOptions
+	opts := distributed.HostOptions{ConfigHash: configHash}
 	var st *store.Store
 	if stateDir != "" {
 		if st, err = store.Open(stateDir); err != nil {
@@ -446,9 +448,8 @@ func hostMember(listen, stateDir, metricsAddr, pprofAddr string, gc *store.Group
 		opts.OnConfig = st.PutMember
 		opts.Resume = st.State().Member
 	}
-	if gc != nil {
-		opts.ConfigHash = gc.Hash()
-		log.Printf("atomd: member gated on group-config hash %x", opts.ConfigHash[:8])
+	if configHash != nil {
+		log.Printf("atomd: member gated on group-config hash %x", configHash[:8])
 	}
 	if metricsAddr != "" {
 		m := daemon.NewMetrics()
@@ -473,13 +474,13 @@ func hostMember(listen, stateDir, metricsAddr, pprofAddr string, gc *store.Group
 	if len(opts.Resume) > 0 {
 		fmt.Printf("atomd: member actor resuming on %s from %s (rejoining fleet)\n", node.Addr(), stateDir)
 	} else {
-		fmt.Printf("atomd: member actor listening on %s (waiting for a coordinator's join)\n", node.Addr())
+		fmt.Printf("atomd: member actor listening on %s (waiting for a coordinator's config)\n", node.Addr())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- distributed.HostMemberOpts(ctx, node, opts) }()
+	go func() { done <- distributed.HostMember(ctx, node, opts) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

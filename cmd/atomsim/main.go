@@ -10,7 +10,6 @@
 //	atomsim -distributed -churn 1   # kill a member mid-round: degraded completion
 //	atomsim -distributed -churn 2   # exceed the budget: ErrMemberLost → wire recovery
 //	atomsim -serve -rounds 3        # continuous service: back-to-back pipelined rounds
-//	atomsim -crash                  # crash-restart smoke: SIGKILL a member mid-round, resume from its state dir
 //	atomsim -dkg -churn 1           # trust-complete setup smoke: DKG under churn, verifiable beacon, resharing, persistence
 //
 // atomsim demonstrates and smoke-tests; it does not measure. The one
@@ -43,17 +42,6 @@
 // member-lost error, §4.5 buddy-group recovery runs over the wire, and
 // a follow-up round delivers cleanly.
 //
-// -crash is the durable-state smoke test (CI runs it race-instrumented):
-// one group member is hosted as a remote atomd-style actor over real TCP
-// loopback with a -state-dir store, the cluster runs with RestartGrace
-// set, and after the first mixing iteration the member's endpoint is
-// torn down with no shutdown protocol — a SIGKILL stand-in. A "new
-// process" then reopens the state dir (journal replay), rebinds the same
-// address, and resumes the persisted identity. The run fails unless the
-// round completes with full plaintext parity AND the cluster's churn
-// counters show exactly a rejoin: zero re-plans, zero buddy recoveries,
-// zero shares solicited.
-//
 // -dkg is the trust-complete setup smoke (CI runs it race-instrumented,
 // with and without -churn): a joint-Feldman committee ceremony that
 // must survive -churn members crashing mid-deal with the crashes
@@ -65,14 +53,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -81,7 +67,6 @@ import (
 	"atom/internal/daemon"
 	"atom/internal/distributed"
 	"atom/internal/protocol"
-	"atom/internal/store"
 	"atom/internal/transport"
 )
 
@@ -101,7 +86,6 @@ func main() {
 		churn    = flag.Int("churn", 0, "-distributed: kill this many members of group 0 after the first iteration (1 = degraded completion, 2 = member-lost + wire recovery)")
 		serve    = flag.Bool("serve", false, "run the continuous service: a client fleet drives back-to-back pipelined rounds over the distributed cluster")
 		dkgDemo  = flag.Bool("dkg", false, "trust-complete setup smoke: committee DKG under -churn, chained beacon, dealerless network round, resharing epoch, persistence round-trip, laggard catchup")
-		crash    = flag.Bool("crash", false, "crash-restart smoke: hard-kill a TCP-hosted member mid-round, restart it from its state dir, assert rejoin without re-plan or recovery")
 		rounds   = flag.Int("rounds", 3, "-serve: how many back-to-back rounds the fleet drives")
 		inflight = flag.Int("inflight", 2, "-serve: rounds mixing concurrently")
 		interval = flag.Duration("interval", 2*time.Second, "-serve: round scheduler's seal deadline (the fleet's full batches normally seal first)")
@@ -116,20 +100,13 @@ func main() {
 		}()
 		log.Printf("atomsim: pprof on %s/debug/pprof/", *pprof)
 	}
-	if !*all && *fig == 0 && *table == 0 && !*live && !*dist && !*serve && !*crash && !*dkgDemo {
+	if !*all && *fig == 0 && *table == 0 && !*live && !*dist && !*serve && !*dkgDemo {
 		*all = true
 	}
 
 	if *dkgDemo {
 		if err := runDKGDemo(*churn, *workers); err != nil {
 			log.Fatalf("atomsim: trust-complete setup smoke FAILED: %v", err)
-		}
-		return
-	}
-
-	if *crash {
-		if err := runCrash(*liveMsgs, *workers); err != nil {
-			log.Fatalf("atomsim: crash-restart smoke FAILED: %v", err)
 		}
 		return
 	}
@@ -377,181 +354,6 @@ func runDistributed(msgs int, nizk bool, workers int, wanMin, wanMax time.Durati
 	return nil
 }
 
-// runCrash is the durable-state fault-injection smoke: it hosts one
-// group member as a remote actor over real TCP loopback (the
-// `atomd -member -state-dir` shape, in-process so the smoke is
-// self-contained), hard-kills it after the first mixing iteration —
-// endpoint torn down, no shutdown protocol, the moral equivalent of
-// SIGKILL — and brings up a "new process" that reopens the state dir,
-// rebinds the same address and resumes the persisted identity. The
-// coordinator runs with RestartGrace set, so the loss must resolve as a
-// rejoin: the round completes with full plaintext parity and the churn
-// counters show zero re-plans, zero buddy recoveries, zero shares
-// reconstructed.
-func runCrash(msgs, workers int) error {
-	cfg := protocol.Config{
-		NumServers:  12,
-		NumGroups:   4,
-		GroupSize:   3,
-		MessageSize: 64,
-		Variant:     protocol.VariantNIZK,
-		Iterations:  3,
-		Mix:         protocol.MixConfig{Workers: workers},
-		Seed:        []byte("atomsim-crash"),
-	}
-	d, err := protocol.NewDeployment(cfg)
-	if err != nil {
-		return err
-	}
-	vcfg := d.Config()
-	client, err := protocol.NewClient(&vcfg)
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "atomsim-crash-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		return err
-	}
-
-	// The victim: one member hosted remotely over real TCP, persisting
-	// its provisioned config the way `atomd -member -state-dir` does.
-	node, err := transport.ListenTCP("127.0.0.1:0", 4096)
-	if err != nil {
-		return err
-	}
-	addr := node.Addr()
-	hostCtx, hostCancel := context.WithCancel(context.Background())
-	defer hostCancel()
-	hostDone := make(chan error, 1)
-	go func() {
-		hostDone <- distributed.HostMemberOpts(hostCtx, node, distributed.HostOptions{OnConfig: st.PutMember})
-	}()
-
-	victim := distributed.MemberID{GID: 0, Pos: 1}
-	cluster, err := distributed.NewCluster(d, distributed.Options{
-		Attach:          distributed.TCPAttach("127.0.0.1"),
-		Remote:          map[distributed.MemberID]string{victim: addr},
-		Workers:         workers,
-		Heartbeat:       100 * time.Millisecond,
-		LivenessTimeout: time.Second,
-		RestartGrace:    20 * time.Second,
-		Log:             log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-
-	rs, err := submitDistributed(d, client, protocol.VariantNIZK, msgs)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("crash-restart smoke: %d groups × %d members over TCP loopback, g%d/m%d remote with state dir, %d messages\n",
-		cfg.NumGroups, cfg.GroupSize, victim.GID, victim.Pos, msgs)
-
-	// Note h=1: the failure budget is ZERO, so only the rejoin path can
-	// save the round — any fallback to loss handling fails the smoke.
-	var (
-		killOnce   sync.Once
-		restartErr = make(chan error, 1)
-	)
-	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
-		killOnce.Do(func() {
-			fmt.Printf("  !! hard-killing g%d/m%d at %s (iteration %d done; no shutdown protocol)\n",
-				victim.GID, victim.Pos, addr, it.Layer)
-			hostCancel()
-			node.Close()
-			go func() {
-				<-hostDone
-				// The "new process": reopen the state dir — this replays
-				// the journal — and resume at the same address.
-				if cerr := st.Close(); cerr != nil {
-					restartErr <- cerr
-					return
-				}
-				st2, oerr := store.Open(dir)
-				if oerr != nil {
-					restartErr <- oerr
-					return
-				}
-				resumed := st2.State().Member
-				if len(resumed) == 0 {
-					restartErr <- fmt.Errorf("state dir holds no member config to resume")
-					return
-				}
-				// Rebinding the just-closed port can race its teardown.
-				var node2 transport.Endpoint
-				var lerr error
-				for i := 0; i < 50; i++ {
-					if node2, lerr = transport.ListenTCP(addr, 4096); lerr == nil {
-						break
-					}
-					time.Sleep(100 * time.Millisecond)
-				}
-				if lerr != nil {
-					restartErr <- fmt.Errorf("rebinding %s: %w", addr, lerr)
-					return
-				}
-				fmt.Printf("  !! restarted member at %s, resuming persisted identity from %s\n", addr, dir)
-				go func() {
-					_ = distributed.HostMemberOpts(context.Background(), node2, distributed.HostOptions{
-						OnConfig: st2.PutMember,
-						Resume:   resumed,
-					})
-				}()
-				restartErr <- nil
-			}()
-		})
-	}}
-
-	res, err := cluster.Run(context.Background(), rs, hooks)
-	if err != nil {
-		select {
-		case rerr := <-restartErr:
-			if rerr != nil {
-				return fmt.Errorf("member restart failed: %v (round: %w)", rerr, err)
-			}
-		default:
-		}
-		return fmt.Errorf("round did not survive the crash-restart: %w", err)
-	}
-
-	// Plaintext parity: every submitted message must come out of the mix.
-	want := make(map[string]bool, msgs)
-	for u := 0; u < msgs; u++ {
-		want[fmt.Sprintf("distributed hello %02d", u)] = true
-	}
-	for _, m := range res.Messages {
-		delete(want, string(bytes.TrimRight(m, "\x00")))
-	}
-	if len(want) > 0 {
-		return fmt.Errorf("plaintext parity broken: %d of %d messages missing after restart", len(want), msgs)
-	}
-
-	// The loss must have resolved as a rejoin — state intact, no key
-	// material spent. Any buddy-recovery or re-plan activity means the
-	// persisted state was not actually used.
-	stats := cluster.Stats()
-	if stats.Rejoins < 1 {
-		return fmt.Errorf("no rejoin observed (stats %+v)", stats)
-	}
-	if stats.Replans != 0 || stats.Recoveries != 0 || stats.SharesSolicited != 0 {
-		return fmt.Errorf("crash-restart leaked into the churn path (stats %+v)", stats)
-	}
-	fmt.Printf("round %d mixed %d messages in %v despite the mid-round kill\n",
-		res.Round, len(res.Messages), res.Duration.Round(time.Millisecond))
-	fmt.Printf("crash-restart smoke PASSED: %d rejoin(s), 0 re-plans, 0 buddy recoveries, 0 shares solicited\n",
-		stats.Rejoins)
-	return nil
-}
-
 // runServe drives the continuous service end to end: a daemon with the
 // ingestion frontend enabled, the distributed cluster (WAN-latency
 // memnet actors, cross-round pipelining) as its mixing engine, and a
@@ -619,9 +421,8 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight int, interval,
 
 	net := transport.NewMemNetwork(transport.PairwiseLatency("atomsim-serve", wanMin, wanMax), 256)
 	cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
-		Attach:      distributed.MemAttach(net),
-		Workers:     workers,
-		MaxInFlight: inflight,
+		Attach:  distributed.MemAttach(net),
+		Workers: workers,
 	})
 	if err != nil {
 		return err

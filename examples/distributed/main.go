@@ -10,7 +10,7 @@
 //  2. actors over the in-memory network with a scaled-down WAN latency
 //     model (the paper's §6 emulated 40–160 ms links),
 //  3. actors over real TCP loopback sockets, with one member hosted the
-//     way `atomd -member` hosts it: joined over the wire.
+//     way `atomd -member` hosts it: a separately started HostMember.
 //
 // All three recover exactly the same plaintext set.
 package main
@@ -93,17 +93,18 @@ func main() {
 	fmt.Printf("memnet actors: %d messages in %v (%d B on the wire, set match: %v)\n",
 		len(res.Messages), res.Duration.Round(time.Millisecond), net.TotalBytes(), fmt.Sprintf("%q", res.Messages) == reference)
 
-	// --- 3. Real sockets: TCP loopback, one member joined remotely. ---
+	// --- 3. Real sockets: TCP loopback, one member hosted remotely. ---
 	// The remote member is exactly what `atomd -member -listen :9100`
-	// runs: a HostMember loop on a TCP endpoint, configured by the
-	// coordinator's join message.
+	// runs: a HostMember loop on a TCP endpoint that boots holding no
+	// config and adopts the one the coordinator sends — which is also
+	// how the cluster brings up the members it hosts itself.
 	remote, err := transport.ListenTCP("127.0.0.1:0", 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
 	hostCtx, stopHost := context.WithCancel(context.Background())
 	defer stopHost()
-	go func() { _ = distributed.HostMember(hostCtx, remote) }()
+	go func() { _ = distributed.HostMember(hostCtx, remote, distributed.HostOptions{}) }()
 
 	tcp, err := distributed.NewCluster(d, distributed.Options{
 		Attach: distributed.TCPAttach("127.0.0.1"),

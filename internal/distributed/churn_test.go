@@ -38,7 +38,6 @@ func churnOptions(t *testing.T, attach AttachFunc) Options {
 		Workers:         2,
 		Heartbeat:       100 * time.Millisecond,
 		LivenessTimeout: time.Second,
-		RoundTimeout:    2 * time.Minute,
 		Log:             t.Logf,
 	}
 }
@@ -289,7 +288,7 @@ func TestRemoteMemberLoss(t *testing.T) {
 	hostCtx, hostCancel := context.WithCancel(context.Background())
 	defer hostCancel()
 	hostDone := make(chan error, 1)
-	go func() { hostDone <- HostMember(hostCtx, remoteEP) }()
+	go func() { hostDone <- HostMember(hostCtx, remoteEP, HostOptions{}) }()
 
 	opts := churnOptions(t, MemAttach(net))
 	opts.Remote = map[MemberID]string{{GID: 2, Pos: 1}: remoteEP.Addr()}

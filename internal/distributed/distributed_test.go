@@ -386,7 +386,7 @@ func TestRemoteHostedMember(t *testing.T) {
 	hostDone := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() { hostDone <- HostMember(ctx, remoteEP) }()
+	go func() { hostDone <- HostMember(ctx, remoteEP, HostOptions{}) }()
 
 	cluster, err := NewCluster(d, Options{
 		Attach: MemAttach(net),

@@ -38,6 +38,19 @@
 // verification here preserves the abort-and-blame behavior the rest of
 // the system consumes.)
 //
+// # Member lifecycle
+//
+// Every member — attached locally by the Cluster, started remotely as
+// `atomd -member`, or resumed from a state dir — comes to life the same
+// way: HostMember boots an Actor holding an endpoint and no config, and
+// the actor becomes a group member by adopting a MemberConfig (decode →
+// group-config hash gate → consistency check → persist → install). The
+// coordinator sends every chain member the same config message and
+// awaits the same typed ack, at setup and after every re-plan; an
+// unconfigured actor takes the first valid config, a configured one only
+// its coordinator's. A resumed host adopts its persisted bytes through
+// the same gate at boot and greets the coordinator with a rejoin.
+//
 // # Churn tolerance (§4.5)
 //
 // The engine treats member failure as a first-class protocol event,
@@ -58,11 +71,14 @@
 //     chain member is lost mid-round (or between rounds), the
 //     coordinator marks it failed, recomputes every affected group's
 //     active set (the same protocol.GroupState logic the in-process
-//     path uses), re-provisions the fleet — spares get fresh actors,
-//     survivors are reconfigured in place over the wire with new chain
-//     order, entry table and Lagrange-weighted effective secrets — and
-//     restarts the round from its sealed batches. StepTraces and
-//     IterationStats record the reduced live membership.
+//     path uses), re-provisions the fleet — spares get hosts, and every
+//     chain member is sent a config with the new chain order, entry
+//     table and Lagrange-weighted effective secrets — and restarts the
+//     round from its sealed batches. StepTraces and IterationStats
+//     record the reduced live membership. A silent member whose acks
+//     said it persists its config is first given 30 s to come back: a
+//     restart with state intact replays the attempt over the unchanged
+//     fleet and spends no budget.
 //
 //   - Wire recovery. Once a group drops below threshold the round
 //     fails typed (ErrMemberLost + ErrRecoveryNeeded) and
@@ -70,8 +86,8 @@
 //     transport: escrow pieces are solicited from a live buddy group's
 //     actors (msgShareReq/msgShareResp), the lost share is
 //     reconstructed and verified against the group's public Feldman
-//     commitments, the replacement member is installed through the
-//     same join path a remote host uses, and the next round delivers.
+//     commitments, the replacement member boots and is configured like
+//     any other, and the next round delivers.
 //
 // A round that stalls without any of these firing (e.g. heartbeats
 // disabled) ends in a *TimeoutError carrying every member's last-known

@@ -1,7 +1,6 @@
 package distributed
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -9,127 +8,64 @@ import (
 	"atom/internal/transport"
 )
 
-// HostOptions tunes a remotely hosted member (HostMemberOpts).
+// HostOptions is what a member host knows before any coordinator talks
+// to it. None of it is key material — that only ever arrives in a
+// config message (or replays from Resume).
 type HostOptions struct {
 	// ConfigHash is the canonical hash of the group-config file this
 	// host was provisioned from (store.GroupConfig.Hash). When set, a
-	// join or reconfiguration carrying a different hash is refused with
-	// an explicit negative acknowledgment instead of adopted — the
-	// coordinator and every member must agree on the file. Empty
-	// disables the check.
+	// config carrying a different hash — over the wire or in Resume — is
+	// refused instead of adopted: the coordinator and every member must
+	// agree on the file. Empty disables the check.
 	ConfigHash []byte
 	// OnConfig persists an accepted config's wire form before it is
 	// acknowledged, so a crash after the ack can always replay it. A
-	// persistence failure refuses the join: a config the host cannot
-	// make durable is a config it must not promise to hold.
+	// persistence failure refuses the config: one the host cannot make
+	// durable is one it must not promise to hold. A host with this hook
+	// says so in every ack, and the coordinator then treats its silence
+	// as a possible restart-with-state-intact rather than a loss.
 	OnConfig func(cfg []byte) error
 	// Resume is a previously persisted member config (the bytes OnConfig
-	// received). When set, the host re-adopts it immediately — skipping
-	// the join wait — and announces itself to the coordinator as a
-	// rejoin, the restart-with-state-intact path.
+	// received). When set, the host boots already configured — adopting
+	// it through the same gate a wire config passes — and greets its
+	// coordinator with a rejoin instead of waiting to be provisioned.
 	Resume []byte
 }
 
-// HostMember serves one group member on an endpoint whose material
-// arrives over the wire: it waits for the coordinator's join message
-// (a marshaled MemberConfig), acknowledges it, and runs the actor loop
-// until the endpoint closes, a stop message arrives, or ctx ends.
+// HostMember serves one group member on an endpoint: it boots
+// unconfigured (or resumed, see HostOptions.Resume), adopts whatever
+// MemberConfig a coordinator sends it, and runs the actor loop until the
+// endpoint closes, a stop message arrives, or ctx ends. It is the only
+// way a member comes to life — the Cluster boots its locally attached
+// members as the same unconfigured Actor `atomd -member -listen
+// host:port` runs, and provisions both over the wire.
 //
-// This is how cmd/atomd hosts members of a deployment whose setup runs
-// elsewhere: start `atomd -member -listen host:port` on each machine,
-// then build the Cluster with Options.Remote pointing at those
-// addresses. The join channel carries the member's secret share — it
-// stands in for the out-of-band provisioning (or a networked DKG) of a
-// production deployment and must be protected accordingly (the §2.1
-// TLS assumption).
-func HostMember(ctx context.Context, ep transport.Endpoint) error {
-	return HostMemberOpts(ctx, ep, HostOptions{})
-}
-
-// HostMemberOpts is HostMember with a config-hash gate, a persistence
-// hook, and crash-restart resumption — the `atomd -member -state-dir`
-// surface.
-func HostMemberOpts(ctx context.Context, ep transport.Endpoint, opts HostOptions) error {
+// The config channel carries the member's secret share — it stands in
+// for the out-of-band provisioning (or a networked DKG) of a production
+// deployment and must be protected accordingly (the §2.1 TLS
+// assumption).
+func HostMember(ctx context.Context, ep transport.Endpoint, opts HostOptions) error {
+	a := &Actor{ep: ep, opts: opts}
 	if len(opts.Resume) > 0 {
-		return resumeMember(ctx, ep, opts)
-	}
-	for {
-		select {
-		case msg, ok := <-ep.Inbox():
-			if !ok {
-				return nil
-			}
-			switch msg.Type {
-			case msgJoin:
-				// A malformed or inconsistent join (any unauthenticated
-				// peer can send one) must not kill the host — stay in
-				// the loop and keep waiting for the real coordinator.
-				cfg, err := UnmarshalMemberConfig(msg.Payload)
-				if err != nil {
-					continue
-				}
-				if len(opts.ConfigHash) > 0 && !bytes.Equal(cfg.ConfigHash, opts.ConfigHash) {
-					// The refusal is explicit: a coordinator provisioned
-					// from a different group-config file must learn it
-					// immediately, not via an ack timeout.
-					_ = ep.SendCtx(ctx, msg.From, &transport.Message{
-						Type: msgJoined, Payload: encodeJoinAck(false, "group-config hash mismatch"),
-					})
-					continue
-				}
-				actor, err := NewActor(*cfg, ep)
-				if err != nil {
-					continue
-				}
-				if opts.OnConfig != nil {
-					// Durable before acknowledged: after the ack the
-					// coordinator counts on this exact config surviving
-					// a crash of this host.
-					if err := opts.OnConfig(msg.Payload); err != nil {
-						_ = ep.SendCtx(ctx, msg.From, &transport.Message{
-							Type: msgJoined, Payload: encodeJoinAck(false, "state persistence failed"),
-						})
-						continue
-					}
-				}
-				actor.requireHash = opts.ConfigHash
-				actor.onConfig = opts.OnConfig
-				if err := ep.SendCtx(ctx, msg.From, &transport.Message{Type: msgJoined, Payload: encodeJoinAck(true, "")}); err != nil {
-					continue
-				}
-				return actor.Serve(ctx)
-			case msgStop:
-				return nil
-			}
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := a.resume(ctx); err != nil {
+			return err
 		}
 	}
+	return a.Serve(ctx)
 }
 
-// resumeMember re-adopts a persisted config after a crash: the actor
-// comes back under its old identity at its old address, announces the
-// rejoin to the coordinator (whose liveness tracker re-admits it
-// without re-planning), and serves as if the process had never died.
-func resumeMember(ctx context.Context, ep transport.Endpoint, opts HostOptions) error {
-	cfg, err := UnmarshalMemberConfig(opts.Resume)
-	if err != nil {
-		return fmt.Errorf("%w: persisted member config: %v", protocol.ErrStateCorrupt, err)
-	}
-	if len(opts.ConfigHash) > 0 && len(cfg.ConfigHash) > 0 && !bytes.Equal(cfg.ConfigHash, opts.ConfigHash) {
+// resume re-adopts the persisted config after a crash: the actor comes
+// back under its old identity at its old address and announces itself,
+// so the coordinator re-admits it without re-planning — and replays any
+// round attempt whose in-flight state died with the old process.
+func (a *Actor) resume(ctx context.Context) error {
+	switch a.adopt(a.opts.Resume, false) {
+	case ackAccepted:
+	case ackHashMismatch:
 		return fmt.Errorf("%w: persisted member config was provisioned under a different group config", protocol.ErrConfigMismatch)
+	default:
+		return fmt.Errorf("%w: persisted member config does not decode to a consistent member", protocol.ErrStateCorrupt)
 	}
-	actor, err := NewActor(*cfg, ep)
-	if err != nil {
-		return fmt.Errorf("%w: persisted member config: %v", protocol.ErrStateCorrupt, err)
-	}
-	actor.requireHash = opts.ConfigHash
-	actor.onConfig = opts.OnConfig
-	// Unsolicited rejoin announcement: distinguishable from a join ack
-	// by its reason, so a coordinator mid-provision never mistakes a
-	// restarted member's greeting for a fresh config acknowledgment.
-	_ = ep.SendCtx(ctx, cfg.Coordinator, &transport.Message{
-		Type: msgJoined, Payload: encodeJoinAck(true, joinAckRejoin),
-	})
-	return actor.Serve(ctx)
+	a.ack(ctx, a.cfg.Coordinator, ackRejoin)
+	return nil
 }

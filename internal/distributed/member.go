@@ -119,12 +119,20 @@ type progress struct {
 	At    time.Time
 }
 
-// Actor is one member's event loop. All state is confined to the Serve
-// goroutine except the tamper hook (set by the cluster between rounds)
-// and the heartbeat snapshot (read by the heartbeat goroutine).
+// Actor is one member's event loop. It boots unconfigured — holding an
+// endpoint and its host's options, no key material — and becomes a
+// group member by adopting a MemberConfig (adopt), which is also how it
+// is re-configured after churn and how it resumes from disk. All state
+// is confined to the Serve goroutine except the tamper hook (set by the
+// cluster between rounds) and the heartbeat snapshot (read by the
+// heartbeat goroutine).
 type Actor struct {
-	cfg  MemberConfig
 	ep   transport.Endpoint
+	opts HostOptions
+	// cfg and topo are the adopted config; topo is nil until the first
+	// adoption, and an unconfigured actor serves nothing but config
+	// messages.
+	cfg  MemberConfig
 	topo topology.Topology
 
 	// pending[round][layer] assembles inbound batches (first member).
@@ -132,18 +140,13 @@ type Actor struct {
 	// dropped marks rounds canceled by the coordinator.
 	dropped  map[uint64]bool
 	maxRound uint64
-
-	// requireHash, when set, makes the actor refuse reconfigurations
-	// whose ConfigHash differs (the host's own group-config hash).
-	// onConfig, when set, persists each accepted config's wire form
-	// before it is acknowledged — the crash-recovery hook.
-	requireHash []byte
-	onConfig    func([]byte) error
+	// beating records that the heartbeat goroutine is running.
+	beating bool
 
 	mu     sync.Mutex
 	tamper *tamperHook
 	// hb snapshots what the heartbeat goroutine needs (identity +
-	// progress); reconfiguration rewrites it under mu.
+	// progress); every adoption rewrites it under mu.
 	hb struct {
 		gid, idx    int
 		coordinator string
@@ -168,38 +171,34 @@ func checkConfig(cfg *MemberConfig) (topology.Topology, error) {
 	return topo, nil
 }
 
-// NewActor builds an actor on its endpoint. The endpoint's address must
-// equal cfg.Peers[cfg.Pos].
-func NewActor(cfg MemberConfig, ep transport.Endpoint) (*Actor, error) {
-	topo, err := checkConfig(&cfg)
+// adopt is the one way a config enters a member — first config,
+// re-config after churn and resume from disk alike: decode, gate on the
+// host's group-config hash, validate, persist (unless the bytes came
+// from the state dir already), then install with a clean per-round slate
+// (the coordinator restarts an interrupted round from its sealed
+// batches, so stale assemblies must not leak into the new attempt). Any
+// verdict but ackAccepted leaves the actor exactly as it was. Runs on
+// the Serve goroutine, or before it starts.
+func (a *Actor) adopt(raw []byte, persist bool) ackCode {
+	cfg, err := UnmarshalMemberConfig(raw)
 	if err != nil {
-		return nil, err
+		return ackBadConfig
 	}
-	a := &Actor{
-		cfg:     cfg,
-		ep:      ep,
-		topo:    topo,
-		pending: make(map[uint64]map[int]*assembly),
-		dropped: make(map[uint64]bool),
+	if len(a.opts.ConfigHash) > 0 && !bytes.Equal(cfg.ConfigHash, a.opts.ConfigHash) {
+		return ackHashMismatch
 	}
-	a.hb.gid = cfg.GID
-	a.hb.idx = cfg.Indices[cfg.Pos]
-	a.hb.coordinator = cfg.Coordinator
-	a.hb.prog = progress{Phase: "idle", At: time.Now()}
-	return a, nil
-}
-
-// reconfigure re-provisions the actor in place after churn: a fresh
-// chain, entry table and effective secret, plus a clean per-round slate
-// (the coordinator restarts the interrupted round from its sealed
-// batches, so stale assemblies must not leak into the new attempt).
-// Runs on the Serve goroutine.
-func (a *Actor) reconfigure(cfg MemberConfig) error {
-	topo, err := checkConfig(&cfg)
+	topo, err := checkConfig(cfg)
 	if err != nil {
-		return err
+		return ackBadConfig
 	}
-	a.cfg = cfg
+	if persist && a.opts.OnConfig != nil {
+		// Durable before acknowledged: after the ack the coordinator
+		// counts on this exact config surviving a crash of this host.
+		if err := a.opts.OnConfig(raw); err != nil {
+			return ackPersistFailed
+		}
+	}
+	a.cfg = *cfg
 	a.topo = topo
 	a.pending = make(map[uint64]map[int]*assembly)
 	a.dropped = make(map[uint64]bool)
@@ -208,9 +207,16 @@ func (a *Actor) reconfigure(cfg MemberConfig) error {
 	a.hb.gid = cfg.GID
 	a.hb.idx = cfg.Indices[cfg.Pos]
 	a.hb.coordinator = cfg.Coordinator
-	a.hb.prog = progress{Phase: "reconfigured", At: time.Now()}
+	a.hb.prog = progress{Phase: "configured", At: time.Now()}
 	a.mu.Unlock()
-	return nil
+	return ackAccepted
+}
+
+// ack answers (or, for a resumed host, volunteers) a config verdict.
+func (a *Actor) ack(ctx context.Context, to string, code ackCode) {
+	_ = a.ep.SendCtx(ctx, to, &transport.Message{
+		Type: msgConfigAck, Payload: encodeConfigAck(code, a.opts.OnConfig != nil),
+	})
 }
 
 // noteProgress records the actor's mixing position for heartbeats.
@@ -219,9 +225,6 @@ func (a *Actor) noteProgress(round uint64, layer int, phase string) {
 	a.hb.prog = progress{Round: round, Layer: layer, Phase: phase, At: time.Now()}
 	a.mu.Unlock()
 }
-
-// Addr returns the actor's transport address.
-func (a *Actor) Addr() string { return a.ep.Addr() }
 
 // SetTamper installs a one-round malicious-shuffle hook (testing / the
 // deployment's Adversary surface). Pass fn=nil to clear.
@@ -246,15 +249,13 @@ func (a *Actor) takeTamper(round uint64, layer int) func([]elgamal.Vector) []elg
 
 // Serve processes messages until the endpoint closes, a stop message
 // arrives, or ctx ends. Member errors abort the round toward the
-// coordinator but keep the actor alive for subsequent rounds. A
-// heartbeat goroutine beacons the actor's liveness (and last-known
-// progress) to the coordinator every cfg.Heartbeat.
+// coordinator but keep the actor alive for subsequent rounds. Once the
+// actor holds a config, a heartbeat goroutine beacons its liveness (and
+// last-known progress) to the coordinator every cfg.Heartbeat.
 func (a *Actor) Serve(ctx context.Context) error {
-	if a.cfg.Heartbeat > 0 {
-		hbCtx, hbCancel := context.WithCancel(ctx)
-		defer hbCancel()
-		go a.heartbeatLoop(hbCtx, a.cfg.Heartbeat)
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the heartbeat with the loop
+	a.ensureHeartbeat(ctx)
 	for {
 		select {
 		case msg, ok := <-a.ep.Inbox():
@@ -262,16 +263,26 @@ func (a *Actor) Serve(ctx context.Context) error {
 				return nil
 			}
 			if msg.Type == msgStop {
-				if msg.From == a.cfg.Coordinator {
+				if a.topo == nil || msg.From == a.cfg.Coordinator {
 					return nil
 				}
-				continue // a rogue peer must not stop the actor
+				continue // a rogue peer must not stop a configured actor
 			}
 			a.handle(ctx, msg)
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
+}
+
+// ensureHeartbeat starts the liveness beacon the first time the actor
+// holds a config that asks for one.
+func (a *Actor) ensureHeartbeat(ctx context.Context) {
+	if a.beating || a.topo == nil || a.cfg.Heartbeat <= 0 {
+		return
+	}
+	a.beating = true
+	go a.heartbeatLoop(ctx, a.cfg.Heartbeat)
 }
 
 // heartbeatLoop beacons liveness to the coordinator. It runs beside the
@@ -304,10 +315,15 @@ func (a *Actor) heartbeatLoop(ctx context.Context, every time.Duration) {
 // poison future round ids, or inject chain steps. The in-memory
 // network makes From unforgeable; over raw TCP it is spoofable, which
 // is the §2.1 assumption that deployment links are authenticated (TLS).
+// An unconfigured actor has no chain and no coordinator yet: it takes a
+// config from anyone (the first valid one wins) and nothing else.
 func (a *Actor) senderOK(msg *transport.Message) bool {
+	if a.topo == nil {
+		return msg.Type == msgConfig
+	}
 	k := len(a.cfg.Peers)
 	switch msg.Type {
-	case msgCancel, msgReconfig, msgShareReq:
+	case msgCancel, msgConfig, msgShareReq:
 		return msg.From == a.cfg.Coordinator
 	case msgShuffle:
 		return a.cfg.Pos > 0 && msg.From == a.cfg.Peers[a.cfg.Pos-1]
@@ -330,36 +346,13 @@ func (a *Actor) handle(ctx context.Context, msg *transport.Message) {
 	case msgCancel:
 		a.drop(round)
 		return
-	case msgJoin, msgJoined, msgHeartbeat, msgShareResp:
-		return // setup/liveness traffic, not the actor's to handle
-	case msgReconfig:
-		// In-place re-provisioning after churn. A bad payload is simply
-		// not acknowledged — the coordinator's ack timeout treats the
-		// member as lost rather than trusting a half-applied config. A
-		// config-hash mismatch, by contrast, is answered explicitly: the
-		// coordinator must learn the fleet disagrees on its parameters.
-		cfg, err := UnmarshalMemberConfig(msg.Payload)
-		if err != nil {
-			return
-		}
-		if len(a.requireHash) > 0 && !bytes.Equal(cfg.ConfigHash, a.requireHash) {
-			_ = a.ep.SendCtx(ctx, a.cfg.Coordinator, &transport.Message{
-				Type: msgJoined, Payload: encodeJoinAck(false, "group-config hash mismatch"),
-			})
-			return
-		}
-		if err := a.reconfigure(*cfg); err != nil {
-			return
-		}
-		if a.onConfig != nil {
-			// Persist before acknowledging: once the coordinator has the
-			// ack it will count on this member re-adopting this exact
-			// config after a crash.
-			if err := a.onConfig(msg.Payload); err != nil {
-				return
-			}
-		}
-		_ = a.ep.SendCtx(ctx, a.cfg.Coordinator, &transport.Message{Type: msgJoined, Payload: encodeJoinAck(true, "")})
+	case msgConfig:
+		// Every config message is answered, refusals included: the
+		// coordinator must learn that the fleet disagrees on its
+		// parameters, or that this host cannot keep its promise to hold
+		// the config, without waiting out an ack timeout.
+		a.ack(ctx, msg.From, a.adopt(msg.Payload, true))
+		a.ensureHeartbeat(ctx)
 		return
 	case msgShareReq:
 		a.handleShareReq(ctx, msg)
@@ -392,9 +385,10 @@ func (a *Actor) handle(ctx context.Context, msg *transport.Message) {
 	}
 }
 
-// maxPipelinedRounds caps Options.MaxInFlight: more concurrent rounds
-// than this would let a live round's actor state age out of the
-// members' pruning window below.
+// maxPipelinedRounds caps how many rounds the cluster mixes
+// concurrently (the caller's pipeline depth, ServeOptions.MaxInFlight,
+// is the knob below it): more than this would let a live round's actor
+// state age out of the members' pruning window below.
 const maxPipelinedRounds = 8
 
 // pipelineWindow is how many base rounds of per-round state an actor
@@ -436,7 +430,7 @@ func (a *Actor) drop(round uint64) {
 // handleShareReq answers the coordinator's §4.5 escrow solicitation:
 // if this member holds a piece of the named failed share, it hands it
 // back. Pieces travel over the same channel the member's own secret
-// arrived on at join — the §2.1 protected-link assumption.
+// arrived on — the §2.1 protected-link assumption.
 func (a *Actor) handleShareReq(ctx context.Context, msg *transport.Message) {
 	gid, pos, err := decodeShareReqMsg(msg.Payload)
 	if err != nil {

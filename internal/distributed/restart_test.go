@@ -19,10 +19,12 @@ import (
 // store (the `atomd -member -state-dir` shape), its endpoint is torn
 // down mid-round with no shutdown protocol — the moral equivalent of
 // SIGKILL — and a "new process" reopens the state dir, rebinds the same
-// address and resumes the persisted identity. With RestartGrace set the
-// round must complete with exact plaintext parity, and the cluster's
-// churn counters must show the loss resolved as a rejoin: zero
-// re-plans, zero buddy recoveries, zero escrow shares solicited.
+// address and resumes the persisted identity. No grace is configured
+// anywhere: the host's persistence hook makes its acks durable, and that
+// alone buys it the time to come back. The round must complete with
+// exact plaintext parity, and the cluster's churn counters must show the
+// loss resolved as a rejoin: zero re-plans, zero buddy recoveries, zero
+// escrow shares solicited.
 func TestMemberCrashRestartRejoins(t *testing.T) {
 	d, c := newDeployment(t, protocol.VariantNIZK, 1)
 	hash := []byte("restart-test-group-config-hash")
@@ -41,7 +43,7 @@ func TestMemberCrashRestartRejoins(t *testing.T) {
 	defer hostCancel()
 	hostDone := make(chan error, 1)
 	go func() {
-		hostDone <- HostMemberOpts(hostCtx, node, HostOptions{ConfigHash: hash, OnConfig: st.PutMember})
+		hostDone <- HostMember(hostCtx, node, HostOptions{ConfigHash: hash, OnConfig: st.PutMember})
 	}()
 
 	victim := MemberID{GID: 0, Pos: 1}
@@ -50,7 +52,6 @@ func TestMemberCrashRestartRejoins(t *testing.T) {
 		Remote:          map[MemberID]string{victim: addr},
 		Heartbeat:       50 * time.Millisecond,
 		LivenessTimeout: 500 * time.Millisecond,
-		RestartGrace:    20 * time.Second,
 		ConfigHash:      hash,
 		Log:             t.Logf,
 	})
@@ -118,7 +119,7 @@ func TestMemberCrashRestartRejoins(t *testing.T) {
 				}
 				closers <- func() { node2.Close() }
 				go func() {
-					_ = HostMemberOpts(context.Background(), node2, HostOptions{
+					_ = HostMember(context.Background(), node2, HostOptions{
 						ConfigHash: hash,
 						OnConfig:   st2.PutMember,
 						Resume:     resumed,
@@ -155,6 +156,65 @@ func TestMemberCrashRestartRejoins(t *testing.T) {
 	}
 }
 
+// TestMemberCrashWithoutStateIsLost is the negative half of the pair:
+// the same kill against a host with no persistence hook. Its acks are
+// not durable, so the coordinator must not wait out the restart grace
+// for state that does not exist — the member is declared lost within
+// the liveness timeout (testConfig has no spares, so the round fails
+// typed).
+func TestMemberCrashWithoutStateIsLost(t *testing.T) {
+	d, c := newDeployment(t, protocol.VariantNIZK, 1)
+
+	node, err := transport.ListenTCP("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostCtx, hostCancel := context.WithCancel(context.Background())
+	defer hostCancel()
+	go func() { _ = HostMember(hostCtx, node, HostOptions{}) }()
+
+	victim := MemberID{GID: 0, Pos: 1}
+	opts := Options{
+		Attach:          TCPAttach("127.0.0.1"),
+		Remote:          map[MemberID]string{victim: node.Addr()},
+		Heartbeat:       50 * time.Millisecond,
+		LivenessTimeout: 500 * time.Millisecond,
+		Log:             t.Logf,
+	}
+	cluster, err := NewCluster(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	rs, err := d.OpenRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, d, c, rs, 6)
+	var killOnce sync.Once
+	var killedAt time.Time
+	hooks := &protocol.RoundHooks{IterationDone: func(protocol.IterationStats) {
+		killOnce.Do(func() {
+			killedAt = time.Now()
+			hostCancel()
+			node.Close()
+		})
+	}}
+	_, err = cluster.Run(context.Background(), rs, hooks)
+	if !errors.Is(err, protocol.ErrMemberLost) {
+		t.Fatalf("got %v, want ErrMemberLost", err)
+	}
+	// Detection plus the failed re-plan; nowhere near the 30 s a durable
+	// member would have been granted.
+	if waited := time.Since(killedAt); waited > 10*opts.LivenessTimeout {
+		t.Fatalf("non-durable member declared lost only after %v (liveness timeout %v)", waited, opts.LivenessTimeout)
+	}
+	if stats := cluster.Stats(); stats.Rejoins != 0 {
+		t.Fatalf("a member without state rejoined (stats %+v)", stats)
+	}
+}
+
 // TestConfigHashMismatchRefusesProvisioning: a member host started from
 // one group-config file must refuse a coordinator provisioned from
 // another, and the cluster must surface the refusal as the terminal
@@ -170,14 +230,13 @@ func TestConfigHashMismatchRefusesProvisioning(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		_ = HostMemberOpts(ctx, node, HostOptions{ConfigHash: []byte("operator-config-A")})
+		_ = HostMember(ctx, node, HostOptions{ConfigHash: []byte("operator-config-A")})
 	}()
 
 	_, err = NewCluster(d, Options{
-		Attach:      TCPAttach("127.0.0.1"),
-		Remote:      map[MemberID]string{{GID: 0, Pos: 1}: node.Addr()},
-		ConfigHash:  []byte("operator-config-B"),
-		JoinTimeout: 10 * time.Second,
+		Attach:     TCPAttach("127.0.0.1"),
+		Remote:     map[MemberID]string{{GID: 0, Pos: 1}: node.Addr()},
+		ConfigHash: []byte("operator-config-B"),
 	})
 	if err == nil {
 		t.Fatal("provisioning succeeded across mismatched group configs")

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"fmt"
 	"time"
 
 	"atom/internal/ecc"
@@ -43,20 +44,18 @@ const (
 	msgCancel = "dist/cancel"
 	// msgStop shuts an actor down.
 	msgStop = "dist/stop"
-	// msgJoin carries a MemberConfig to a remotely hosted actor
-	// (HostMember); msgJoined acknowledges it.
-	msgJoin   = "dist/join"
-	msgJoined = "dist/joined"
+	// msgConfig carries a MemberConfig to a member host — its first
+	// config, or an in-place re-config after churn (fresh chain, entry
+	// table and Lagrange-weighted secret; adopting it resets the member's
+	// per-round state). msgConfigAck answers every one with a typed
+	// verdict (configAck); a resumed host also sends one unsolicited, as
+	// its rejoin greeting.
+	msgConfig    = "dist/join"
+	msgConfigAck = "dist/joined"
 	// msgHeartbeat is a member's periodic liveness beacon to the
 	// coordinator, carrying its last-known mixing progress so an
 	// eventual round timeout is diagnosable per member.
 	msgHeartbeat = "dist/heartbeat"
-	// msgReconfig re-provisions a live actor in place after churn: a new
-	// MemberConfig (fresh chain, entry table and Lagrange-weighted
-	// effective secret for the re-planned active set), acknowledged with
-	// msgJoined. Only the coordinator may send it. It resets the actor's
-	// per-round state, so a restarted round starts from a clean slate.
-	msgReconfig = "dist/reconfig"
 	// msgShareReq solicits a buddy-group member's escrow piece for one
 	// failed position (§4.5 recovery over the wire); msgShareResp
 	// returns it.
@@ -415,10 +414,10 @@ func decodeShareRespMsg(b []byte) (gid, pos, idx int, piece *ecc.Scalar, err err
 }
 
 // ---------------------------------------------------------------------
-// MemberConfig wire form (the msgJoin payload for remotely hosted
-// actors — cmd/atomd -member).
+// MemberConfig wire form (the msgConfig payload, and what a -state-dir
+// member persists).
 
-// Marshal encodes the config, including the member's secret: the join
+// Marshal encodes the config, including the member's secret: the config
 // channel stands in for the out-of-band provisioning (or a networked
 // DKG) a production deployment would use, and must itself be protected
 // like one (TLS per §2.1).
@@ -537,39 +536,48 @@ func UnmarshalMemberConfig(b []byte) (*MemberConfig, error) {
 }
 
 // ---------------------------------------------------------------------
-// msgJoined payload: join/reconfig acknowledgment with verdict.
+// msgConfigAck payload: a verdict code and the host's durable flag.
 
-// joinAckRejoin is the reason a restarted host reports when it
-// re-adopts from persisted state without being provisioned: the
-// coordinator's liveness tracker treats it as a rejoin, not a join ack.
-const joinAckRejoin = "rejoin"
+// ackCode is a member host's verdict on a config message.
+type ackCode byte
 
-// encodeJoinAck encodes a join/reconfig verdict. An empty payload (the
-// pre-persistence wire form) decodes as a plain acceptance, so mixed
-// fleets interoperate.
-func encodeJoinAck(ok bool, reason string) []byte {
-	var e wirecodec.Enc
-	b := byte(0)
-	if ok {
-		b = 1
+const (
+	ackAccepted      ackCode = iota + 1 // adopted (and persisted, on a durable host)
+	ackRejoin                           // unsolicited: resumed from persisted state
+	ackHashMismatch                     // provisioned from a different group-config file
+	ackPersistFailed                    // the host could not make the config durable
+	ackBadConfig                        // undecodable or inconsistent config
+)
+
+func (c ackCode) String() string {
+	switch c {
+	case ackAccepted:
+		return "accepted"
+	case ackRejoin:
+		return "rejoin"
+	case ackHashMismatch:
+		return "group-config hash mismatch"
+	case ackPersistFailed:
+		return "state persistence failed"
+	default:
+		return "bad config"
 	}
-	e.Byte(b)
-	e.Str(reason)
-	return e.Out()
 }
 
-func decodeJoinAck(b []byte) (ok bool, reason string) {
-	if len(b) == 0 {
-		return true, ""
+// encodeConfigAck encodes a verdict. durable says the host persists
+// every config it accepts (HostOptions.OnConfig), so a crash of it may be
+// a restart with state intact rather than a loss.
+func encodeConfigAck(code ackCode, durable bool) []byte {
+	b := []byte{byte(code), 0}
+	if durable {
+		b[1] = 1
 	}
-	d := wirecodec.NewDec(b)
-	v, err := d.Byte()
-	if err != nil {
-		return false, "malformed ack"
+	return b
+}
+
+func decodeConfigAck(b []byte) (code ackCode, durable bool, err error) {
+	if len(b) != 2 || b[0] < byte(ackAccepted) || b[0] > byte(ackBadConfig) || b[1] > 1 {
+		return 0, false, fmt.Errorf("distributed: malformed config ack %x", b)
 	}
-	reason, err = d.Str()
-	if err != nil {
-		return false, "malformed ack"
-	}
-	return v == 1, reason
+	return ackCode(b[0]), b[1] == 1, nil
 }

@@ -87,3 +87,24 @@ func FuzzDecodeReEncMsg(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeConfigAck: the two-byte verdict every config message is
+// answered with is read by the coordinator off any member's wire. It
+// must fail cleanly, and whatever it accepts must re-encode to itself.
+func FuzzDecodeConfigAck(f *testing.F) {
+	for code := ackAccepted; code <= ackBadConfig; code++ {
+		f.Add(encodeConfigAck(code, code%2 == 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1})                                   // the reason-less PR 14 acceptance
+	f.Add([]byte{0, 26, 'g', 'r', 'o', 'u', 'p', '-'}) // a PR 15 free-text refusal, truncated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		code, durable, err := decodeConfigAck(data)
+		if err != nil {
+			return
+		}
+		if enc := encodeConfigAck(code, durable); !bytes.Equal(enc, data) {
+			t.Fatalf("config ack %x re-encodes to %x", data, enc)
+		}
+	})
+}

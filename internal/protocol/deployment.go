@@ -353,8 +353,7 @@ type MixOutcome struct {
 // a transport). MixSealed accepts either, so ingestion, sealing, the
 // variant finale and blame records are identical no matter where the
 // cryptography physically ran. MixSealed may call MixRound for several
-// rounds at once, so an implementation bounds its own concurrency (the
-// cluster admits Options.MaxInFlight rounds).
+// rounds at once — as many as the caller's pipeline depth.
 type Mixer interface {
 	MixRound(job *MixJob) (*MixOutcome, error)
 }

@@ -271,8 +271,8 @@ func (s *Store) Metrics() Metrics {
 	}
 }
 
-// PutMember journals the member's marshaled config — called on every
-// join and reconfiguration, before the ack leaves, so a restart always
+// PutMember journals the member's marshaled config — called every time
+// the member adopts one, before the ack leaves, so a restart always
 // finds the wiring the coordinator believes the member holds.
 func (s *Store) PutMember(cfg []byte) error {
 	return s.append(classMember, 0, cfg)

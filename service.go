@@ -40,10 +40,9 @@ type ServeOptions struct {
 	// flight at the trigger.
 	MaxBatch int
 	// MaxInFlight bounds how many sealed rounds may mix concurrently
-	// (default 2). Over a distributed cluster this must not exceed the
-	// cluster's Options.MaxInFlight; over the in-process engine values
-	// above 1 only overlap the variant finale, as the groups themselves
-	// mix lock-step.
+	// (default 2) — the one pipeline-depth knob, whichever engine mixes.
+	// Over the in-process engine values above 1 only overlap the variant
+	// finale, as the groups themselves mix lock-step.
 	MaxInFlight int
 	// QueueDepth is the sealed-batch queue's capacity (default
 	// 2×MaxInFlight). When the queue is full the scheduler stops

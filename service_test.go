@@ -193,9 +193,8 @@ func TestServicePipelineOverlap(t *testing.T) {
 	// 6-message batch in single-digit milliseconds.
 	net := transport.NewMemNetwork(transport.UniformLatency(30*time.Millisecond), 256)
 	cluster, err := distributed.NewCluster(n.Deployment(), distributed.Options{
-		Attach:      distributed.MemAttach(net),
-		Workers:     1,
-		MaxInFlight: 2,
+		Attach:  distributed.MemAttach(net),
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +289,6 @@ func TestServicePipelineChurn(t *testing.T) {
 	cluster, err := distributed.NewCluster(n.Deployment(), distributed.Options{
 		Attach:          distributed.MemAttach(net),
 		Workers:         1,
-		MaxInFlight:     2,
 		Heartbeat:       50 * time.Millisecond,
 		LivenessTimeout: time.Second,
 		Log:             t.Logf,
