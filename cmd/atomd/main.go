@@ -400,9 +400,9 @@ func verboseObserver() *atom.Observer {
 				round, ing.Admitted, ing.Rejected, ing.SealedBatch, ing.Queued, ing.InFlight)
 		},
 		IterationDone: func(it atom.IterationStats) {
-			log.Printf("atomd: round %d iteration %d: %d msgs in %v (%d proofs, %d workers/group at %.0f%% utilization, %d live members)",
+			log.Printf("atomd: round %d iteration %d: %d msgs in %v (%d proofs, %d workers/group at %.0f%% utilization, %v in the hop codec, %d live members)",
 				it.Round, it.Layer, it.Messages, it.Duration, it.ProofsVerified,
-				it.Workers, 100*it.Utilization(), it.Members)
+				it.Workers, 100*it.Utilization(), it.Codec.Round(time.Microsecond), it.Members)
 		},
 		RoundMixed: func(st atom.RoundStats) {
 			log.Printf("atomd: round %d mixed: %d msgs in %v over %d iterations (%d admitted, %d rejected at ingest)",

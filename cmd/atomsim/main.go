@@ -292,9 +292,9 @@ func runDistributed(msgs int, nizk bool, workers int, wanMin, wanMax time.Durati
 		cfg.NumGroups, cfg.GroupSize, cfg.Iterations, variant, msgs, wanMin, wanMax)
 	var injectOnce sync.Once
 	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
-		fmt.Printf("  iteration %d: %3d msgs  %8.0f ms  %4d shuffles  %4d reencs  %5d proofs  busy %v  %d live members\n",
+		fmt.Printf("  iteration %d: %3d msgs  %8.0f ms  %4d shuffles  %4d reencs  %5d proofs  busy %v  codec %v  %d live members\n",
 			it.Layer, it.Messages, float64(it.Duration.Milliseconds()), it.Shuffles, it.ReEncs, it.ProofsChecked,
-			it.WorkerBusy.Round(time.Millisecond), it.Members)
+			it.WorkerBusy.Round(time.Millisecond), it.Codec.Round(10*time.Microsecond), it.Members)
 		if churn > 0 {
 			injectOnce.Do(func() {
 				threshold := cfg.GroupSize - (cfg.HonestMin - 1)

@@ -29,6 +29,7 @@ type Metrics struct {
 	iterations    atomic.Uint64
 	iterNanos     atomic.Uint64
 	workerBusyNs  atomic.Uint64
+	hopCodecNs    atomic.Uint64
 	shuffles      atomic.Uint64
 	reencs        atomic.Uint64
 	proofsChecked atomic.Uint64
@@ -96,6 +97,7 @@ func (m *Metrics) Instrument(next *atom.Observer) *atom.Observer {
 			m.iterations.Add(1)
 			m.iterNanos.Add(uint64(it.Duration))
 			m.workerBusyNs.Add(uint64(it.WorkerBusy))
+			m.hopCodecNs.Add(uint64(it.Codec))
 			m.shuffles.Add(uint64(it.Shuffles))
 			m.reencs.Add(uint64(it.ReEncs))
 			m.proofsChecked.Add(uint64(it.ProofsVerified))
@@ -146,6 +148,7 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("atom_iterations_total", "Mixing iterations completed.", m.iterations.Load())
 	seconds("atom_iteration_seconds_total", "Wall-clock time summed over mixing iterations.", time.Duration(m.iterNanos.Load()), "counter")
 	seconds("atom_worker_busy_seconds_total", "Crypto-worker in-task time summed over iterations.", time.Duration(m.workerBusyNs.Load()), "counter")
+	seconds("atom_hop_codec_seconds_total", "Member time encoding and decoding chain messages (distributed engine).", time.Duration(m.hopCodecNs.Load()), "counter")
 	counter("atom_shuffles_total", "Verifiable shuffles performed.", m.shuffles.Load())
 	counter("atom_reencs_total", "Re-encryptions performed.", m.reencs.Load())
 	counter("atom_proofs_verified_total", "NIZK proofs verified.", m.proofsChecked.Load())

@@ -264,8 +264,17 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 					}
 					return nil, []MemberID{lost}, nil
 				}
-				if reporter.GID != gid {
-					continue // a member may only report (and blame) its own group
+				if class == abortProof && member < 0 {
+					// An undecodable batch: a first member names the group
+					// that feeds it at this layer and leaves that group's
+					// first member (−1) for us to resolve — the one blame
+					// that may cross a group boundary.
+					if gid < 0 || gid >= G || msg.From != v.entry[reporter.GID] || !c.feeds(gid, reporter.GID, layer) {
+						continue
+					}
+					member = v.chains[gid][0] + 1
+				} else if reporter.GID != gid {
+					continue // otherwise a member may only report (and blame) its own group
 				}
 				c.cancelRound(wire)
 				return nil, nil, classifyAbort(layer, gid, member, class, text)
@@ -332,12 +341,26 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 			out.Traces = append(out.Traces, protocol.StepTrace{
 				GID: gid, Layer: layer,
 				Shuffles: w.Shuffles, ReEncs: w.ReEncs, ProofsChecked: w.Proofs,
-				Workers: workers, Busy: time.Duration(w.BusyNs),
+				Workers: workers, Busy: time.Duration(w.BusyNs), Codec: time.Duration(w.CodecNs),
 				Members: liveBy[gid],
 			})
 		}
 	}
 	return out, nil, nil
+}
+
+// feeds reports whether group src forwards a batch to group dst at the
+// start of the given layer.
+func (c *Cluster) feeds(src, dst, layer int) bool {
+	if layer < 1 || layer >= c.topo.Iterations() {
+		return false
+	}
+	for _, s := range c.topo.Sources(layer, dst) {
+		if s == src {
+			return true
+		}
+	}
+	return false
 }
 
 // liveByGroup reads each group's live membership off the deployment —
@@ -369,6 +392,7 @@ func (c *Cluster) layerStats(job *protocol.MixJob, layer int, byGID map[int]work
 		it.ReEncs += w.ReEncs
 		it.ProofsChecked += w.Proofs
 		it.WorkerBusy += time.Duration(w.BusyNs)
+		it.Codec += time.Duration(w.CodecNs)
 		if w.Msgs > 0 {
 			it.ActiveGroups++
 		}

@@ -499,7 +499,9 @@ func TestMemberConfigWire(t *testing.T) {
 // TestPerRoundWorkersReachActors: a per-round SetMixConfig override
 // must govern the actors' pools, not silently die at the coordinator —
 // the distributed path reports the round's knob in its stats exactly
-// like the in-process path.
+// like the in-process path. The same work record carries the members'
+// hop-codec time back, so every layer (and every group that mixed)
+// must report some.
 func TestPerRoundWorkersReachActors(t *testing.T) {
 	d, c := newDeployment(t, protocol.VariantTrap, 1)
 	cluster, err := NewCluster(d, Options{
@@ -518,7 +520,11 @@ func TestPerRoundWorkersReachActors(t *testing.T) {
 	rs.SetMixConfig(protocol.MixConfig{Workers: 3})
 	want := submitAll(t, d, c, rs, 6)
 	var got []int
-	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) { got = append(got, it.Workers) }}
+	var codec []time.Duration
+	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
+		got = append(got, it.Workers)
+		codec = append(codec, it.Codec)
+	}}
 	res, err := cluster.Run(context.Background(), rs, hooks)
 	if err != nil {
 		t.Fatal(err)
@@ -531,9 +537,19 @@ func TestPerRoundWorkersReachActors(t *testing.T) {
 			t.Fatalf("iteration %d reports %d workers, want the per-round override 3", layer, w)
 		}
 	}
+	traced := make([]time.Duration, len(codec))
 	for _, tr := range res.Traces {
 		if tr.Workers != 3 {
 			t.Fatalf("trace (g%d l%d) reports %d workers, want 3", tr.GID, tr.Layer, tr.Workers)
+		}
+		if tr.Shuffles > 0 && tr.Codec <= 0 {
+			t.Fatalf("trace (g%d l%d) mixed but reports no hop-codec time", tr.GID, tr.Layer)
+		}
+		traced[tr.Layer] += tr.Codec
+	}
+	for layer, c := range codec {
+		if c <= 0 || c != traced[layer] {
+			t.Fatalf("iteration %d reports %v of hop-codec time, its groups' traces %v", layer, c, traced[layer])
 		}
 	}
 }

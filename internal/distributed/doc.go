@@ -38,6 +38,31 @@
 // verification here preserves the abort-and-blame behavior the rest of
 // the system consumes.)
 //
+// # Hop encoding
+//
+// The ciphertext vectors inside the five chain messages (batch,
+// shuffle, divide, reenc, out) travel in wirecodec's hop layout, not the
+// canonical compressed one: a shape header (vector count, per-vector
+// component count and one Y-present flag per component) followed by one
+// block of SEC1-uncompressed points, 0x04‖x‖y or 0x00 for the identity.
+// The receiver checks every point — both coordinates below p, and the
+// curve equation — before any arithmetic can reach it, and decodes a
+// message's batch into one slab each of points, ciphertexts and
+// pointers. That replaces a square root per point with a handful of
+// field multiplications, which is what lets this engine mix at the
+// in-process mixer's speed; it costs 32 more bytes per point on the
+// link. There is no negotiation and no fallback: chain messages have
+// exactly this encoding, and nothing else does — configs, acks,
+// persisted MemberConfigs, the journal and proofs stay on the compressed
+// form (docs/ARCHITECTURE.md, "Why the encodings are frozen").
+//
+// A chain payload that fails to decode is attributed, not just refused:
+// senderOK has already tied the frame to the one member entitled to send
+// it, so the receiver aborts with a *protocol.Blame on that member —
+// the same ErrProofRejected path an undecodable or failing proof takes.
+// The time members spend in this codec rides the chain in the work
+// record (CodecNs) and comes out as StepTrace.Codec / IterationStats.Codec.
+//
 // # Member lifecycle
 //
 // Every member — attached locally by the Cluster, started remotely as

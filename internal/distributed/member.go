@@ -98,6 +98,9 @@ type assembly struct {
 	// workers is the round's worker knob carried by the inbound batch
 	// messages (MixJob.Workers, threaded through every hop).
 	workers int
+	// codecNs is the time spent decoding the batches, the first entry of
+	// the layer's work.CodecNs.
+	codecNs int64
 }
 
 // tamperHook injects a malicious shuffle for one (round, layer) — the
@@ -546,9 +549,20 @@ func (a *Actor) destKeys(layer int) ([]int, []*ecc.Point) {
 // handleBatch (first member only) assembles a layer's inbound batches
 // and starts the shuffle chain once the last one lands.
 func (a *Actor) handleBatch(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
+	start := time.Now()
 	layer, src, workers, vecs, err := decodeBatchMsg(msg.Payload)
+	codecNs := time.Since(start).Nanoseconds()
 	if err != nil {
-		return -1, fmt.Errorf("distributed: group %d: bad batch payload: %w", a.cfg.GID, err)
+		if a.cfg.Pos == 0 && src >= 0 && src < a.topo.Groups() && msg.From == a.cfg.Entry[src] {
+			// Group src's first member — and nobody else — sent this, so
+			// it is blamed like the sender of any undecodable chain
+			// payload. Its DVSS index is the coordinator's to resolve
+			// (−1), as for an unreachable next-layer entry.
+			return layer, &protocol.Blame{GID: src, Member: -1, Err: fmt.Errorf(
+				"%w: group %d aborts — group %d's first member sent an undecodable batch payload: %v",
+				protocol.ErrProofRejected, a.cfg.GID, src, err)}
+		}
+		return layer, fmt.Errorf("distributed: group %d: bad batch payload: %w", a.cfg.GID, err)
 	}
 	if a.cfg.Pos != 0 {
 		return layer, fmt.Errorf("distributed: group %d member %d received a batch (first member's job)", a.cfg.GID, a.cfg.Pos)
@@ -582,6 +596,7 @@ func (a *Actor) handleBatch(ctx context.Context, round uint64, msg *transport.Me
 	}
 	a.noteProgress(round, layer, "assemble")
 	asm.got[src] = vecs
+	asm.codecNs += codecNs
 	if workers > asm.workers {
 		asm.workers = workers
 	}
@@ -600,7 +615,7 @@ func (a *Actor) handleBatch(ctx context.Context, round uint64, msg *transport.Me
 	for _, s := range srcs {
 		batch = append(batch, asm.got[s]...)
 	}
-	return layer, a.runShuffle(ctx, round, layer, batch, work{Msgs: len(batch), Workers: asm.workers})
+	return layer, a.runShuffle(ctx, round, layer, batch, work{Msgs: len(batch), Workers: asm.workers, CodecNs: asm.codecNs})
 }
 
 // runShuffle performs this member's shuffle of the layer and forwards
@@ -670,12 +685,24 @@ func (a *Actor) verifyShuffleStep(ctx context.Context, senderPos, layer int, in,
 	return nil
 }
 
+// undecodable blames the chain member at senderPos for a payload that
+// does not decode. senderOK has already established that the frame came
+// from that member, so an off-curve point or a mangled count is its
+// doing exactly as a failing proof would be — and must cost it the same
+// attribution, or one bad byte aborts rounds anonymously.
+func (a *Actor) undecodable(senderPos int, what string, err error) error {
+	senderIdx := a.cfg.Indices[senderPos]
+	return &protocol.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
+		"%w: group %d aborts — member %d sent an undecodable %s payload: %v",
+		protocol.ErrProofRejected, a.cfg.GID, senderIdx, what, err)}
+}
+
 // handleShuffle verifies the predecessor's shuffle and adds this
 // member's own.
 func (a *Actor) handleShuffle(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
 	layer, w, in, out, proofBytes, err := decodeShuffleMsg(msg.Payload)
 	if err != nil {
-		return -1, fmt.Errorf("distributed: group %d: bad shuffle payload: %w", a.cfg.GID, err)
+		return -1, a.undecodable(a.cfg.Pos-1, "shuffle", err)
 	}
 	if a.cfg.Pos == 0 {
 		return layer, fmt.Errorf("distributed: group %d: shuffle message at the first member", a.cfg.GID)
@@ -695,7 +722,7 @@ func (a *Actor) handleShuffle(ctx context.Context, round uint64, msg *transport.
 func (a *Actor) handleDivide(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
 	layer, w, in, out, proofBytes, err := decodeShuffleMsg(msg.Payload)
 	if err != nil {
-		return -1, fmt.Errorf("distributed: group %d: bad divide payload: %w", a.cfg.GID, err)
+		return -1, a.undecodable(len(a.cfg.Peers)-1, "divide", err)
 	}
 	if a.cfg.Pos != 0 {
 		return layer, fmt.Errorf("distributed: group %d: divide message at member %d", a.cfg.GID, a.cfg.Pos)
@@ -754,11 +781,11 @@ func (a *Actor) runReEnc(ctx context.Context, round uint64, layer int, ins [][]e
 // either re-encrypts itself (mid-chain) or — at step K, back at the
 // first member — clears the Y slots and forwards the finished batches.
 func (a *Actor) handleReEnc(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
+	k := len(a.cfg.Peers)
 	layer, w, step, batches, err := decodeReEncMsg(msg.Payload)
 	if err != nil {
-		return -1, fmt.Errorf("distributed: group %d: bad reenc payload: %w", a.cfg.GID, err)
+		return -1, a.undecodable((a.cfg.Pos-1+k)%k, "reenc", err)
 	}
-	k := len(a.cfg.Peers)
 	if step < 1 || step > k || a.cfg.Pos != step%k {
 		return layer, fmt.Errorf("distributed: group %d member %d: reenc step %d misrouted", a.cfg.GID, a.cfg.Pos, step)
 	}
@@ -817,9 +844,11 @@ func (a *Actor) finishLayer(ctx context.Context, round uint64, layer int, batche
 		batches[i] = protocol.ClearYBatch(batches[i])
 	}
 	if layer == a.topo.Iterations()-1 {
+		start := time.Now()
+		payload := encodeOutMsg(a.cfg.GID, batches[0])
+		w.CodecNs += time.Since(start).Nanoseconds()
 		if err := a.ep.SendCtx(ctx, a.cfg.Coordinator, &transport.Message{
-			Type: msgOut, Round: round,
-			Payload: encodeOutMsg(a.cfg.GID, batches[0]),
+			Type: msgOut, Round: round, Payload: payload,
 		}); err != nil {
 			return err
 		}
@@ -832,9 +861,11 @@ func (a *Actor) finishLayer(ctx context.Context, round uint64, layer int, batche
 			// A dead next-layer entry member is reported as a loss in
 			// THAT group (idx −1 = its first member; the coordinator
 			// resolves the identity from its own chain map).
+			start := time.Now()
+			payload := encodeBatchMsg(layer+1, a.cfg.GID, w.Workers, batches[i])
+			w.CodecNs += time.Since(start).Nanoseconds()
 			if err := a.sendChain(ctx, a.cfg.Entry[dst], dst, -1, &transport.Message{
-				Type: msgBatch, Round: round,
-				Payload: encodeBatchMsg(layer+1, a.cfg.GID, w.Workers, batches[i]),
+				Type: msgBatch, Round: round, Payload: payload,
 			}); err != nil {
 				return err
 			}

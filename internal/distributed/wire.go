@@ -84,7 +84,11 @@ type work struct {
 	Shuffles int
 	ReEncs   int
 	Proofs   int
-	BusyNs   int64
+	BusyNs   int64 // worker-pool time inside crypto tasks
+	// CodecNs is the time the group's members spent encoding and
+	// decoding the layer's chain messages — actor time BusyNs cannot
+	// see, since it runs outside the pool.
+	CodecNs int64
 }
 
 func encWork(e *wirecodec.Enc, w work) {
@@ -94,6 +98,7 @@ func encWork(e *wirecodec.Enc, w work) {
 	e.I(w.ReEncs)
 	e.I(w.Proofs)
 	e.U64(uint64(w.BusyNs))
+	e.U64(uint64(w.CodecNs))
 }
 
 func decWork(d *wirecodec.Dec) (work, error) {
@@ -119,12 +124,25 @@ func decWork(d *wirecodec.Dec) (work, error) {
 		return w, err
 	}
 	w.BusyNs = int64(busy)
+	codec, err := d.U64()
+	if err != nil {
+		return w, err
+	}
+	w.CodecNs = int64(codec)
 	return w, nil
 }
 
 // ---------------------------------------------------------------------
 // Per-message payloads (shared wirecodec: uvarint counts, presence
 // flags, bounds checks before every allocation).
+//
+// Ciphertext vectors inside the five chain messages (batch, shuffle,
+// divide, reenc, out) travel in wirecodec's hop layout: points
+// uncompressed, every one range- and curve-checked by the receiver, a
+// message's batch decoded into slabs. The messages that carry a work
+// record put it last, so the encoder can charge its own time to
+// work.CodecNs before writing it; the decoders charge theirs on the way
+// out.
 
 // batchMsg: layer, source gid (−1 = coordinator), the round's worker
 // knob, vectors.
@@ -133,59 +151,66 @@ func encodeBatchMsg(layer, src, workers int, vecs []elgamal.Vector) []byte {
 	e.I(layer)
 	e.I(src)
 	e.I(workers)
-	e.Vectors(vecs)
+	e.HopVectors(vecs)
 	return e.Out()
 }
 
+// decodeBatchMsg returns layer and src as far as they decoded (−1
+// otherwise) even on error, so a receiver can still say whose batch
+// failed to decode.
 func decodeBatchMsg(b []byte) (layer, src, workers int, vecs []elgamal.Vector, err error) {
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
-		return
+		return -1, -1, 0, nil, err
 	}
 	if src, err = d.I(); err != nil {
-		return
+		return layer, -1, 0, nil, err
 	}
 	if workers, err = d.I(); err != nil {
 		return
 	}
-	if vecs, err = d.Vectors(); err != nil {
+	if vecs, err = d.HopVectors(); err != nil {
 		return
 	}
 	err = d.Done()
 	return
 }
 
-// shuffleMsg (also divideMsg): layer, accumulated work, the sender's
-// shuffle step. In the trap variant the proof (and the input batch,
+// shuffleMsg (also divideMsg): layer, the sender's shuffle step,
+// accumulated work. In the trap variant the proof (and the input batch,
 // which only verification needs) are omitted.
 func encodeShuffleMsg(layer int, w work, in, out []elgamal.Vector, proofBytes []byte) []byte {
+	start := time.Now()
 	var e wirecodec.Enc
 	e.I(layer)
-	encWork(&e, w)
-	e.Vectors(in)
-	e.Vectors(out)
+	e.HopVectors(in)
+	e.HopVectors(out)
 	e.Bytes(proofBytes)
+	w.CodecNs += time.Since(start).Nanoseconds()
+	encWork(&e, w)
 	return e.Out()
 }
 
 func decodeShuffleMsg(b []byte) (layer int, w work, in, out []elgamal.Vector, proofBytes []byte, err error) {
+	start := time.Now()
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
 		return
 	}
-	if w, err = decWork(d); err != nil {
+	if in, err = d.HopVectors(); err != nil {
 		return
 	}
-	if in, err = d.Vectors(); err != nil {
-		return
-	}
-	if out, err = d.Vectors(); err != nil {
+	if out, err = d.HopVectors(); err != nil {
 		return
 	}
 	if proofBytes, err = d.Bytes(); err != nil {
 		return
 	}
+	if w, err = decWork(d); err != nil {
+		return
+	}
 	err = d.Done()
+	w.CodecNs += time.Since(start).Nanoseconds()
 	return
 }
 
@@ -196,31 +221,31 @@ type reencBatch struct {
 	Proofs  [][]byte // per-vector ReEncProof encodings (empty in trap)
 }
 
-// reencMsg: layer, work, step (receiver position; K wraps to the first
-// member for final verification), the sender's β per-batch steps.
+// reencMsg: layer, step (receiver position; K wraps to the first member
+// for final verification), the sender's β per-batch steps, work.
 func encodeReEncMsg(layer int, w work, step int, batches []reencBatch) []byte {
+	start := time.Now()
 	var e wirecodec.Enc
 	e.I(layer)
-	encWork(&e, w)
 	e.I(step)
 	e.U64(uint64(len(batches)))
 	for _, rb := range batches {
-		e.Vectors(rb.In)
-		e.Vectors(rb.Out)
+		e.HopVectors(rb.In)
+		e.HopVectors(rb.Out)
 		e.U64(uint64(len(rb.Proofs)))
 		for _, p := range rb.Proofs {
 			e.Bytes(p)
 		}
 	}
+	w.CodecNs += time.Since(start).Nanoseconds()
+	encWork(&e, w)
 	return e.Out()
 }
 
 func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch, err error) {
+	start := time.Now()
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
-		return
-	}
-	if w, err = decWork(d); err != nil {
 		return
 	}
 	if step, err = d.I(); err != nil {
@@ -232,10 +257,10 @@ func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch
 	}
 	batches = make([]reencBatch, n)
 	for i := range batches {
-		if batches[i].In, err = d.Vectors(); err != nil {
+		if batches[i].In, err = d.HopVectors(); err != nil {
 			return
 		}
-		if batches[i].Out, err = d.Vectors(); err != nil {
+		if batches[i].Out, err = d.HopVectors(); err != nil {
 			return
 		}
 		var np int
@@ -249,7 +274,11 @@ func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch
 			}
 		}
 	}
+	if w, err = decWork(d); err != nil {
+		return
+	}
 	err = d.Done()
+	w.CodecNs += time.Since(start).Nanoseconds()
 	return
 }
 
@@ -281,7 +310,7 @@ func decodeLayerMsg(b []byte) (gid, layer int, w work, err error) {
 func encodeOutMsg(gid int, vecs []elgamal.Vector) []byte {
 	var e wirecodec.Enc
 	e.I(gid)
-	e.Vectors(vecs)
+	e.HopVectors(vecs)
 	return e.Out()
 }
 
@@ -290,7 +319,7 @@ func decodeOutMsg(b []byte) (gid int, vecs []elgamal.Vector, err error) {
 	if gid, err = d.I(); err != nil {
 		return
 	}
-	if vecs, err = d.Vectors(); err != nil {
+	if vecs, err = d.HopVectors(); err != nil {
 		return
 	}
 	err = d.Done()

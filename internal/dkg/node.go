@@ -236,6 +236,7 @@ func (n *node) run(ctx context.Context) (*Result, error) {
 		phaseJustify
 	)
 	phase := phaseDeal
+	began := time.Now()
 	timer := time.NewTimer(n.window)
 	defer timer.Stop()
 
@@ -248,6 +249,18 @@ func (n *node) run(ctx context.Context) (*Result, error) {
 			phase = phaseResponse
 			timer.Reset(n.window)
 		case phaseResponse:
+			// Closing the deal phase early started this window early
+			// too. A member some dealer withheld from only speaks when
+			// its OWN deal window runs out — up to a full window after
+			// ours did — and its complaint must land in everyone's tally
+			// or the honest members split on QUAL. So while any voter is
+			// still silent, stay open until a whole deal window plus a
+			// whole response window have passed; once everyone has voted
+			// nothing more is owed and the early close stands.
+			if wait := time.Until(began.Add(2 * n.window)); wait > 0 && len(n.tally.votes) < n.tally.size {
+				timer.Reset(wait)
+				return nil, nil, false
+			}
 			implicated := n.tally.implicated()
 			if len(implicated) == 0 {
 				res, err := n.tally.finalize(n.cfg.Index, n.cfg.MinQual)

@@ -9,28 +9,41 @@ package ecc
 
 // normalizeBatch converts the points to affine with one shared field
 // inversion, returning parallel slices: aff[i] is meaningful only when
-// isID[i] is false.
+// isID[i] is false. Points that already have Z = 1 are copied through,
+// and a batch of nothing else costs no inversion at all. The points are
+// only read.
 func normalizeBatch(ps []*Point) (aff []affinePoint, isID []bool) {
 	n := len(ps)
 	aff = make([]affinePoint, n)
 	isID = make([]bool, n)
-	prefix := make([]fe, n)
+	// prefix[i] is the product of the Z of the Jacobian points before i;
+	// allocated on the first one.
+	var prefix []fe
 	acc := feOne
 	for i, p := range ps {
-		if p.IsIdentity() {
+		switch {
+		case p.IsIdentity():
 			isID[i] = true
-			continue
+		case feEqual(&p.z, &feOne):
+			aff[i] = affinePoint{p.x, p.y}
+		default:
+			if prefix == nil {
+				prefix = make([]fe, n)
+			}
+			prefix[i] = acc
+			feMul(&acc, &acc, &p.z)
 		}
-		prefix[i] = acc
-		feMul(&acc, &acc, &p.z)
+	}
+	if prefix == nil {
+		return aff, isID
 	}
 	var inv fe
 	feInv(&inv, &acc)
 	for i := n - 1; i >= 0; i-- {
-		if isID[i] {
+		p := ps[i]
+		if isID[i] || feEqual(&p.z, &feOne) {
 			continue
 		}
-		p := ps[i]
 		var zinv, zinv2 fe
 		feMul(&zinv, &inv, &prefix[i])
 		feMul(&inv, &inv, &p.z)

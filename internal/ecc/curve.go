@@ -13,7 +13,10 @@
 // Point.Bytes is the SEC1 compressed encoding (0x00 for the identity),
 // byte-identical to the crypto/elliptic backend this package replaced,
 // so persisted state directories and wire codecs from older builds
-// replay unchanged.
+// replay unchanged. The SEC1 uncompressed form (uncompressed.go) exists
+// beside it for transient member-to-member hops only, where checking
+// the curve equation is ~50x cheaper than decompressing; PointFromBytes
+// never accepts it.
 package ecc
 
 import (
@@ -39,8 +42,8 @@ var (
 func init() {
 	P, _ = new(big.Int).SetString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
 	Order, _ = new(big.Int).SetString("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551", 16)
-	initFieldParams(&pParams, P, true)
-	initFieldParams(&qParams, Order, false)
+	initFieldParams(&pParams, P)
+	initFieldParams(&qParams, Order)
 	feOne = fe(pParams.one)
 
 	// The unrolled multipliers in fe_mul.go inline their modulus and

@@ -21,13 +21,12 @@ import (
 
 // fieldParams carries everything montMul needs for one modulus.
 type fieldParams struct {
-	m     [4]uint64 // modulus, little-endian limbs
-	n0    uint64    // -m⁻¹ mod 2^64
-	rr    [4]uint64 // R² mod m (to enter Montgomery form)
-	one   [4]uint64 // R mod m (the Montgomery form of 1)
-	mBig  *big.Int
-	mm2   [4]uint64 // m-2, exponent for Fermat inversion
-	sqrtE [4]uint64 // (m+1)/4, exponent for sqrt (p only; p ≡ 3 mod 4)
+	m    [4]uint64 // modulus, little-endian limbs
+	n0   uint64    // -m⁻¹ mod 2^64
+	rr   [4]uint64 // R² mod m (to enter Montgomery form)
+	one  [4]uint64 // R mod m (the Montgomery form of 1)
+	mBig *big.Int
+	mm2  [4]uint64 // m-2, exponent for Fermat inversion
 }
 
 var (
@@ -35,7 +34,7 @@ var (
 	qParams fieldParams // scalar field GF(q)
 )
 
-func initFieldParams(fp *fieldParams, m *big.Int, withSqrt bool) {
+func initFieldParams(fp *fieldParams, m *big.Int) {
 	fp.mBig = m
 	bigToLimbs(&fp.m, m)
 	// n0 = -m⁻¹ mod 2^64
@@ -46,9 +45,6 @@ func initFieldParams(fp *fieldParams, m *big.Int, withSqrt bool) {
 	bigToLimbs(&fp.one, new(big.Int).Mod(r, m))
 	bigToLimbs(&fp.rr, new(big.Int).Mod(new(big.Int).Mul(r, r), m))
 	bigToLimbs(&fp.mm2, new(big.Int).Sub(m, big.NewInt(2)))
-	if withSqrt {
-		bigToLimbs(&fp.sqrtE, new(big.Int).Div(new(big.Int).Add(m, big.NewInt(1)), big.NewInt(4)))
-	}
 }
 
 func bigToLimbs(dst *[4]uint64, v *big.Int) {
@@ -206,8 +202,10 @@ func limbsLess(x, y *[4]uint64) bool {
 
 // montPow sets z = x^e mod m (e in plain binary, NOT Montgomery form)
 // by 4-bit fixed-window exponentiation: 256 squarings plus ≤64 window
-// multiplications, allocation-free. Used for inversion (e = m-2) and
-// square roots (e = (p+1)/4); variable-time, like everything here.
+// multiplications, allocation-free. Used for scalar-field inversion
+// (e = q-2); the coordinate field's two fixed exponents have their own
+// addition chains (feInv, feSqrt), which tests check against this.
+// Variable-time, like everything here.
 func montPow(z, x *[4]uint64, e *[4]uint64, fp *fieldParams) {
 	// Use the unrolled multiplier for the matching field. Assigning a
 	// top-level function (rather than a closure over fp) keeps this
@@ -292,15 +290,68 @@ func feNeg(z, x *fe)        { montNeg((*[4]uint64)(z), (*[4]uint64)(x), &pParams
 func (x *fe) isZero() bool  { return limbsIsZero((*[4]uint64)(x)) }
 func feEqual(x, y *fe) bool { return limbsEqual((*[4]uint64)(x), (*[4]uint64)(y)) }
 
-// feInv sets z = x⁻¹ (z = 0 if x = 0) via Fermat's little theorem.
+// feSqrN sets z = x^(2^n). z may alias x.
+func feSqrN(z, x *fe, n int) {
+	feSqr(z, x)
+	for i := 1; i < n; i++ {
+		feSqr(z, z)
+	}
+}
+
+// feInv sets z = x⁻¹ (z = 0 if x = 0) via Fermat's little theorem:
+// x^(p-2) along the fixed addition chain for
+// p-2 = 2^256 - 2^224 + 2^192 + 2^96 - 3 (255 squarings + 12
+// multiplications, against the generic window walk's 256 + 78). z may
+// alias x.
 func feInv(z, x *fe) {
-	montPow((*[4]uint64)(z), (*[4]uint64)(x), &pParams.mm2, &pParams)
+	var x2, x3, x6, x12, x15, x16, x32, i53, x47, t fe // xN = x^(2^N - 1)
+	feSqr(&x2, x)
+	feMul(&x2, &x2, x)
+	feSqr(&x3, &x2)
+	feMul(&x3, &x3, x)
+	feSqrN(&x6, &x3, 3)
+	feMul(&x6, &x6, &x3)
+	feSqrN(&x12, &x6, 6)
+	feMul(&x12, &x12, &x6)
+	feSqrN(&x15, &x12, 3)
+	feMul(&x15, &x15, &x3)
+	feSqr(&x16, &x15)
+	feMul(&x16, &x16, x)
+	feSqrN(&x32, &x16, 16)
+	feMul(&x32, &x32, &x16)
+	feSqrN(&i53, &x32, 15)
+	feMul(&x47, &x15, &i53)
+	feSqrN(&t, &i53, 17)
+	feMul(&t, &t, x)
+	feSqrN(&t, &t, 143)
+	feMul(&t, &t, &x47)
+	feSqrN(&t, &t, 47)
+	feMul(&t, &t, &x47)
+	feSqrN(&t, &t, 2)
+	feMul(z, &t, x)
 }
 
 // feSqrt sets z to a square root of x and reports whether one exists.
+// p ≡ 3 mod 4, so the candidate is x^((p+1)/4) with
+// (p+1)/4 = 2^254 - 2^222 + 2^190 + 2^94, along its fixed addition
+// chain (253 squarings + 7 multiplications).
 func feSqrt(z, x *fe) bool {
-	var r, chk fe
-	montPow((*[4]uint64)(&r), (*[4]uint64)(x), &pParams.sqrtE, &pParams)
+	var r, x2, x4, x8, x16, chk fe // xN = x^(2^N - 1)
+	feSqr(&x2, x)
+	feMul(&x2, &x2, x)
+	feSqrN(&x4, &x2, 2)
+	feMul(&x4, &x4, &x2)
+	feSqrN(&x8, &x4, 4)
+	feMul(&x8, &x8, &x4)
+	feSqrN(&x16, &x8, 8)
+	feMul(&x16, &x16, &x8)
+	feSqrN(&r, &x16, 16)
+	feMul(&r, &r, &x16) // x32
+	feSqrN(&r, &r, 32)
+	feMul(&r, &r, x)
+	feSqrN(&r, &r, 96)
+	feMul(&r, &r, x)
+	feSqrN(&r, &r, 94)
 	feSqr(&chk, &r)
 	if !feEqual(&chk, x) {
 		return false
@@ -317,7 +368,7 @@ func feFromBytes(z *fe, b *[32]byte) bool {
 	if !limbsLess(&v, &pParams.m) {
 		return false
 	}
-	montMul((*[4]uint64)(z), &v, &pParams.rr, &pParams)
+	p256Mul((*[4]uint64)(z), &v, &pParams.rr)
 	return true
 }
 
@@ -325,7 +376,7 @@ func feFromBytes(z *fe, b *[32]byte) bool {
 func feToBytes(b *[32]byte, x *fe) {
 	var v [4]uint64
 	one := [4]uint64{1, 0, 0, 0}
-	montMul(&v, (*[4]uint64)(x), &one, &pParams)
+	p256Mul(&v, (*[4]uint64)(x), &one)
 	limbsToBytes(b, &v)
 }
 
@@ -333,7 +384,7 @@ func feToBytes(b *[32]byte, x *fe) {
 func feIsOdd(x *fe) bool {
 	var v [4]uint64
 	one := [4]uint64{1, 0, 0, 0}
-	montMul(&v, (*[4]uint64)(x), &one, &pParams)
+	p256Mul(&v, (*[4]uint64)(x), &one)
 	return v[0]&1 == 1
 }
 

@@ -323,14 +323,21 @@ func PointFromBytes(b []byte) (*Point, error) {
 // feYFromX sets y to a square root of x³ - 3x + b, reporting whether
 // the x coordinate is on the curve.
 func feYFromX(y, x *fe) bool {
-	var y2, t fe
-	feSqr(&y2, x)
-	feMul(&y2, &y2, x)
+	var y2 fe
+	feCurveRHS(&y2, x)
+	return feSqrt(y, &y2)
+}
+
+// feCurveRHS sets z = x³ - 3x + b, the right-hand side of the curve
+// equation.
+func feCurveRHS(z, x *fe) {
+	var x3, t fe
+	feSqr(&x3, x)
+	feMul(&x3, &x3, x)
 	feAdd(&t, x, x)
 	feAdd(&t, &t, x)
-	feSub(&y2, &y2, &t)
-	feAdd(&y2, &y2, &feB)
-	return feSqrt(y, &y2)
+	feSub(&x3, &x3, &t)
+	feAdd(z, &x3, &feB)
 }
 
 // String implements fmt.Stringer with a short hex prefix for debugging.
@@ -350,13 +357,8 @@ func (p *Point) OnCurve() bool {
 		return true
 	}
 	x, y := p.affine()
-	var lhs, rhs, t fe
+	var lhs, rhs fe
 	feSqr(&lhs, &y)
-	feSqr(&rhs, &x)
-	feMul(&rhs, &rhs, &x)
-	feAdd(&t, &x, &x)
-	feAdd(&t, &t, &x)
-	feSub(&rhs, &rhs, &t)
-	feAdd(&rhs, &rhs, &feB)
+	feCurveRHS(&rhs, &x)
 	return feEqual(&lhs, &rhs)
 }

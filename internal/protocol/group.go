@@ -101,6 +101,11 @@ type StepTrace struct {
 	// utilization numerator against wall × Workers).
 	Workers int
 	Busy    time.Duration
+	// Codec totals the time the group's members spent encoding and
+	// decoding the layer's chain messages — actor time outside the
+	// worker pool, so Busy alone under-reports a distributed member.
+	// Zero on the in-process mixer, which has no hops.
+	Codec time.Duration
 }
 
 // mixParams bundles what a group needs to execute one iteration.

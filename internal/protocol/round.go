@@ -295,6 +295,10 @@ type IterationStats struct {
 	Workers      int
 	ActiveGroups int
 	WorkerBusy   time.Duration
+	// Codec totals the time group members spent encoding and decoding
+	// chain messages across all groups (distributed engine only; the
+	// in-process mixer has no hops and reports zero).
+	Codec time.Duration
 	// Members totals the groups' live memberships for the iteration
 	// (G×k when every server is up). A value below that ceiling means
 	// the round is mixing in degraded mode: some group is running on its

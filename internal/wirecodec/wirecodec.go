@@ -4,6 +4,16 @@
 // nil-presence flags for points and scalars, and remaining-bytes bounds
 // checks before every allocation, so one tightening of a bounds rule
 // reaches every format at once.
+//
+// Ciphertext vectors have two codecs, and which one a format uses is
+// not a choice. Vectors is the canonical one — each vector in its
+// elgamal.Vector.Marshal form, points SEC1-compressed — for anything
+// persisted or hashed (the sealed-round journal record). HopVectors
+// (hop.go) is the transient one for member-to-member chain messages:
+// points uncompressed, each validated against the curve equation on
+// arrival, a whole batch decoded into slabs. A point a hop accepted is
+// exactly as trustworthy as one PointFromBytes accepted; it just cost a
+// few field multiplications to check instead of a square root.
 package wirecodec
 
 import (
@@ -108,11 +118,16 @@ func (e *Enc) Vectors(vs []elgamal.Vector) {
 	}
 }
 
-// Dec decodes an encoding produced by Enc.
-type Dec struct{ rd *bytes.Reader }
+// Dec decodes an encoding produced by Enc. b is the whole input, kept
+// beside the reader for the decoders that work on the bytes in place
+// (HopVectors).
+type Dec struct {
+	rd *bytes.Reader
+	b  []byte
+}
 
 // NewDec wraps the encoded bytes.
-func NewDec(b []byte) *Dec { return &Dec{rd: bytes.NewReader(b)} }
+func NewDec(b []byte) *Dec { return &Dec{rd: bytes.NewReader(b), b: b} }
 
 // Byte reads one raw byte.
 func (d *Dec) Byte() (byte, error) { return d.rd.ReadByte() }

@@ -32,6 +32,11 @@ type IterationStats struct {
 	// WorkerBusy totals the time worker goroutines spent executing
 	// crypto tasks across all groups' pools.
 	WorkerBusy time.Duration
+	// Codec totals the time group members spent encoding and decoding
+	// member-to-member chain messages (zero unless the round ran on the
+	// distributed engine) — the part of a member's time WorkerBusy
+	// cannot see.
+	Codec time.Duration
 	// Members totals the groups' live memberships for the iteration
 	// (Groups × GroupSize when every server is up). A smaller value
 	// means the network mixed in degraded mode: some group is running
@@ -211,6 +216,7 @@ func statsFromResult(res *protocol.RoundResult, submissions int) RoundStats {
 			Workers:        it.Workers,
 			ActiveGroups:   it.ActiveGroups,
 			WorkerBusy:     it.WorkerBusy,
+			Codec:          it.Codec,
 			Members:        it.Members,
 		})
 		st.Shuffles += it.Shuffles
@@ -242,6 +248,7 @@ func (n *Network) hooksFor() *protocol.RoundHooks {
 				Workers:        it.Workers,
 				ActiveGroups:   it.ActiveGroups,
 				WorkerBusy:     it.WorkerBusy,
+				Codec:          it.Codec,
 				Members:        it.Members,
 			})
 		},
