@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"atom/internal/elgamal"
 	"atom/internal/protocol"
 	"atom/internal/transport"
 )
@@ -40,10 +39,10 @@ var errRejoined = errors.New("distributed: member rejoined with state intact")
 // Concurrent calls mix concurrently (§4.7 cross-round pipelining: round
 // r+1's layer-0 batches enter the actors while round r traverses later
 // layers, because each actor interleaves rounds message by message) —
-// as many as the caller drives, up to maxPipelinedRounds. Each call owns
-// its per-round inbox and attempt counter, and a churn re-plan triggered
-// by any round restarts every in-flight round from its own sealed
-// batches, so a loss during round r never corrupts round r+1.
+// as many as the caller drives, up to protocol.MaxPipelinedRounds. Each
+// call owns its per-round inbox and attempt counter, and a churn re-plan
+// triggered by any round restarts every in-flight round from its own
+// sealed batches, so a loss during round r never corrupts round r+1.
 func (c *Cluster) MixRound(job *protocol.MixJob) (*protocol.MixOutcome, error) {
 	G := c.topo.Groups()
 	if len(job.Batches) != G {
@@ -148,17 +147,10 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 		}
 	}
 
-	var (
-		out       = &protocol.MixOutcome{ExitPayloads: make(map[int][][]byte, G)}
-		layerWork = make([]map[int]work, T) // layer → gid → work
-		doneAt    = make([]time.Time, T)    // layer → completion time
-		emitted   = 0                       // layers flushed, in order
-		exits     = make(map[int][]elgamal.Vector, G)
-		attStart  = time.Now()
-	)
-	for layer := range layerWork {
-		layerWork[layer] = make(map[int]work, G)
-	}
+	// Iteration durations are coordinator-observed: from the previous
+	// layer's completion to this one's, which includes real (or modeled)
+	// network latency between the groups.
+	col := c.d.NewCollector(job, workers)
 	var liveTick <-chan time.Time
 	if c.opts.Heartbeat > 0 {
 		t := time.NewTicker(c.opts.Heartbeat)
@@ -166,10 +158,7 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 		liveTick = t.C
 	}
 
-	// The attempt is done when every exit batch AND every layer report
-	// has landed (the exit vectors can arrive ahead of the last layer's
-	// accounting).
-	for len(exits) < G || emitted < T {
+	for !col.Done() {
 		select {
 		case msg, okc := <-inbox:
 			if !okc {
@@ -193,30 +182,7 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 				if msg.From != v.entry[gid] {
 					continue // only group gid's first member reports its layers
 				}
-				layerWork[layer][gid] = w
-				if len(layerWork[layer]) == G {
-					doneAt[layer] = time.Now()
-				}
-				// Flush completed layers strictly in order: a slow link
-				// can deliver layer t's last report after layer t+1
-				// completes, and IterationDone must still observe
-				// layers 0, 1, 2, … with sane durations.
-				for emitted < T && len(layerWork[emitted]) == G {
-					prev := attStart
-					if emitted > 0 {
-						prev = doneAt[emitted-1]
-					}
-					dur := doneAt[emitted].Sub(prev)
-					if dur < 0 {
-						dur = 0 // completed before an earlier layer's report landed
-					}
-					it := c.layerStats(job, emitted, layerWork[emitted], dur, workers)
-					out.Iterations = append(out.Iterations, it)
-					if job.Hooks != nil && job.Hooks.IterationDone != nil {
-						job.Hooks.IterationDone(it)
-					}
-					emitted++
-				}
+				col.Layer(gid, layer, w)
 			case msgOut:
 				gid, vecs, err := decodeOutMsg(msg.Payload)
 				if err != nil {
@@ -228,10 +194,7 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 				if msg.From != v.entry[gid] {
 					continue // only group gid's first member publishes its exit
 				}
-				if _, dup := exits[gid]; dup {
-					continue // first report wins; a second cannot overwrite it
-				}
-				exits[gid] = vecs
+				col.Exit(gid, vecs)
 			case msgAbort:
 				layer, gid, member, class, text, err := decodeAbortMsg(msg.Payload)
 				if err != nil {
@@ -265,14 +228,17 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 					return nil, []MemberID{lost}, nil
 				}
 				if class == abortProof && member < 0 {
-					// An undecodable batch: a first member names the group
-					// that feeds it at this layer and leaves that group's
-					// first member (−1) for us to resolve — the one blame
-					// that may cross a group boundary.
-					if gid < 0 || gid >= G || msg.From != v.entry[reporter.GID] || !c.feeds(gid, reporter.GID, layer) {
-						continue
+					// A bad batch: a first member names the group that
+					// feeds it at this layer and leaves that group's first
+					// member (−1) for us to resolve — the one blame that may
+					// cross a group boundary. A claim the wiring cannot
+					// back still aborts the reporter's own round, blaming
+					// no one.
+					if gid >= 0 && gid < G && msg.From == v.entry[reporter.GID] && c.feeds(gid, reporter.GID, layer) {
+						member = v.chains[gid][0] + 1
+					} else {
+						class, gid = abortInternal, reporter.GID
 					}
-					member = v.chains[gid][0] + 1
 				} else if reporter.GID != gid {
 					continue // otherwise a member may only report (and blame) its own group
 				}
@@ -327,26 +293,8 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 		}
 	}
 
-	for gid, vecs := range exits {
-		payloads, err := protocol.ExtractExitPayloads(vecs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("distributed: exit group %d: %w", gid, err)
-		}
-		out.ExitPayloads[gid] = payloads
-	}
-	liveBy := c.liveByGroup()
-	for layer := 0; layer < T; layer++ {
-		for gid := 0; gid < G; gid++ {
-			w := layerWork[layer][gid]
-			out.Traces = append(out.Traces, protocol.StepTrace{
-				GID: gid, Layer: layer,
-				Shuffles: w.Shuffles, ReEncs: w.ReEncs, ProofsChecked: w.Proofs,
-				Workers: workers, Busy: time.Duration(w.BusyNs), Codec: time.Duration(w.CodecNs),
-				Members: liveBy[gid],
-			})
-		}
-	}
-	return out, nil, nil
+	out, err := col.Outcome()
+	return out, nil, err
 }
 
 // feeds reports whether group src forwards a batch to group dst at the
@@ -361,46 +309,6 @@ func (c *Cluster) feeds(src, dst, layer int) bool {
 		}
 	}
 	return false
-}
-
-// liveByGroup reads each group's live membership off the deployment —
-// the degraded-mode number traces and stats carry.
-func (c *Cluster) liveByGroup() []int {
-	G := c.topo.Groups()
-	out := make([]int, G)
-	for gid := 0; gid < G; gid++ {
-		n, err := c.d.GroupLiveMembers(gid)
-		if err == nil {
-			out[gid] = n
-		}
-	}
-	return out
-}
-
-// layerStats folds a completed layer's per-group work into the
-// deployment's IterationStats shape. Duration is coordinator-observed:
-// time from the previous layer's completion to this one's, which —
-// unlike the in-process mixer — includes real (or modeled) network
-// latency between the groups.
-func (c *Cluster) layerStats(job *protocol.MixJob, layer int, byGID map[int]work, dur time.Duration, workers int) protocol.IterationStats {
-	it := protocol.IterationStats{
-		Round: job.Round, Layer: layer, Duration: dur, Workers: workers,
-	}
-	for _, w := range byGID {
-		it.Messages += w.Msgs
-		it.Shuffles += w.Shuffles
-		it.ReEncs += w.ReEncs
-		it.ProofsChecked += w.Proofs
-		it.WorkerBusy += time.Duration(w.BusyNs)
-		it.Codec += time.Duration(w.CodecNs)
-		if w.Msgs > 0 {
-			it.ActiveGroups++
-		}
-	}
-	for _, n := range c.liveByGroup() {
-		it.Members += n
-	}
-	return it
 }
 
 // cancelRound tells every actor to drop the round attempt's state and

@@ -180,8 +180,8 @@ type Cluster struct {
 	shareMu      sync.Mutex
 	shareCh      chan *transport.Message
 
-	// sem bounds the in-flight rounds at maxPipelinedRounds, whatever
-	// pipeline depth the caller drives.
+	// sem bounds the in-flight rounds at protocol.MaxPipelinedRounds,
+	// whatever pipeline depth the caller drives.
 	sem chan struct{}
 
 	// epochMu serializes churn re-planning (and all provisioning). Each
@@ -259,7 +259,7 @@ func NewCluster(d *protocol.Deployment, opts Options) (*Cluster, error) {
 		// One ack per config message, and a provisioning pass sends each
 		// roster member at most one.
 		ackCh:   make(chan configAck, G*d.Config().GroupSize),
-		sem:     make(chan struct{}, maxPipelinedRounds),
+		sem:     make(chan struct{}, protocol.MaxPipelinedRounds),
 		epochCh: make(chan struct{}),
 	}
 	ok := false

@@ -94,101 +94,128 @@ func wanDelay() transport.LatencyFunc {
 	return transport.PairwiseLatency("dist-test", time.Millisecond, 4*time.Millisecond)
 }
 
-// TestMemnetRoundMatchesInProcess is the core parity check: the same
-// deployment runs one round in-process and one round as message-passing
-// actors over the latency-modeled in-memory network, with workers>1
-// inside the member actors; both must recover exactly the submitted
-// plaintext set.
-func TestMemnetRoundMatchesInProcess(t *testing.T) {
-	d, c := newDeployment(t, protocol.VariantNIZK, 2)
+// roundLink is one link the Seat state machine can mix over; a nil
+// attach is the in-process by-reference link (RunRoundCtx).
+type roundLink struct {
+	name   string
+	attach func() AttachFunc
+}
 
-	rs1, err := d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := submitAll(t, d, c, rs1, 9)
-	res1, err := d.RunRoundCtx(context.Background(), rs1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res1.Messages, want) {
-		t.Fatalf("in-process round recovered %q, want %q", res1.Messages, want)
-	}
+var (
+	localLink  = roundLink{"local", nil}
+	memnetLink = roundLink{"memnet", func() AttachFunc { return MemAttach(transport.NewMemNetwork(wanDelay(), 256)) }}
+	tcpLink    = roundLink{"tcp", func() AttachFunc { return TCPAttach("127.0.0.1") }}
 
-	cluster, err := NewCluster(d, Options{
-		Attach:  MemAttach(transport.NewMemNetwork(wanDelay(), 256)),
-		Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	bothVariants = []protocol.Variant{protocol.VariantNIZK, protocol.VariantTrap}
+)
 
-	rs2, err := d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, d, c, rs2, 9)
-	var iterations int
-	hooks := &protocol.RoundHooks{IterationDone: func(protocol.IterationStats) { iterations++ }}
-	res2, err := cluster.Run(context.Background(), rs2, hooks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res2.Messages, want) {
-		t.Fatalf("distributed round recovered %q, want %q", res2.Messages, want)
-	}
-	if iterations != d.Topology().Iterations() {
-		t.Fatalf("IterationDone fired %d times, want %d", iterations, d.Topology().Iterations())
-	}
-	if len(res2.Traces) != d.Topology().Iterations()*d.NumGroups() {
-		t.Fatalf("got %d traces, want %d", len(res2.Traces), d.Topology().Iterations()*d.NumGroups())
-	}
-	var shuffles int
-	for _, tr := range res2.Traces {
-		shuffles += tr.Shuffles
-	}
-	if shuffles == 0 {
-		t.Fatal("distributed traces recorded no shuffles")
+// linkRound is one row of the link table: a fresh deployment with
+// workers>1 inside the seats and the row's round runner.
+type linkRound struct {
+	link string
+	d    *protocol.Deployment
+	c    *protocol.Client
+	run  func(context.Context, *protocol.RoundState, *protocol.RoundHooks) (*protocol.RoundResult, error)
+}
+
+// forEachLink runs check once per variant × link, as subtest
+// "variant/link".
+func forEachLink(t *testing.T, variants []protocol.Variant, links []roundLink, check func(*testing.T, *linkRound)) {
+	for _, variant := range variants {
+		for _, link := range links {
+			t.Run(variant.String()+"/"+link.name, func(t *testing.T) {
+				d, c := newDeployment(t, variant, 2)
+				r := &linkRound{link: link.name, d: d, c: c, run: d.RunRoundCtx}
+				if link.attach != nil {
+					cluster, err := NewCluster(d, Options{Attach: link.attach(), Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cluster.Close()
+					r.run = cluster.Run
+				}
+				check(t, r)
+			})
+		}
 	}
 }
 
-// TestTCPRoundMatchesInProcess runs the same parity check over real TCP
-// loopback sockets: every member actor on its own TCP endpoint.
+func (r *linkRound) open(t *testing.T, n int) (*protocol.RoundState, [][]byte) {
+	t.Helper()
+	rs, err := r.d.OpenRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, submitAll(t, r.d, r.c, rs, n)
+}
+
+// honest runs one round of n submissions, which must recover exactly
+// the submitted plaintext set.
+func (r *linkRound) honest(t *testing.T, n int, hooks *protocol.RoundHooks) *protocol.RoundResult {
+	t.Helper()
+	rs, want := r.open(t, n)
+	res, err := r.run(context.Background(), rs, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Messages, want) {
+		t.Fatalf("%s: round recovered %q, want %q", r.link, res.Messages, want)
+	}
+	return res
+}
+
+// checkRound is the round check every row passes: exactly the submitted
+// plaintext set comes out, IterationDone reports every layer in order,
+// and every group's every layer is traced with its shuffles.
+func checkRound(t *testing.T, r *linkRound) {
+	var layers []int
+	res := r.honest(t, 9, &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
+		layers = append(layers, it.Layer)
+	}})
+	T, G := r.d.Topology().Iterations(), r.d.NumGroups()
+	if len(layers) != T {
+		t.Fatalf("IterationDone fired %d times, want %d", len(layers), T)
+	}
+	for i, layer := range layers {
+		if layer != i {
+			t.Fatalf("IterationDone reported layers %v, want 0…%d in order", layers, T-1)
+		}
+	}
+	if len(res.Traces) != G*T {
+		t.Fatalf("got %d traces, want %d", len(res.Traces), G*T)
+	}
+	for _, tr := range res.Traces {
+		if tr.Shuffles == 0 {
+			t.Fatalf("trace (g%d l%d) recorded no shuffles", tr.GID, tr.Layer)
+		}
+	}
+}
+
+// TestMemnetRoundMatchesInProcess: the same Seat state machine mixes
+// over the in-process by-reference link and over the latency-modeled
+// memnet, in both variants, and both pass the same round check.
+func TestMemnetRoundMatchesInProcess(t *testing.T) {
+	forEachLink(t, bothVariants, []roundLink{localLink, memnetLink}, checkRound)
+}
+
+// TestTCPRoundMatchesInProcess: the round check over TCP loopback, in
+// both variants.
 func TestTCPRoundMatchesInProcess(t *testing.T) {
-	d, c := newDeployment(t, protocol.VariantNIZK, 2)
+	forEachLink(t, bothVariants, []roundLink{tcpLink}, checkRound)
+}
 
-	rs1, err := d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := submitAll(t, d, c, rs1, 9)
-	res1, err := d.RunRoundCtx(context.Background(), rs1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res1.Messages, want) {
-		t.Fatalf("in-process round recovered %q, want %q", res1.Messages, want)
-	}
-
-	cluster, err := NewCluster(d, Options{Attach: TCPAttach("127.0.0.1"), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	rs2, err := d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, d, c, rs2, 9)
-	res2, err := cluster.Run(context.Background(), rs2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res2.Messages, want) {
-		t.Fatalf("TCP round recovered %q, want %q", res2.Messages, want)
-	}
+// TestTamperBlameParity: on every link a tampered member is blamed with
+// the same typed error, and an honest round then completes.
+func TestTamperBlameParity(t *testing.T) {
+	forEachLink(t, []protocol.Variant{protocol.VariantNIZK}, []roundLink{localLink, memnetLink, tcpLink},
+		func(t *testing.T, r *linkRound) {
+			const gid, member = 1, 1
+			rs, _ := r.open(t, 6)
+			r.d.SetAdversary(tamperAdversary(t, r.d, 1, gid, member))
+			_, err := r.run(context.Background(), rs, nil)
+			checkBlame(t, r.link, err, gid, member+1) // DVSS index of the chain position
+			r.honest(t, 6, nil)
+		})
 }
 
 // TestTrapVariantDistributed: the trap variant's finale (trap
@@ -303,73 +330,6 @@ func checkBlame(t *testing.T, path string, err error, wantGID, wantMember int) {
 		t.Fatalf("%s: blamed group %d member %d, want group %d member %d",
 			path, blame.GID, blame.Member, wantGID, wantMember)
 	}
-}
-
-// TestTamperBlameParity: a tampered member triggers the same typed
-// blame error — errors.Is(ErrProofRejected) with the same group/member
-// attached — whether the round ran in-process, over the latency memnet,
-// or over TCP loopback.
-func TestTamperBlameParity(t *testing.T) {
-	d, c := newDeployment(t, protocol.VariantNIZK, 2)
-	const gid, member = 1, 1
-	wantIdx := member + 1 // DVSS index of the chain position
-
-	// Path 1: in-process.
-	rs, err := d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, d, c, rs, 6)
-	d.SetAdversary(tamperAdversary(t, d, 1, gid, member))
-	_, err = d.RunRoundCtx(context.Background(), rs, nil)
-	checkBlame(t, "in-process", err, gid, wantIdx)
-
-	// Path 2: memnet actors.
-	mem, err := NewCluster(d, Options{
-		Attach:  MemAttach(transport.NewMemNetwork(wanDelay(), 256)),
-		Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	rs, err = d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, d, c, rs, 6)
-	d.SetAdversary(tamperAdversary(t, d, 1, gid, member))
-	_, err = mem.Run(context.Background(), rs, nil)
-	checkBlame(t, "memnet", err, gid, wantIdx)
-
-	// The cluster must still complete an honest round after the abort.
-	rs, err = d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := submitAll(t, d, c, rs, 6)
-	res, err := mem.Run(context.Background(), rs, nil)
-	if err != nil {
-		t.Fatalf("post-abort honest round failed: %v", err)
-	}
-	if !reflect.DeepEqual(res.Messages, want) {
-		t.Fatalf("post-abort round recovered %q, want %q", res.Messages, want)
-	}
-
-	// Path 3: TCP actors.
-	tcp, err := NewCluster(d, Options{Attach: TCPAttach("127.0.0.1"), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcp.Close()
-	rs, err = d.OpenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, d, c, rs, 6)
-	d.SetAdversary(tamperAdversary(t, d, 1, gid, member))
-	_, err = tcp.Run(context.Background(), rs, nil)
-	checkBlame(t, "tcp", err, gid, wantIdx)
 }
 
 // TestRemoteHostedMember: one member is not hosted by the cluster but
@@ -556,8 +516,9 @@ func TestPerRoundWorkersReachActors(t *testing.T) {
 
 // TestHostileLayerDoesNotCrashActor: a chain message with an
 // out-of-range layer (in-threat-model for a malicious member) must be
-// rejected typed, not panic topology arithmetic — and the cluster must
-// still complete an honest round afterwards.
+// rejected typed, not panic topology arithmetic; forged control frames
+// and strangers' batches — for dead round ids and for the live round —
+// must be ignored, and the cluster must complete an honest round.
 func TestHostileLayerDoesNotCrashActor(t *testing.T) {
 	d, c := newDeployment(t, protocol.VariantNIZK, 1)
 	net := transport.NewMemNetwork(nil, 256)
@@ -576,7 +537,7 @@ func TestHostileLayerDoesNotCrashActor(t *testing.T) {
 	for _, layer := range []int{-1, 99} {
 		if err := rogue.Send(victim, &transport.Message{
 			Type: msgShuffle, Round: 999,
-			Payload: encodeShuffleMsg(layer, work{}, nil, nil, nil),
+			Payload: encodeShuffleMsg(layer, protocol.LayerWork{}, nil, nil, nil),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -608,7 +569,27 @@ func TestHostileLayerDoesNotCrashActor(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := submitAll(t, d, c, rs, 6)
-	res, err := cluster.Run(context.Background(), rs, nil)
+	// A stranger's well-formed batches for the live round must be dropped
+	// unseen, not abort or blacklist it: one posing as the coordinator's
+	// injection at a non-first member before the round, one naming an
+	// out-of-range layer at a first member mid-round.
+	wire := wireRound(rs.ID(), 0)
+	if err := rogue.Send(victim, &transport.Message{
+		Type: msgBatch, Round: wire, Payload: encodeBatchMsg(0, -1, 1, nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	entry1 := cluster.Addresses()[MemberID{GID: 1, Pos: 0}]
+	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
+		if it.Layer == 0 {
+			_ = rogue.Send(entry1, &transport.Message{
+				Type: msgBatch, Round: wire, Payload: encodeBatchMsg(99, 0, 1, nil),
+			})
+		}
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := cluster.Run(ctx, rs, hooks)
 	if err != nil {
 		t.Fatalf("round after hostile frames failed: %v", err)
 	}

@@ -6,37 +6,23 @@
 // round runs unchanged over the in-memory network (with or without a
 // WAN latency model) or over real TCP sockets, and produces exactly the
 // plaintext set (and exactly the error taxonomy) of the in-process
-// protocol.Deployment, because both paths execute the same
-// protocol.MemberEngine for every cryptographic step.
+// protocol.Deployment, because it is the same round engine: each actor
+// hosts one protocol.Seat, the state machine the in-process driver runs
+// over a by-reference link. The actor is the seat's network shell —
+// config adoption, sender authentication, heartbeats and share
+// requests — plus a thin adapter that decodes chain messages into seat
+// steps and encodes the seat's outbound steps.
 //
 // # Chain protocol
 //
-// Per group per iteration (Algorithm 1/2):
-//
-//	batch    sources → first member: inbound batches assemble; when the
-//	         layer's last one lands, the shuffle chain starts — layers
-//	         pipeline, a group shuffles iteration i+1 the moment its
-//	         inputs arrive, even while its iteration-i output is still
-//	         in later members' hands.
-//	shuffle  member p → p+1: p's ShuffleStep; p+1 verifies the proof
-//	         before shuffling the output itself.
-//	divide   last member → first: the closing ShuffleStep; the first
-//	         member verifies it, divides into β batches, and starts the
-//	         re-encryption chain with its own step.
-//	reenc    member p → p+1 (step K wraps to the first member): p's β
-//	         ReEncSteps; the receiver verifies them before peeling its
-//	         own layer. At step K the first member verifies the last
-//	         member's proofs, clears the Y slots, and forwards each
-//	         batch to its next-layer group (or the coordinator at the
-//	         exit layer).
-//
-// Every proof is therefore verified exactly once by the next honest
-// actor in the ring before anything builds on it — the serial-chain
-// stand-in for the paper's "all servers in the group verify the proof".
-// (A full deployment would broadcast each step to all k members and
-// anchor chain continuity in the group's joint view; the ring
-// verification here preserves the abort-and-blame behavior the rest of
-// the system consumes.)
+// One message per seat step (the protocol.Seat doc has the per-layer
+// sequence): dist/batch carries a layer's inbound batch to a group's
+// first member, from the coordinator at layer 0 or a previous-layer
+// group after; dist/shuffle and dist/divide carry a shuffle step to the
+// next member or back to the first; dist/reenc carries a re-encryption
+// step, step K wrapping to the first member. The first member ends each
+// layer with a dist/layer report to the coordinator, preceded at the
+// exit layer by dist/out with the plaintext vectors.
 //
 // # Hop encoding
 //
@@ -49,8 +35,8 @@
 // curve equation — before any arithmetic can reach it, and decodes a
 // message's batch into one slab each of points, ciphertexts and
 // pointers. That replaces a square root per point with a handful of
-// field multiplications, which is what lets this engine mix at the
-// in-process mixer's speed; it costs 32 more bytes per point on the
+// field multiplications, which is what lets a seat mix over the wire at
+// its in-process speed; it costs 32 more bytes per point on the
 // link. There is no negotiation and no fallback: chain messages have
 // exactly this encoding, and nothing else does — configs, acks,
 // persisted MemberConfigs, the journal and proofs stay on the compressed
@@ -60,8 +46,11 @@
 // senderOK has already tied the frame to the one member entitled to send
 // it, so the receiver aborts with a *protocol.Blame on that member —
 // the same ErrProofRejected path an undecodable or failing proof takes.
-// The time members spend in this codec rides the chain in the work
-// record (CodecNs) and comes out as StepTrace.Codec / IterationStats.Codec.
+// A batch names its source, so its origin is checked first: a stranger's
+// batch is dropped before it touches any state, and only a batch from
+// its origin can abort (and blame that origin). The time members spend
+// in this codec rides the chain in the work record (LayerWork.CodecNs)
+// and comes out as StepTrace.Codec / IterationStats.Codec.
 //
 // # Member lifecycle
 //

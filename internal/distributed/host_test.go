@@ -96,9 +96,9 @@ func TestUnconfiguredHostDropsRoundTraffic(t *testing.T) {
 
 	for _, msg := range []*transport.Message{
 		{Type: msgBatch, Round: 1 << 8, Payload: encodeBatchMsg(0, -1, 1, nil)},
-		{Type: msgShuffle, Round: 1 << 8, Payload: encodeShuffleMsg(0, work{}, nil, nil, nil)},
-		{Type: msgDivide, Round: 1 << 8, Payload: encodeShuffleMsg(0, work{}, nil, nil, nil)},
-		{Type: msgReEnc, Round: 1 << 8, Payload: encodeReEncMsg(0, work{}, 1, nil)},
+		{Type: msgShuffle, Round: 1 << 8, Payload: encodeShuffleMsg(0, protocol.LayerWork{}, nil, nil, nil)},
+		{Type: msgDivide, Round: 1 << 8, Payload: encodeShuffleMsg(0, protocol.LayerWork{}, nil, nil, nil)},
+		{Type: msgReEnc, Round: 1 << 8, Payload: encodeReEncMsg(0, protocol.LayerWork{}, 1, nil)},
 		{Type: msgCancel, Round: 1 << 8},
 		{Type: msgShareReq, Payload: encodeShareReqMsg(0, 0)},
 		{Type: msgConfig, Payload: []byte("not a member config")},

@@ -3,10 +3,8 @@ package distributed
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -28,20 +26,10 @@ type TopoSpec struct {
 	Reps       int // butterfly: repetitions
 }
 
-// Build constructs the topology.
+// Build constructs the topology, exactly as the deployment does.
 func (s TopoSpec) Build() (topology.Topology, error) {
-	switch s.Name {
-	case "square":
-		return topology.NewSquare(s.Groups, s.Iterations)
-	case "butterfly":
-		reps := s.Reps
-		if reps < 1 {
-			reps = 2
-		}
-		return topology.NewButterfly(s.Groups, reps)
-	default:
-		return nil, fmt.Errorf("distributed: unknown topology %q", s.Name)
-	}
+	cfg := protocol.Config{Topology: s.Name, NumGroups: s.Groups, Iterations: s.Iterations, ButterflyReps: s.Reps}
+	return cfg.BuildTopology()
 }
 
 // MemberConfig is everything one member actor needs for a deployment:
@@ -92,17 +80,6 @@ type MemberConfig struct {
 	ConfigHash []byte
 }
 
-// assembly accumulates a layer's inbound batches at the first member.
-type assembly struct {
-	got map[int][]elgamal.Vector // source gid (−1 = coordinator) → batch
-	// workers is the round's worker knob carried by the inbound batch
-	// messages (MixJob.Workers, threaded through every hop).
-	workers int
-	// codecNs is the time spent decoding the batches, the first entry of
-	// the layer's work.CodecNs.
-	codecNs int64
-}
-
 // tamperHook injects a malicious shuffle for one (round, layer) — the
 // distributed counterpart of protocol.Adversary, installed by the
 // cluster on locally hosted actors.
@@ -122,27 +99,27 @@ type progress struct {
 	At    time.Time
 }
 
-// Actor is one member's event loop. It boots unconfigured — holding an
-// endpoint and its host's options, no key material — and becomes a
-// group member by adopting a MemberConfig (adopt), which is also how it
-// is re-configured after churn and how it resumes from disk. All state
-// is confined to the Serve goroutine except the tamper hook (set by the
+// Actor is one member's network shell around its protocol.Seat: it
+// boots unconfigured — holding an endpoint and its host's options, no
+// key material — and becomes a group member by adopting a MemberConfig
+// (adopt), which is also how it is re-configured after churn and how it
+// resumes from disk. Beyond that it only does what a network needs:
+// sender authentication, heartbeats, share requests, and the adapter
+// that decodes chain messages into seat steps and encodes the seat's
+// outbound steps (the Actor is the seat's SeatLink). All state is
+// confined to the Serve goroutine except the tamper hook (set by the
 // cluster between rounds) and the heartbeat snapshot (read by the
 // heartbeat goroutine).
 type Actor struct {
 	ep   transport.Endpoint
 	opts HostOptions
-	// cfg and topo are the adopted config; topo is nil until the first
-	// adoption, and an unconfigured actor serves nothing but config
+	// cfg, topo and seat are the adopted config; seat is nil until the
+	// first adoption, and an unconfigured actor serves nothing but config
 	// messages.
 	cfg  MemberConfig
 	topo topology.Topology
+	seat *protocol.Seat
 
-	// pending[round][layer] assembles inbound batches (first member).
-	pending map[uint64]map[int]*assembly
-	// dropped marks rounds canceled by the coordinator.
-	dropped  map[uint64]bool
-	maxRound uint64
 	// beating records that the heartbeat goroutine is running.
 	beating bool
 
@@ -157,29 +134,36 @@ type Actor struct {
 	}
 }
 
-// checkConfig validates a MemberConfig and builds its topology.
-func checkConfig(cfg *MemberConfig) (topology.Topology, error) {
-	if cfg.Pos < 0 || cfg.Pos >= len(cfg.Peers) || len(cfg.Peers) != len(cfg.Indices) || len(cfg.Peers) != len(cfg.EffPubs) {
-		return nil, fmt.Errorf("distributed: inconsistent member config (pos %d of %d peers, %d indices, %d effpubs)",
-			cfg.Pos, len(cfg.Peers), len(cfg.Indices), len(cfg.EffPubs))
-	}
+// seat validates a MemberConfig's addressing and builds the seat it
+// describes, with the actor as its link and a clean per-round slate.
+func (a *Actor) newSeat(cfg *MemberConfig) (*protocol.Seat, topology.Topology, error) {
 	topo, err := cfg.Topo.Build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if cfg.GID < 0 || cfg.GID >= topo.Groups() || len(cfg.GroupPKs) != topo.Groups() || len(cfg.Entry) != topo.Groups() {
-		return nil, fmt.Errorf("distributed: member config does not match topology (gid %d, %d group keys, %d entries, G=%d)",
-			cfg.GID, len(cfg.GroupPKs), len(cfg.Entry), topo.Groups())
+	if len(cfg.Peers) != len(cfg.Indices) || len(cfg.Entry) != topo.Groups() {
+		return nil, nil, fmt.Errorf("distributed: member config addresses %d peers for %d indices and %d entries for G=%d",
+			len(cfg.Peers), len(cfg.Indices), len(cfg.Entry), topo.Groups())
 	}
-	return topo, nil
+	seat, err := protocol.NewSeat(protocol.SeatConfig{
+		GID: cfg.GID, Pos: cfg.Pos,
+		Indices: cfg.Indices, Secret: cfg.Secret, EffPubs: cfg.EffPubs,
+		GroupPKs: cfg.GroupPKs, Variant: cfg.Variant, Workers: cfg.Workers, Topo: topo,
+	}, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	seat.Tamper = a.tamperShuffle
+	seat.Progress = a.noteProgress
+	return seat, topo, nil
 }
 
 // adopt is the one way a config enters a member — first config,
 // re-config after churn and resume from disk alike: decode, gate on the
 // host's group-config hash, validate, persist (unless the bytes came
-// from the state dir already), then install with a clean per-round slate
-// (the coordinator restarts an interrupted round from its sealed
-// batches, so stale assemblies must not leak into the new attempt). Any
+// from the state dir already), then install a fresh seat (the
+// coordinator restarts an interrupted round from its sealed batches, so
+// stale assemblies must not leak into the new attempt). Any
 // verdict but ackAccepted leaves the actor exactly as it was. Runs on
 // the Serve goroutine, or before it starts.
 func (a *Actor) adopt(raw []byte, persist bool) ackCode {
@@ -190,7 +174,7 @@ func (a *Actor) adopt(raw []byte, persist bool) ackCode {
 	if len(a.opts.ConfigHash) > 0 && !bytes.Equal(cfg.ConfigHash, a.opts.ConfigHash) {
 		return ackHashMismatch
 	}
-	topo, err := checkConfig(cfg)
+	seat, topo, err := a.newSeat(cfg)
 	if err != nil {
 		return ackBadConfig
 	}
@@ -203,9 +187,7 @@ func (a *Actor) adopt(raw []byte, persist bool) ackCode {
 	}
 	a.cfg = *cfg
 	a.topo = topo
-	a.pending = make(map[uint64]map[int]*assembly)
-	a.dropped = make(map[uint64]bool)
-	a.maxRound = 0
+	a.seat = seat
 	a.mu.Lock()
 	a.hb.gid = cfg.GID
 	a.hb.idx = cfg.Indices[cfg.Pos]
@@ -241,13 +223,16 @@ func (a *Actor) SetTamper(round uint64, layer int, fn func([]elgamal.Vector) []e
 	a.mu.Unlock()
 }
 
-func (a *Actor) takeTamper(round uint64, layer int) func([]elgamal.Vector) []elgamal.Vector {
+// tamperShuffle is the seat's Tamper hook: the installed fn's
+// replacement for a shuffle output of its (round, layer), else nil.
+func (a *Actor) tamperShuffle(round uint64, layer int, out []elgamal.Vector) []elgamal.Vector {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tamper != nil && a.tamper.round == round && a.tamper.layer == layer {
-		return a.tamper.fn
+	h := a.tamper
+	a.mu.Unlock()
+	if h == nil || h.round != round || h.layer != layer {
+		return nil
 	}
-	return nil
+	return h.fn(out)
 }
 
 // Serve processes messages until the endpoint closes, a stop message
@@ -266,7 +251,7 @@ func (a *Actor) Serve(ctx context.Context) error {
 				return nil
 			}
 			if msg.Type == msgStop {
-				if a.topo == nil || msg.From == a.cfg.Coordinator {
+				if a.seat == nil || msg.From == a.cfg.Coordinator {
 					return nil
 				}
 				continue // a rogue peer must not stop a configured actor
@@ -281,7 +266,7 @@ func (a *Actor) Serve(ctx context.Context) error {
 // ensureHeartbeat starts the liveness beacon the first time the actor
 // holds a config that asks for one.
 func (a *Actor) ensureHeartbeat(ctx context.Context) {
-	if a.beating || a.topo == nil || a.cfg.Heartbeat <= 0 {
+	if a.beating || a.seat == nil || a.cfg.Heartbeat <= 0 {
 		return
 	}
 	a.beating = true
@@ -321,7 +306,7 @@ func (a *Actor) heartbeatLoop(ctx context.Context, every time.Duration) {
 // An unconfigured actor has no chain and no coordinator yet: it takes a
 // config from anyone (the first valid one wins) and nothing else.
 func (a *Actor) senderOK(msg *transport.Message) bool {
-	if a.topo == nil {
+	if a.seat == nil {
 		return msg.Type == msgConfig
 	}
 	k := len(a.cfg.Peers)
@@ -335,7 +320,7 @@ func (a *Actor) senderOK(msg *transport.Message) bool {
 	case msgReEnc:
 		return msg.From == a.cfg.Peers[(a.cfg.Pos-1+k)%k]
 	default:
-		return true // msgBatch validates its origin against the decoded src
+		return true // decodeBatch checks a batch's origin against its decoded src
 	}
 }
 
@@ -347,7 +332,7 @@ func (a *Actor) handle(ctx context.Context, msg *transport.Message) {
 	}
 	switch msg.Type {
 	case msgCancel:
-		a.drop(round)
+		a.seat.Cancel(round)
 		return
 	case msgConfig:
 		// Every config message is answered, refusals included: the
@@ -360,74 +345,24 @@ func (a *Actor) handle(ctx context.Context, msg *transport.Message) {
 	case msgShareReq:
 		a.handleShareReq(ctx, msg)
 		return
-	}
-	// Per-round state (observeRound pruning, assembly) is only touched
-	// inside the handlers, after each message's origin is fully
-	// authenticated — an unauthenticated frame with a huge round id
-	// must not prune the live round's assemblies.
-	if a.dropped[round] {
-		return
-	}
-	var err error
-	layer := -1
-	switch msg.Type {
-	case msgBatch:
-		layer, err = a.handleBatch(ctx, round, msg)
-	case msgShuffle:
-		layer, err = a.handleShuffle(ctx, round, msg)
-	case msgDivide:
-		layer, err = a.handleDivide(ctx, round, msg)
-	case msgReEnc:
-		layer, err = a.handleReEnc(ctx, round, msg)
+	case msgBatch, msgShuffle, msgDivide, msgReEnc:
 	default:
 		return // not ours (coordinator traffic, unknown types)
 	}
-	if err != nil {
-		a.drop(round)
-		a.abort(ctx, round, layer, err)
-	}
-}
-
-// maxPipelinedRounds caps how many rounds the cluster mixes
-// concurrently (the caller's pipeline depth, ServeOptions.MaxInFlight,
-// is the knob below it): more than this would let a live round's actor
-// state age out of the members' pruning window below.
-const maxPipelinedRounds = 8
-
-// pipelineWindow is how many base rounds of per-round state an actor
-// retains behind the newest it has seen. Cross-round pipelining means a
-// batch for round r can still arrive while rounds up to
-// r+maxPipelinedRounds−1 are already flowing, so the window keeps 2×
-// that margin; anything further back is settled (published, aborted, or
-// canceled) and its assemblies are garbage.
-const pipelineWindow = 2 * maxPipelinedRounds
-
-// observeRound prunes state of rounds that have fallen out of the
-// pipelining window. The wire round id carries the attempt counter in
-// its low byte, so the window compares base rounds (id >> 8): attempts
-// of live rounds are never pruned by each other — stale attempts die by
-// explicit msgCancel instead.
-func (a *Actor) observeRound(round uint64) {
-	if round <= a.maxRound {
+	if a.seat.Canceled(round) {
 		return
 	}
-	a.maxRound = round
-	floor := a.maxRound >> 8
-	for r := range a.pending {
-		if floor-(r>>8) > pipelineWindow {
-			delete(a.pending, r)
-		}
+	st, layer, err := a.decode(msg)
+	if st == nil && err == nil {
+		return // a stranger's batch: dropped before it touches any state
 	}
-	for r := range a.dropped {
-		if floor-(r>>8) > pipelineWindow {
-			delete(a.dropped, r)
-		}
+	if err == nil {
+		err = a.seat.Handle(ctx, st)
 	}
-}
-
-func (a *Actor) drop(round uint64) {
-	a.dropped[round] = true
-	delete(a.pending, round)
+	if err != nil {
+		a.seat.Cancel(round)
+		a.abort(ctx, round, layer, err)
+	}
 }
 
 // handleShareReq answers the coordinator's §4.5 escrow solicitation:
@@ -498,352 +433,153 @@ func (a *Actor) abort(ctx context.Context, round uint64, layer int, err error) {
 	})
 }
 
-// engine builds the member's crypto engine (fresh pool per step so busy
-// time is attributable). workers is the round's knob from the message
-// chain; values below 1 fall back to the actor's configured default.
-func (a *Actor) engine(ctx context.Context, workers int) (*protocol.MemberEngine, *parallel.Pool) {
-	if workers < 1 {
-		workers = a.cfg.Workers
+// decode turns a chain message into the seat step it carries, or
+// attributes the failure. senderOK has already tied a shuffle, divide or
+// reenc frame to the one member entitled to send it; a batch's origin is
+// checked here, against the source it names, before anything else — a
+// batch from anyone else is dropped silently (nil step, nil error), so
+// one stranger's frame can neither abort nor blacklist a round. layer is
+// the message's layer as far as it decoded (−1 otherwise).
+func (a *Actor) decode(msg *transport.Message) (st *protocol.Step, layer int, err error) {
+	k := len(a.cfg.Peers)
+	switch msg.Type {
+	case msgBatch:
+		return a.decodeBatch(msg)
+	case msgShuffle, msgDivide:
+		kind, sender, what := protocol.StepShuffle, a.cfg.Pos-1, "shuffle"
+		if msg.Type == msgDivide {
+			kind, sender, what = protocol.StepDivide, k-1, "divide"
+		}
+		layer, w, in, out, proofBytes, err := decodeShuffleMsg(msg.Payload)
+		if err != nil {
+			return nil, -1, a.blameSender(sender, what+" payload", err)
+		}
+		st = &protocol.Step{Kind: kind, Round: msg.Round, Layer: layer, In: in, Out: out, Work: w}
+		if a.cfg.Variant == protocol.VariantNIZK {
+			if st.Proof, err = nizk.UnmarshalShufProof(proofBytes); err != nil {
+				return nil, layer, a.blameSender(sender, "shuffle proof", err)
+			}
+		}
+		return st, layer, nil
+	default: // msgReEnc
+		sender := (a.cfg.Pos - 1 + k) % k
+		layer, w, seq, batches, err := decodeReEncMsg(msg.Payload)
+		if err != nil {
+			return nil, -1, a.blameSender(sender, "reenc payload", err)
+		}
+		st = &protocol.Step{Kind: protocol.StepReEnc, Round: msg.Round, Layer: layer, Seq: seq, Work: w,
+			Batches: make([]protocol.ReEncBatch, len(batches))}
+		for i, rb := range batches {
+			st.Batches[i] = protocol.ReEncBatch{In: rb.In, Out: rb.Out}
+			if a.cfg.Variant != protocol.VariantNIZK || len(rb.Out) == 0 {
+				continue
+			}
+			proofs := make([]*nizk.ReEncProof, len(rb.Proofs))
+			for j, pb := range rb.Proofs {
+				if proofs[j], err = nizk.UnmarshalReEncProof(pb); err != nil {
+					return nil, layer, a.blameSender(sender, "reencryption proof", err)
+				}
+			}
+			st.Batches[i].Proofs = proofs
+		}
+		return st, layer, nil
 	}
-	pool := parallel.New(ctx, workers)
-	return &protocol.MemberEngine{
-		GID:     a.cfg.GID,
-		Variant: a.cfg.Variant,
-		GroupPK: a.cfg.GroupPK,
-		Pool:    pool,
-	}, pool
 }
 
-// checkLayer bounds a wire-supplied layer before it reaches topology
-// arithmetic (a hostile layer must fail typed, not panic or smuggle a
-// mid-network batch onto the ⊥ exit path).
-func (a *Actor) checkLayer(layer int) error {
-	if layer < 0 || layer >= a.topo.Iterations() {
-		return fmt.Errorf("distributed: group %d: out-of-range layer %d", a.cfg.GID, layer)
-	}
-	return nil
-}
-
-// expectedSources returns how many batch messages assemble a layer.
-func (a *Actor) expectedSources(layer int) int {
-	if layer == 0 {
-		return 1 // the coordinator's injection
-	}
-	return len(a.topo.Sources(layer, a.cfg.GID))
-}
-
-// destKeys resolves the layer's forwarding: destination gids and their
-// public keys, or the single ⊥ destination at the exit layer.
-func (a *Actor) destKeys(layer int) ([]int, []*ecc.Point) {
-	dests := a.topo.Neighbors(layer, a.cfg.GID)
-	if len(dests) == 0 {
-		return nil, []*ecc.Point{nil}
-	}
-	pks := make([]*ecc.Point, len(dests))
-	for i, dst := range dests {
-		pks[i] = a.cfg.GroupPKs[dst]
-	}
-	return dests, pks
-}
-
-// handleBatch (first member only) assembles a layer's inbound batches
-// and starts the shuffle chain once the last one lands.
-func (a *Actor) handleBatch(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
+// decodeBatch authenticates and decodes a batch. Its legitimate origin
+// is the coordinator for the layer-0 injection (src −1) and group src's
+// first member otherwise; anything else is a stranger's frame and is
+// dropped. From group src's first member, a batch that does not decode,
+// reached a member other than this group's first, or names an
+// out-of-range layer is that member's doing: it is blamed like the
+// sender of any undecodable chain payload, with its DVSS index left for
+// the coordinator to resolve (−1), as for an unreachable next-layer
+// entry.
+func (a *Actor) decodeBatch(msg *transport.Message) (*protocol.Step, int, error) {
 	start := time.Now()
 	layer, src, workers, vecs, err := decodeBatchMsg(msg.Payload)
 	codecNs := time.Since(start).Nanoseconds()
-	if err != nil {
-		if a.cfg.Pos == 0 && src >= 0 && src < a.topo.Groups() && msg.From == a.cfg.Entry[src] {
-			// Group src's first member — and nobody else — sent this, so
-			// it is blamed like the sender of any undecodable chain
-			// payload. Its DVSS index is the coordinator's to resolve
-			// (−1), as for an unreachable next-layer entry.
-			return layer, &protocol.Blame{GID: src, Member: -1, Err: fmt.Errorf(
-				"%w: group %d aborts — group %d's first member sent an undecodable batch payload: %v",
+	switch {
+	case src == -1 && msg.From == a.cfg.Coordinator:
+		if err != nil {
+			return nil, layer, fmt.Errorf("distributed: group %d: bad batch payload: %w", a.cfg.GID, err)
+		}
+	case src >= 0 && src < a.topo.Groups() && msg.From == a.cfg.Entry[src]:
+		if err == nil && a.cfg.Pos != 0 {
+			err = fmt.Errorf("batch reached member %d, not the first", a.cfg.Pos)
+		}
+		if err == nil && (layer < 0 || layer >= a.topo.Iterations()) {
+			err = fmt.Errorf("out-of-range layer %d", layer)
+		}
+		if err != nil {
+			return nil, layer, &protocol.Blame{GID: src, Member: -1, Err: fmt.Errorf(
+				"%w: group %d aborts — group %d's first member sent a bad batch: %v",
 				protocol.ErrProofRejected, a.cfg.GID, src, err)}
 		}
-		return layer, fmt.Errorf("distributed: group %d: bad batch payload: %w", a.cfg.GID, err)
+	default:
+		return nil, layer, nil
 	}
-	if a.cfg.Pos != 0 {
-		return layer, fmt.Errorf("distributed: group %d member %d received a batch (first member's job)", a.cfg.GID, a.cfg.Pos)
-	}
-	if err := a.checkLayer(layer); err != nil {
-		return layer, err
-	}
-	// Authenticate the batch's origin: the coordinator for the layer-0
-	// injection, the source group's first member otherwise. Forged
-	// batches are ignored — they must not corrupt assembly counting.
-	if src == -1 {
-		if msg.From != a.cfg.Coordinator {
-			return layer, nil
-		}
-	} else if src < 0 || src >= a.topo.Groups() || msg.From != a.cfg.Entry[src] {
-		return layer, nil
-	}
-	a.observeRound(round)
-	byLayer := a.pending[round]
-	if byLayer == nil {
-		byLayer = make(map[int]*assembly)
-		a.pending[round] = byLayer
-	}
-	asm := byLayer[layer]
-	if asm == nil {
-		asm = &assembly{got: make(map[int][]elgamal.Vector)}
-		byLayer[layer] = asm
-	}
-	if _, dup := asm.got[src]; dup {
-		return layer, fmt.Errorf("distributed: group %d layer %d: duplicate batch from %d", a.cfg.GID, layer, src)
-	}
-	a.noteProgress(round, layer, "assemble")
-	asm.got[src] = vecs
-	asm.codecNs += codecNs
-	if workers > asm.workers {
-		asm.workers = workers
-	}
-	if len(asm.got) < a.expectedSources(layer) {
-		return layer, nil
-	}
-	delete(byLayer, layer)
-	// Concatenate in ascending source order — the deterministic order
-	// the in-process mixer uses.
-	srcs := make([]int, 0, len(asm.got))
-	for s := range asm.got {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-	var batch []elgamal.Vector
-	for _, s := range srcs {
-		batch = append(batch, asm.got[s]...)
-	}
-	return layer, a.runShuffle(ctx, round, layer, batch, work{Msgs: len(batch), Workers: asm.workers, CodecNs: asm.codecNs})
+	return &protocol.Step{
+		Kind: protocol.StepBatch, Round: msg.Round, Layer: layer, Src: src, Workers: workers, Vecs: vecs,
+		Work: protocol.LayerWork{CodecNs: codecNs},
+	}, layer, nil
 }
 
-// runShuffle performs this member's shuffle of the layer and forwards
-// the chain.
-func (a *Actor) runShuffle(ctx context.Context, round uint64, layer int, in []elgamal.Vector, w work) error {
-	if len(in) == 0 {
-		// Empty layer: nothing to permute or prove anywhere in the
-		// chain — pass through, exactly like the in-process group.
-		_, pks := a.destKeys(layer)
-		return a.finishLayer(ctx, round, layer, make([][]elgamal.Vector, len(pks)), w)
-	}
-	a.noteProgress(round, layer, "shuffle")
-	engine, pool := a.engine(ctx, w.Workers)
-	myIdx := a.cfg.Indices[a.cfg.Pos]
-	out, perm, rands, err := engine.Shuffle(myIdx, in, rand.Reader)
-	if err != nil {
-		return err
-	}
-	w.Shuffles++
-	if fn := a.takeTamper(round, layer); fn != nil {
-		if evil := fn(out); evil != nil {
-			out = evil
-		}
-	}
-	step, err := engine.ProveStep(myIdx, in, out, perm, rands, rand.Reader)
-	if err != nil {
-		return err
-	}
-	w.BusyNs += pool.Busy().Nanoseconds()
-
-	var proofBytes []byte
-	var wireIn []elgamal.Vector
-	if step.Proof != nil {
-		proofBytes = step.Proof.Marshal()
-		wireIn = in // only verification needs the input batch
-	}
-	k := len(a.cfg.Peers)
-	typ, next := msgShuffle, a.cfg.Pos+1
-	if a.cfg.Pos == k-1 {
-		typ, next = msgDivide, 0
-	}
-	return a.sendChain(ctx, a.cfg.Peers[next], a.cfg.GID, a.cfg.Indices[next], &transport.Message{
-		Type: typ, Round: round,
-		Payload: encodeShuffleMsg(layer, w, wireIn, out, proofBytes),
-	})
-}
-
-// verifyShuffleStep checks the predecessor's step in the NIZK variant.
-func (a *Actor) verifyShuffleStep(ctx context.Context, senderPos, layer int, in, out []elgamal.Vector, proofBytes []byte, w *work) error {
-	if a.cfg.Variant != protocol.VariantNIZK {
-		return nil
-	}
-	engine, pool := a.engine(ctx, w.Workers)
-	proof, err := nizk.UnmarshalShufProof(proofBytes)
-	senderIdx := a.cfg.Indices[senderPos]
-	if err != nil {
-		return &protocol.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
-			"%w: group %d aborts — member %d shuffle rejected: undecodable proof: %v",
-			protocol.ErrProofRejected, a.cfg.GID, senderIdx, err)}
-	}
-	step := &protocol.ShuffleStep{Member: senderIdx, In: in, Out: out, Proof: proof}
-	if err := engine.VerifyShuffle(step, pool); err != nil {
-		return err
-	}
-	w.Proofs++
-	w.BusyNs += pool.Busy().Nanoseconds()
-	return nil
-}
-
-// undecodable blames the chain member at senderPos for a payload that
-// does not decode. senderOK has already established that the frame came
-// from that member, so an off-curve point or a mangled count is its
-// doing exactly as a failing proof would be — and must cost it the same
-// attribution, or one bad byte aborts rounds anonymously.
-func (a *Actor) undecodable(senderPos int, what string, err error) error {
+// blameSender blames the chain member at senderPos for a payload or
+// proof that does not decode. senderOK has already established that the
+// frame came from that member, so an off-curve point or a mangled count
+// is its doing exactly as a failing proof would be — and must cost it the
+// same attribution, or one bad byte aborts rounds anonymously.
+func (a *Actor) blameSender(senderPos int, what string, err error) error {
 	senderIdx := a.cfg.Indices[senderPos]
 	return &protocol.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
-		"%w: group %d aborts — member %d sent an undecodable %s payload: %v",
+		"%w: group %d aborts — member %d sent an undecodable %s: %v",
 		protocol.ErrProofRejected, a.cfg.GID, senderIdx, what, err)}
 }
 
-// handleShuffle verifies the predecessor's shuffle and adds this
-// member's own.
-func (a *Actor) handleShuffle(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
-	layer, w, in, out, proofBytes, err := decodeShuffleMsg(msg.Payload)
-	if err != nil {
-		return -1, a.undecodable(a.cfg.Pos-1, "shuffle", err)
-	}
-	if a.cfg.Pos == 0 {
-		return layer, fmt.Errorf("distributed: group %d: shuffle message at the first member", a.cfg.GID)
-	}
-	a.observeRound(round)
-	if err := a.checkLayer(layer); err != nil {
-		return layer, err
-	}
-	if err := a.verifyShuffleStep(ctx, a.cfg.Pos-1, layer, in, out, proofBytes, &w); err != nil {
-		return layer, err
-	}
-	return layer, a.runShuffle(ctx, round, layer, out, w)
-}
-
-// handleDivide (first member) closes the shuffle chain: verify the last
-// member's step, divide into β batches, start the re-encryption chain.
-func (a *Actor) handleDivide(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
-	layer, w, in, out, proofBytes, err := decodeShuffleMsg(msg.Payload)
-	if err != nil {
-		return -1, a.undecodable(len(a.cfg.Peers)-1, "divide", err)
-	}
-	if a.cfg.Pos != 0 {
-		return layer, fmt.Errorf("distributed: group %d: divide message at member %d", a.cfg.GID, a.cfg.Pos)
-	}
-	a.observeRound(round)
-	if err := a.checkLayer(layer); err != nil {
-		return layer, err
-	}
-	if err := a.verifyShuffleStep(ctx, len(a.cfg.Peers)-1, layer, in, out, proofBytes, &w); err != nil {
-		return layer, err
-	}
-	_, pks := a.destKeys(layer)
-	return layer, a.runReEnc(ctx, round, layer, protocol.Divide(out, len(pks)), w)
-}
-
-// runReEnc performs this member's decrypt-and-reencrypt of every batch
-// and forwards the chain (step K wraps to the first member).
-func (a *Actor) runReEnc(ctx context.Context, round uint64, layer int, ins [][]elgamal.Vector, w work) error {
-	a.noteProgress(round, layer, "reenc")
-	engine, pool := a.engine(ctx, w.Workers)
-	_, pks := a.destKeys(layer)
-	if len(ins) != len(pks) {
-		return fmt.Errorf("distributed: group %d layer %d: %d batches for %d destinations", a.cfg.GID, layer, len(ins), len(pks))
-	}
-	myIdx := a.cfg.Indices[a.cfg.Pos]
-	myEffPub := a.cfg.EffPubs[a.cfg.Pos]
-	batches := make([]reencBatch, len(ins))
-	for i := range ins {
-		if len(ins[i]) == 0 {
-			continue
+// Chain implements protocol.SeatLink: encode the step with the hop codec
+// and send it to chain position pos. Only verification needs a step's
+// input batch, so it travels with proofs only.
+func (a *Actor) Chain(ctx context.Context, pos int, st *protocol.Step) error {
+	msg := &transport.Message{Round: st.Round}
+	switch st.Kind {
+	case protocol.StepShuffle, protocol.StepDivide:
+		msg.Type = msgShuffle
+		if st.Kind == protocol.StepDivide {
+			msg.Type = msgDivide
 		}
-		step, err := engine.ReEnc(myIdx, a.cfg.Secret, myEffPub, pks[i], ins[i], rand.Reader)
-		if err != nil {
-			return err
+		var in []elgamal.Vector
+		var proofBytes []byte
+		if st.Proof != nil {
+			in, proofBytes = st.In, st.Proof.Marshal()
 		}
-		w.ReEncs += len(ins[i])
-		batches[i].Out = step.Out
-		if step.Proofs != nil {
-			batches[i].In = step.In
-			batches[i].Proofs = make([][]byte, len(step.Proofs))
-			for j, p := range step.Proofs {
-				batches[i].Proofs[j] = p.Marshal()
-			}
-		}
-	}
-	w.BusyNs += pool.Busy().Nanoseconds()
-	k := len(a.cfg.Peers)
-	next := (a.cfg.Pos + 1) % k
-	return a.sendChain(ctx, a.cfg.Peers[next], a.cfg.GID, a.cfg.Indices[next], &transport.Message{
-		Type: msgReEnc, Round: round,
-		Payload: encodeReEncMsg(layer, w, a.cfg.Pos+1, batches),
-	})
-}
-
-// handleReEnc verifies the predecessor's re-encryption steps, then
-// either re-encrypts itself (mid-chain) or — at step K, back at the
-// first member — clears the Y slots and forwards the finished batches.
-func (a *Actor) handleReEnc(ctx context.Context, round uint64, msg *transport.Message) (int, error) {
-	k := len(a.cfg.Peers)
-	layer, w, step, batches, err := decodeReEncMsg(msg.Payload)
-	if err != nil {
-		return -1, a.undecodable((a.cfg.Pos-1+k)%k, "reenc", err)
-	}
-	if step < 1 || step > k || a.cfg.Pos != step%k {
-		return layer, fmt.Errorf("distributed: group %d member %d: reenc step %d misrouted", a.cfg.GID, a.cfg.Pos, step)
-	}
-	a.observeRound(round)
-	if err := a.checkLayer(layer); err != nil {
-		return layer, err
-	}
-	_, pks := a.destKeys(layer)
-	if len(batches) != len(pks) {
-		return layer, fmt.Errorf("distributed: group %d layer %d: %d reenc batches for %d destinations", a.cfg.GID, layer, len(batches), len(pks))
-	}
-	if a.cfg.Variant == protocol.VariantNIZK {
-		engine, pool := a.engine(ctx, w.Workers)
-		senderIdx := a.cfg.Indices[step-1]
-		senderEffPub := a.cfg.EffPubs[step-1]
-		for i := range batches {
-			if len(batches[i].Out) == 0 {
-				continue
-			}
-			proofs := make([]*nizk.ReEncProof, len(batches[i].Proofs))
-			for j, pb := range batches[i].Proofs {
-				if proofs[j], err = nizk.UnmarshalReEncProof(pb); err != nil {
-					return layer, &protocol.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
-						"%w: group %d aborts — member %d reencryption rejected: undecodable proof: %v",
-						protocol.ErrProofRejected, a.cfg.GID, senderIdx, err)}
+		msg.Payload = encodeShuffleMsg(st.Layer, st.Work, in, st.Out, proofBytes)
+	case protocol.StepReEnc:
+		msg.Type = msgReEnc
+		batches := make([]reencBatch, len(st.Batches))
+		for i, b := range st.Batches {
+			batches[i].Out = b.Out
+			if b.Proofs != nil {
+				batches[i].In = b.In
+				batches[i].Proofs = make([][]byte, len(b.Proofs))
+				for j, p := range b.Proofs {
+					batches[i].Proofs[j] = p.Marshal()
 				}
 			}
-			s := &protocol.ReEncStep{
-				Member: senderIdx, EffPub: senderEffPub, DestPK: pks[i],
-				In: batches[i].In, Out: batches[i].Out, Proofs: proofs,
-			}
-			if err := engine.VerifyReEnc(s); err != nil {
-				return layer, err
-			}
-			w.Proofs += len(batches[i].Out)
 		}
-		w.BusyNs += pool.Busy().Nanoseconds()
+		msg.Payload = encodeReEncMsg(st.Layer, st.Work, st.Seq, batches)
+	default:
+		return fmt.Errorf("distributed: group %d: step kind %d does not travel the chain", a.cfg.GID, st.Kind)
 	}
-	outs := make([][]elgamal.Vector, len(batches))
-	for i := range batches {
-		outs[i] = batches[i].Out
-	}
-	if step == k {
-		return layer, a.finishLayer(ctx, round, layer, outs, w)
-	}
-	return layer, a.runReEnc(ctx, round, layer, outs, w)
+	return a.sendChain(ctx, a.cfg.Peers[pos], a.cfg.GID, a.cfg.Indices[pos], msg)
 }
 
-// finishLayer (first member) clears the Y slots and hands each finished
-// batch to its next-layer group — or, at the exit layer, delivers the
-// plaintext vectors to the coordinator — then reports the group's layer
-// accounting.
-func (a *Actor) finishLayer(ctx context.Context, round uint64, layer int, batches [][]elgamal.Vector, w work) error {
-	a.noteProgress(round, layer, "forward")
-	for i := range batches {
-		batches[i] = protocol.ClearYBatch(batches[i])
-	}
-	if layer == a.topo.Iterations()-1 {
+// Finish implements protocol.SeatLink: hand each finished batch to its
+// next-layer group's first member — or, at the exit layer, the plaintext
+// vectors to the coordinator — then report the layer, with the time spent
+// encoding those batches charged to its work.
+func (a *Actor) Finish(ctx context.Context, round uint64, layer int, dests []int, batches [][]elgamal.Vector, w protocol.LayerWork) error {
+	if dests == nil {
 		start := time.Now()
 		payload := encodeOutMsg(a.cfg.GID, batches[0])
 		w.CodecNs += time.Since(start).Nanoseconds()
@@ -852,23 +588,18 @@ func (a *Actor) finishLayer(ctx context.Context, round uint64, layer int, batche
 		}); err != nil {
 			return err
 		}
-	} else {
-		dests, _ := a.destKeys(layer)
-		if len(batches) != len(dests) {
-			return fmt.Errorf("distributed: group %d layer %d: %d batches for %d destinations", a.cfg.GID, layer, len(batches), len(dests))
-		}
-		for i, dst := range dests {
-			// A dead next-layer entry member is reported as a loss in
-			// THAT group (idx −1 = its first member; the coordinator
-			// resolves the identity from its own chain map).
-			start := time.Now()
-			payload := encodeBatchMsg(layer+1, a.cfg.GID, w.Workers, batches[i])
-			w.CodecNs += time.Since(start).Nanoseconds()
-			if err := a.sendChain(ctx, a.cfg.Entry[dst], dst, -1, &transport.Message{
-				Type: msgBatch, Round: round, Payload: payload,
-			}); err != nil {
-				return err
-			}
+	}
+	for i, dst := range dests {
+		// A dead next-layer entry member is reported as a loss in THAT
+		// group (idx −1 = its first member; the coordinator resolves the
+		// identity from its own chain map).
+		start := time.Now()
+		payload := encodeBatchMsg(layer+1, a.cfg.GID, w.Workers, batches[i])
+		w.CodecNs += time.Since(start).Nanoseconds()
+		if err := a.sendChain(ctx, a.cfg.Entry[dst], dst, -1, &transport.Message{
+			Type: msgBatch, Round: round, Payload: payload,
+		}); err != nil {
+			return err
 		}
 	}
 	return a.ep.SendCtx(ctx, a.cfg.Coordinator, &transport.Message{

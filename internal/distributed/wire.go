@@ -19,15 +19,15 @@ const (
 	// arriving at a next-layer group's first member.
 	msgBatch = "dist/batch"
 	// msgShuffle moves the shuffle chain one member forward: the
-	// sender's ShuffleStep (input, output, proof) for the receiver to
+	// sender's shuffle step (input, output, proof) for the receiver to
 	// verify before shuffling the output itself.
 	msgShuffle = "dist/shuffle"
-	// msgDivide closes the shuffle chain: the last member's ShuffleStep
+	// msgDivide closes the shuffle chain: the last member's shuffle step
 	// goes back to the first member, which verifies it, divides the
 	// output into β batches, and starts the re-encryption chain.
 	msgDivide = "dist/divide"
 	// msgReEnc moves the re-encryption chain one member forward: the
-	// sender's β ReEncSteps for the receiver to verify and build on.
+	// sender's β re-encryptions for the receiver to verify and build on.
 	// Step K (one past the last member) returns to the first member,
 	// which verifies, clears the Y slots and forwards the batches.
 	msgReEnc = "dist/reenc"
@@ -73,25 +73,9 @@ const (
 	abortInternal = "internal" // anything else
 )
 
-// work accumulates a group's per-iteration accounting as the chain
-// messages flow member to member; the first member folds it into the
-// msgLayer report. Workers carries the round's resolved worker-pool
-// knob (MixJob.Workers — a per-round SetMixConfig override reaches the
-// actors through here) along the same path.
-type work struct {
-	Msgs     int // vectors entering the layer
-	Workers  int // round worker knob (0 = the actor's configured default)
-	Shuffles int
-	ReEncs   int
-	Proofs   int
-	BusyNs   int64 // worker-pool time inside crypto tasks
-	// CodecNs is the time the group's members spent encoding and
-	// decoding the layer's chain messages — actor time BusyNs cannot
-	// see, since it runs outside the pool.
-	CodecNs int64
-}
-
-func encWork(e *wirecodec.Enc, w work) {
+// encWork writes a group's layer accounting, the record that rides the
+// shuffle and reenc chain and the layer report.
+func encWork(e *wirecodec.Enc, w protocol.LayerWork) {
 	e.I(w.Msgs)
 	e.I(w.Workers)
 	e.I(w.Shuffles)
@@ -101,8 +85,8 @@ func encWork(e *wirecodec.Enc, w work) {
 	e.U64(uint64(w.CodecNs))
 }
 
-func decWork(d *wirecodec.Dec) (work, error) {
-	var w work
+func decWork(d *wirecodec.Dec) (protocol.LayerWork, error) {
+	var w protocol.LayerWork
 	var err error
 	if w.Msgs, err = d.I(); err != nil {
 		return w, err
@@ -141,8 +125,8 @@ func decWork(d *wirecodec.Dec) (work, error) {
 // uncompressed, every one range- and curve-checked by the receiver, a
 // message's batch decoded into slabs. The messages that carry a work
 // record put it last, so the encoder can charge its own time to
-// work.CodecNs before writing it; the decoders charge theirs on the way
-// out.
+// LayerWork.CodecNs before writing it; the decoders charge theirs on the
+// way out.
 
 // batchMsg: layer, source gid (−1 = coordinator), the round's worker
 // knob, vectors.
@@ -179,7 +163,7 @@ func decodeBatchMsg(b []byte) (layer, src, workers int, vecs []elgamal.Vector, e
 // shuffleMsg (also divideMsg): layer, the sender's shuffle step,
 // accumulated work. In the trap variant the proof (and the input batch,
 // which only verification needs) are omitted.
-func encodeShuffleMsg(layer int, w work, in, out []elgamal.Vector, proofBytes []byte) []byte {
+func encodeShuffleMsg(layer int, w protocol.LayerWork, in, out []elgamal.Vector, proofBytes []byte) []byte {
 	start := time.Now()
 	var e wirecodec.Enc
 	e.I(layer)
@@ -191,7 +175,7 @@ func encodeShuffleMsg(layer int, w work, in, out []elgamal.Vector, proofBytes []
 	return e.Out()
 }
 
-func decodeShuffleMsg(b []byte) (layer int, w work, in, out []elgamal.Vector, proofBytes []byte, err error) {
+func decodeShuffleMsg(b []byte) (layer int, w protocol.LayerWork, in, out []elgamal.Vector, proofBytes []byte, err error) {
 	start := time.Now()
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
@@ -223,7 +207,7 @@ type reencBatch struct {
 
 // reencMsg: layer, step (receiver position; K wraps to the first member
 // for final verification), the sender's β per-batch steps, work.
-func encodeReEncMsg(layer int, w work, step int, batches []reencBatch) []byte {
+func encodeReEncMsg(layer int, w protocol.LayerWork, step int, batches []reencBatch) []byte {
 	start := time.Now()
 	var e wirecodec.Enc
 	e.I(layer)
@@ -242,7 +226,7 @@ func encodeReEncMsg(layer int, w work, step int, batches []reencBatch) []byte {
 	return e.Out()
 }
 
-func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch, err error) {
+func decodeReEncMsg(b []byte) (layer int, w protocol.LayerWork, step int, batches []reencBatch, err error) {
 	start := time.Now()
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
@@ -283,7 +267,7 @@ func decodeReEncMsg(b []byte) (layer int, w work, step int, batches []reencBatch
 }
 
 // layerMsg: gid, layer, the group's accumulated work for the layer.
-func encodeLayerMsg(gid, layer int, w work) []byte {
+func encodeLayerMsg(gid, layer int, w protocol.LayerWork) []byte {
 	var e wirecodec.Enc
 	e.I(gid)
 	e.I(layer)
@@ -291,7 +275,7 @@ func encodeLayerMsg(gid, layer int, w work) []byte {
 	return e.Out()
 }
 
-func decodeLayerMsg(b []byte) (gid, layer int, w work, err error) {
+func decodeLayerMsg(b []byte) (gid, layer int, w protocol.LayerWork, err error) {
 	d := wirecodec.NewDec(b)
 	if gid, err = d.I(); err != nil {
 		return

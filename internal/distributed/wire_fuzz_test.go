@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"atom/internal/elgamal"
+	"atom/internal/nizk"
 	"atom/internal/protocol"
 	"atom/internal/wirecodec"
 )
@@ -58,22 +59,25 @@ func realReEncMsg(t testing.TB) []byte {
 		}
 		in = append(in, sub.Ciphertext)
 	}
-	engine := &protocol.MemberEngine{GID: 0, Variant: protocol.VariantNIZK, GroupPK: r.PK}
-	step, err := engine.ReEnc(r.Indices[0], r.Secrets[0], r.EffPubs[0], next, in, rand.Reader)
+	out, rss, err := elgamal.ReEncBatchPar(r.Secrets[0], next, in, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := reencBatch{In: step.In, Out: step.Out}
-	for _, p := range step.Proofs {
+	rb := reencBatch{In: in, Out: out}
+	for i := range in {
+		p, err := nizk.ProveReEnc(r.Secrets[0], r.EffPubs[0], next, in[i], out[i], rss[i], rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rb.Proofs = append(rb.Proofs, p.Marshal())
 	}
-	w := work{Msgs: 2, Workers: 1, Shuffles: 4, ReEncs: 2, Proofs: 6, BusyNs: 12345}
+	w := protocol.LayerWork{Msgs: 2, Workers: 1, Shuffles: 4, ReEncs: 2, Proofs: 6, BusyNs: 12345}
 	return encodeReEncMsg(1, w, 1, []reencBatch{rb, {}})
 }
 
 // sameWork compares two work records up to CodecNs, which every encode
 // and decode of a chain message adds its own running time to.
-func sameWork(a, b work) bool {
+func sameWork(a, b protocol.LayerWork) bool {
 	a.CodecNs, b.CodecNs = 0, 0
 	return a == b
 }
@@ -131,23 +135,22 @@ func realShuffleMsg(t testing.TB) []byte {
 		}
 		in = append(in, sub.Ciphertext)
 	}
-	engine := &protocol.MemberEngine{GID: 0, Variant: protocol.VariantNIZK, GroupPK: r.PK}
-	out, perm, rands, err := engine.Shuffle(r.Indices[0], in, rand.Reader)
+	out, perm, rands, err := elgamal.ShuffleBatchPar(r.PK, in, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := engine.ProveStep(r.Indices[0], in, out, perm, rands, rand.Reader)
+	proof, err := nizk.ProveShufflePar(r.PK, in, out, perm, rands, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeShuffleMsg(2, work{Msgs: 3, Workers: 1, Shuffles: 1, BusyNs: 999}, in, out, step.Proof.Marshal())
+	return encodeShuffleMsg(2, protocol.LayerWork{Msgs: 3, Workers: 1, Shuffles: 1, BusyNs: 999}, in, out, proof.Marshal())
 }
 
 // FuzzDecodeShuffleMsg: the shuffle/divide step a member accepts from
 // its predecessor.
 func FuzzDecodeShuffleMsg(f *testing.F) {
 	f.Add(realShuffleMsg(f))
-	f.Add(encodeShuffleMsg(0, work{}, nil, nil, nil))
+	f.Add(encodeShuffleMsg(0, protocol.LayerWork{}, nil, nil, nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		layer, w, in, out, proof, err := decodeShuffleMsg(data)

@@ -2,7 +2,7 @@
 // mixing path. The paper's Figure 7 shows a mixing iteration scaling
 // near-linearly with cores; this package supplies the one execution
 // primitive every crypto layer (elgamal batch operations, nizk proof
-// generation/verification, protocol.GroupState.runIteration) fans its
+// generation/verification, the protocol.Seat round engine) fans its
 // per-message work over, instead of each layer growing a bespoke
 // goroutine scheme.
 //
@@ -25,7 +25,7 @@
 // Sizing is owned by the layers above: protocol.MixConfig (surfaced as
 // atom.Config.MixWorkers, atomd/atomsim -workers, and
 // distributed.Options.Workers) resolves to a per-group pool size, and
-// both the in-process mixer and the distributed member actors build
-// one pool per group per step so busy time — Pool.Busy, reported
-// through StepTrace/IterationStats — stays attributable.
+// every seat — in process or behind a distributed member actor — builds
+// one pool per step so busy time — Pool.Busy, reported through
+// StepTrace/IterationStats — stays attributable.
 package parallel

@@ -1,25 +1,27 @@
 package protocol
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/groupmgr"
+	"atom/internal/topology"
 )
 
 // BenchHarness is a single-group fixture for the real-cryptography
 // microbenchmarks behind Figures 5–7: one anytrust group holding a batch
-// of onion ciphertexts, mixing toward a single successor group. The
-// harness calls the exact iteration code of the deployment
-// (GroupState.runIteration), including the parallel.Pool engine behind
-// MixConfig — there is no bench-only crypto path, so benchmark numbers
+// of onion ciphertexts, mixing one layer that re-encrypts toward a
+// successor. Each iteration seats the group's members over the
+// in-process link and runs the deployment's Seat state machine, pools
+// included — there is no bench-only crypto path, so benchmark numbers
 // reflect the protocol as shipped at any worker count.
 type BenchHarness struct {
-	gs      *GroupState
+	roster  *GroupRoster
+	topo    topology.Topology
 	variant Variant
-	nextPK  *ecc.Point
 	batch   []elgamal.Vector
 }
 
@@ -34,11 +36,17 @@ func NewBenchHarness(groupSize, numMessages, numPoints int, variant Variant) (*B
 	if err != nil {
 		return nil, err
 	}
-	next, err := elgamal.KeyGen(rand.Reader)
+	roster, err := gs.roster()
 	if err != nil {
 		return nil, err
 	}
-	h := &BenchHarness{gs: gs, variant: variant, nextPK: next.PK}
+	// Two layers, of which the fixture mixes the first: a mid-network
+	// layer, so the chain re-encrypts instead of decrypting to ⊥.
+	topo, err := topology.NewSquare(1, 2)
+	if err != nil {
+		return nil, err
+	}
+	h := &BenchHarness{roster: roster, topo: topo, variant: variant}
 	h.batch = make([]elgamal.Vector, numMessages)
 	for i := range h.batch {
 		payload := []byte(fmt.Sprintf("bench message %06d", i))
@@ -62,16 +70,20 @@ func NewBenchHarness(groupSize, numMessages, numPoints int, variant Variant) (*B
 // MixConfig{Workers: 1} measures the serial baseline; the zero value
 // uses the automatic policy (all CPUs for this single group).
 func (h *BenchHarness) RunIteration(mix MixConfig) error {
-	_, _, err := h.gs.runIteration(mixParams{
-		layer:    0,
-		batch:    h.batch,
-		variant:  h.variant,
-		destGIDs: []int{0},
-		destPKs:  []*ecc.Point{h.nextPK},
-		rnd:      rand.Reader,
-		workers:  mix.effectiveWorkers(1),
-	})
-	return err
+	workers := mix.effectiveWorkers(1)
+	n, err := newSeatNet([]*GroupRoster{h.roster}, h.topo, 1, h.variant, workers)
+	if err != nil {
+		return err
+	}
+	stop := n.start(context.Background())
+	defer stop()
+	n.inject(0, workers, [][]elgamal.Vector{h.batch})
+	select {
+	case <-n.reports:
+		return nil
+	case err := <-n.errs:
+		return err
+	}
 }
 
 // NumMessages returns the batch size (handy for benchmark reporting).

@@ -209,26 +209,7 @@ func (d *Deployment) GroupRoster(gid int) (*GroupRoster, error) {
 	if err != nil {
 		return nil, err
 	}
-	active, err := g.Active()
-	if err != nil {
-		return nil, err
-	}
-	r := &GroupRoster{
-		GID:     gid,
-		PK:      g.PK,
-		Indices: active,
-		Secrets: make([]*ecc.Scalar, len(active)),
-		EffPubs: make([]*ecc.Point, len(active)),
-	}
-	for i, idx := range active {
-		eff, effPub, err := g.Keys[idx-1].EffectiveKey(active)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: group %d member %d key: %w", gid, idx, err)
-		}
-		r.Secrets[i] = eff
-		r.EffPubs[i] = effPub
-	}
-	return r, nil
+	return g.roster()
 }
 
 // GroupPK returns the public key of group gid (what users encrypt to).
@@ -346,14 +327,14 @@ type MixOutcome struct {
 }
 
 // Mixer executes the T mixing iterations of a sealed round across all
-// groups. The deployment ships two implementations of the same
-// MemberEngine-based mixing: the in-process mixer (every group in this
-// process, direct calls) and the distributed cluster
-// (internal/distributed, member actors exchanging framed messages over
-// a transport). MixSealed accepts either, so ingestion, sealing, the
-// variant finale and blame records are identical no matter where the
-// cryptography physically ran. MixSealed may call MixRound for several
-// rounds at once — as many as the caller's pipeline depth.
+// groups. Both implementations run the same Seat state machine: the
+// in-process driver (every seat in this process, steps handed over by
+// reference) and the distributed cluster (internal/distributed, each
+// seat behind its own transport endpoint and the hop codec). MixSealed
+// accepts either, so ingestion, sealing, the variant finale and blame
+// records are identical no matter where the cryptography physically
+// ran. MixSealed may call MixRound for several rounds at once — as many
+// as the caller's pipeline depth.
 type Mixer interface {
 	MixRound(job *MixJob) (*MixOutcome, error)
 }
@@ -462,7 +443,7 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 		// other mixer bounds its own concurrency.
 		d.mixMu.Lock()
 		defer d.mixMu.Unlock()
-		mixer = localMixer{d}
+		mixer = localDriver{d}
 	}
 	start := time.Now()
 	job := &MixJob{
@@ -491,111 +472,6 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 	res.Rejected = sealed.rejected
 	res.SealedBatch = sealed.BatchSize()
 	return res, nil
-}
-
-// localMixer is the in-process Mixer: all groups mix in this process,
-// one goroutine per group per layer, direct method calls instead of
-// transport frames.
-type localMixer struct{ d *Deployment }
-
-// MixRound implements Mixer.
-func (m localMixer) MixRound(job *MixJob) (*MixOutcome, error) {
-	d := m.d
-	ctx := job.Ctx
-	T := d.topo.Iterations()
-	G := len(d.groups)
-	cur := job.Batches
-	out := &MixOutcome{}
-
-	for layer := 0; layer < T; layer++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("protocol: round %d canceled at layer %d: %w", job.Round, layer, err)
-		}
-		layerStart := time.Now()
-		layerMsgs := 0
-		for gi := 0; gi < G; gi++ {
-			layerMsgs += len(cur[gi])
-		}
-
-		type groupOut struct {
-			gid     int
-			batches [][]elgamal.Vector
-			dests   []int
-			trace   *StepTrace
-			err     error
-		}
-		outs := make([]groupOut, G)
-		var wg sync.WaitGroup
-		for gi := 0; gi < G; gi++ {
-			wg.Add(1)
-			go func(gi int) {
-				defer wg.Done()
-				g := d.groups[gi]
-				dests := d.topo.Neighbors(layer, gi)
-				pks := make([]*ecc.Point, len(dests))
-				for i, dst := range dests {
-					pks[i] = d.groups[dst].PK
-				}
-				p := mixParams{
-					ctx:      ctx,
-					layer:    layer,
-					variant:  job.Variant,
-					batch:    cur[gi],
-					destGIDs: dests,
-					destPKs:  pks,
-					rnd:      rand.Reader,
-					workers:  job.Workers,
-				}
-				if a := job.Adversary; a != nil && a.Layer == layer && a.GID == gi {
-					p.tamper = a.Tamper
-					p.tamperMember = a.Member
-				}
-				batches, trace, err := g.runIteration(p)
-				outs[gi] = groupOut{gid: gi, batches: batches, dests: dests, trace: trace, err: err}
-			}(gi)
-		}
-		wg.Wait()
-
-		next := make([][]elgamal.Vector, G)
-		if layer == T-1 {
-			out.ExitPayloads = make(map[int][][]byte, G)
-		}
-		it := IterationStats{Round: job.Round, Layer: layer, Messages: layerMsgs, Workers: job.Workers}
-		for gi := 0; gi < G; gi++ {
-			o := outs[gi]
-			if o.err != nil {
-				return nil, o.err
-			}
-			out.Traces = append(out.Traces, *o.trace)
-			it.Shuffles += o.trace.Shuffles
-			it.ReEncs += o.trace.ReEncs
-			it.ProofsChecked += o.trace.ProofsChecked
-			it.WorkerBusy += o.trace.Busy
-			it.Members += o.trace.Members
-			if len(cur[gi]) > 0 {
-				it.ActiveGroups++
-			}
-			if layer == T-1 {
-				// Exit layer: single batch of plaintext vectors.
-				payloads, err := ExtractExitPayloads(o.batches[0])
-				if err != nil {
-					return nil, fmt.Errorf("protocol: exit group %d: %w", gi, err)
-				}
-				out.ExitPayloads[gi] = payloads
-				continue
-			}
-			for bi, dst := range o.dests {
-				next[dst] = append(next[dst], o.batches[bi]...)
-			}
-		}
-		it.Duration = time.Since(layerStart)
-		out.Iterations = append(out.Iterations, it)
-		if job.Hooks != nil && job.Hooks.IterationDone != nil {
-			job.Hooks.IterationDone(it)
-		}
-		cur = next
-	}
-	return out, nil
 }
 
 // finishRound applies the variant-specific finale to the exit outputs.

@@ -54,8 +54,8 @@ var (
 // so callers can act on the attribution (exclude the server, escalate
 // the variant) without parsing message text. It wraps the underlying
 // sentinel — errors.Is(err, ErrProofRejected) still holds — and is
-// produced identically by the in-process mixer and the distributed
-// actor path:
+// produced by the same Seat code on the in-process and the distributed
+// link:
 //
 //	var blame *protocol.Blame
 //	if errors.As(err, &blame) { exclude(blame.GID, blame.Member) }

@@ -278,8 +278,11 @@ type IterationStats struct {
 	Round uint64
 	// Layer is the 0-based mixing iteration.
 	Layer int
-	// Duration is the wall-clock latency of the iteration (all groups,
-	// which run in parallel).
+	// Duration is the driver-observed time between the previous layer's
+	// completion (or the start of mixing) and this one's — the same
+	// meaning on the in-process and the distributed link, where it also
+	// includes network latency. Groups run in parallel and layers
+	// pipeline without a barrier.
 	Duration time.Duration
 	// Messages is the number of ciphertext vectors entering the layer.
 	Messages int
@@ -296,8 +299,8 @@ type IterationStats struct {
 	ActiveGroups int
 	WorkerBusy   time.Duration
 	// Codec totals the time group members spent encoding and decoding
-	// chain messages across all groups (distributed engine only; the
-	// in-process mixer has no hops and reports zero).
+	// chain messages across all groups (zero on the in-process link,
+	// which hands steps over by reference).
 	Codec time.Duration
 	// Members totals the groups' live memberships for the iteration
 	// (G×k when every server is up). A value below that ceiling means
