@@ -188,12 +188,12 @@ func (n *Network) MarshalState() []byte { return n.d.MarshalState() }
 func RestoreNetwork(cfg Config, state []byte, lastRound uint64) (*Network, error) {
 	d, err := protocol.RestoreDeployment(cfg.internal(), state, lastRound)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	valid := d.Config()
 	client, err := protocol.NewClient(&valid)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	return &Network{d: d, client: client}, nil
 }
@@ -223,7 +223,7 @@ type Result struct {
 func (n *Network) EntryKey(gid int) ([]byte, error) {
 	pk, err := n.d.GroupPK(gid)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	return pk.Bytes(), nil
 }

@@ -47,7 +47,7 @@ func (c *Client) EncryptSubmission(msg, entryKey, trusteeKey []byte, gid int) ([
 	case protocol.VariantNIZK:
 		sub, err := c.c.Submit(msg, pk, gid, entropy())
 		if err != nil {
-			return nil, wrapErr(err)
+			return nil, err
 		}
 		return sub.Encode(), nil
 	default:
@@ -57,7 +57,7 @@ func (c *Client) EncryptSubmission(msg, entryKey, trusteeKey []byte, gid int) ([
 		}
 		sub, err := c.c.SubmitTrap(msg, pk, tpk, gid, entropy())
 		if err != nil {
-			return nil, wrapErr(err)
+			return nil, err
 		}
 		return sub.Encode(), nil
 	}

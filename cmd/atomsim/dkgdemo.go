@@ -65,7 +65,7 @@ func runDKGDemo(churn, workers int) error {
 	keys := make([]*dvss.GroupKey, committee)
 	for _, seat := range seats {
 		if hooks[seat.Index] != nil {
-			if !errors.Is(seat.Err, dkg.ErrDKG) {
+			if !errors.Is(seat.Err, atom.ErrSetupFailed) {
 				return fmt.Errorf("crashed member %d returned %v, want a dkg error", seat.Index, seat.Err)
 			}
 			continue
@@ -106,7 +106,7 @@ func runDKGDemo(churn, workers int) error {
 		return err
 	}
 	for i := 0; i < 3; i++ {
-		if err := demoTick(chain, keys); err != nil {
+		if _, err := chain.Produce(keys); err != nil {
 			return fmt.Errorf("beacon round %d: %w", i+1, err)
 		}
 	}
@@ -263,30 +263,4 @@ func runDKGDemo(churn, workers int) error {
 	fmt.Printf("  laggard verified and caught up to round %d\n", lh)
 	fmt.Println("trust-complete setup smoke PASSED")
 	return nil
-}
-
-// demoTick signs, aggregates and appends the chain's next round from
-// the first Threshold surviving committee shares — the in-process
-// stand-in for committee members exchanging partials over a transport.
-func demoTick(chain *beacon.Chain, keys []*dvss.GroupKey) error {
-	ci := chain.Info()
-	head, prev := chain.Head()
-	partials := make([]*beacon.Partial, 0, ci.Threshold)
-	for _, k := range keys {
-		if k == nil {
-			continue
-		}
-		p, err := ci.SignPartial(k.Index, k.Share, head+1, prev)
-		if err != nil {
-			return err
-		}
-		if partials = append(partials, p); len(partials) == ci.Threshold {
-			break
-		}
-	}
-	r, err := ci.Aggregate(head+1, prev, partials)
-	if err != nil {
-		return err
-	}
-	return chain.Append(r)
 }

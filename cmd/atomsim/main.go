@@ -293,7 +293,7 @@ func runDistributed(msgs int, nizk bool, workers int, wanMin, wanMax time.Durati
 	var injectOnce sync.Once
 	hooks := &protocol.RoundHooks{IterationDone: func(it protocol.IterationStats) {
 		fmt.Printf("  iteration %d: %3d msgs  %8.0f ms  %4d shuffles  %4d reencs  %5d proofs  busy %v  codec %v  %d live members\n",
-			it.Layer, it.Messages, float64(it.Duration.Milliseconds()), it.Shuffles, it.ReEncs, it.ProofsChecked,
+			it.Layer, it.Messages, float64(it.Duration.Milliseconds()), it.Shuffles, it.ReEncs, it.ProofsVerified,
 			it.WorkerBusy.Round(time.Millisecond), it.Codec.Round(10*time.Microsecond), it.Members)
 		if churn > 0 {
 			injectOnce.Do(func() {
@@ -311,19 +311,19 @@ func runDistributed(msgs int, nizk bool, workers int, wanMin, wanMax time.Durati
 		// The operator triage path: a member-lost abort is typed and
 		// attributed, and — unlike blame or a timeout — fixable by
 		// §4.5 recovery.
-		var loss *protocol.Loss
-		if !errors.As(err, &loss) {
+		lostGID, lostMember, ok := atom.LostMember(err)
+		if !ok {
 			return err
 		}
 		fmt.Printf("round aborted, member lost: group %d member %d (recovery needed: %v)\n",
-			loss.GID, loss.Member, errors.Is(err, protocol.ErrRecoveryNeeded))
+			lostGID, lostMember, errors.Is(err, atom.ErrRecoveryNeeded))
 		replacements := []int{1000, 1001, 1002}
 		fmt.Printf("running buddy-group recovery over the wire…\n")
-		if err := cluster.RecoverGroup(context.Background(), loss.GID, replacements); err != nil {
+		if err := cluster.RecoverGroup(context.Background(), lostGID, replacements); err != nil {
 			return fmt.Errorf("wire recovery: %w", err)
 		}
-		need, _ := d.GroupNeedsRecovery(loss.GID)
-		fmt.Printf("group %d recovered (needs recovery: %v); rerunning a clean round\n", loss.GID, need)
+		need, _ := d.GroupNeedsRecovery(lostGID)
+		fmt.Printf("group %d recovered (needs recovery: %v); rerunning a clean round\n", lostGID, need)
 		if rs, err = submitDistributed(d, client, variant, msgs); err != nil {
 			return err
 		}

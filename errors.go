@@ -1,18 +1,20 @@
 package atom
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
-	"atom/internal/dkg"
-	"atom/internal/protocol"
-	"atom/internal/store"
+	"atom/internal/taxonomy"
 )
 
 // The public error taxonomy. Every error the package returns can be
 // classified with errors.Is against these sentinels — no string
-// matching required. The sentinels form a small hierarchy:
+// matching required. Each is declared once, in internal/taxonomy, and
+// every layer (protocol, dkg, store, the distributed engine, the
+// daemon) returns or wraps that same value; both daemon wire protocols
+// and the distributed engine's abort report carry an error as the set
+// of sentinels it matches plus its Blame/Loss attribution, so the
+// answer to errors.Is and errors.As is the same in process and after
+// any hop. The sentinels form a small hierarchy:
 //
 //	ErrRoundAborted            the round cannot complete
 //	├── ErrTrapTripped         trap variant: trustees destroyed the key
@@ -21,6 +23,8 @@ import (
 //	└── (context errors)       Mix canceled or past its deadline
 //	ErrBadSubmission           a submission failed validation
 //	└── ErrDuplicateSubmission replayed ciphertext or reused commitment
+//	ErrSetupFailed             trust establishment failed
+//	└── ErrDKGInsufficient     too few qualified DKG participants
 //
 // so errors.Is(err, ErrRoundAborted) is true for trap trips, proof
 // rejections, member losses and cancellations alike, while the specific
@@ -32,31 +36,31 @@ var (
 	// defense tripped, a group lost too many members mid-round, or the
 	// mix was canceled. The anonymity guarantee holds: no tampered
 	// message is ever revealed.
-	ErrRoundAborted = errors.New("atom: round aborted")
+	ErrRoundAborted = taxonomy.ErrRoundAborted
 
 	// ErrTrapTripped is the trap variant's abort (§4.4): trap
 	// accounting failed and the trustees deleted the round's decryption
 	// key. It matches ErrRoundAborted under errors.Is.
-	ErrTrapTripped = fmt.Errorf("%w: trap tripped — trustees destroyed the round key", ErrRoundAborted)
+	ErrTrapTripped = taxonomy.ErrTrapTripped
 
 	// ErrProofRejected is the NIZK variant's abort (§4.3): a member's
 	// shuffle or re-encryption proof failed verification. It matches
 	// ErrRoundAborted under errors.Is.
-	ErrProofRejected = fmt.Errorf("%w: NIZK proof rejected", ErrRoundAborted)
+	ErrProofRejected = taxonomy.ErrProofRejected
 
 	// ErrBadSubmission is returned for submissions that fail
 	// validation: malformed wire bytes, wrong vector shape, a bad trap
 	// commitment, or a rejected proof of plaintext knowledge.
-	ErrBadSubmission = errors.New("atom: bad submission")
+	ErrBadSubmission = taxonomy.ErrBadSubmission
 
 	// ErrDuplicateSubmission is returned for byte-identical replays and
 	// reused trap commitments. It matches ErrBadSubmission under
 	// errors.Is.
-	ErrDuplicateSubmission = fmt.Errorf("%w: duplicate", ErrBadSubmission)
+	ErrDuplicateSubmission = taxonomy.ErrDuplicateSubmission
 
 	// ErrRoundClosed is returned by Submit once the round's Mix has
 	// started; open the next round and submit there.
-	ErrRoundClosed = errors.New("atom: round closed to submissions")
+	ErrRoundClosed = taxonomy.ErrRoundClosed
 
 	// ErrMemberLost is a distributed round's benign availability abort
 	// (§4.5): a group member crashed or became unreachable — detected by
@@ -65,44 +69,53 @@ var (
 	// matches ErrRoundAborted under errors.Is; when the loss pushed the
 	// group past its h−1 budget the error also matches
 	// ErrRecoveryNeeded. LostMember extracts the crashed member.
-	ErrMemberLost = fmt.Errorf("%w: group member lost", ErrRoundAborted)
+	ErrMemberLost = taxonomy.ErrMemberLost
 
 	// ErrRecoveryNeeded is returned when a group has lost more members
 	// than its h−1 budget; call Network.Recover before the next round.
-	ErrRecoveryNeeded = errors.New("atom: group needs buddy recovery")
+	ErrRecoveryNeeded = taxonomy.ErrRecoveryNeeded
 
 	// ErrVariantMismatch is returned for operations that require the
 	// other active-attack defense (e.g. TrusteeKey on a NIZK network).
-	ErrVariantMismatch = errors.New("atom: wrong variant for operation")
+	ErrVariantMismatch = taxonomy.ErrVariantMismatch
 
-	// ErrNoSuchGroup is returned for out-of-range entry group ids.
-	ErrNoSuchGroup = errors.New("atom: no such group")
+	// ErrNoSuchGroup is returned for out-of-range group ids.
+	ErrNoSuchGroup = taxonomy.ErrNoSuchGroup
 
 	// ErrStateCorrupt is returned when persisted state — a store journal
 	// record, a snapshot, or a serialized deployment — fails decoding or
 	// cryptographic validation (e.g. a restored DVSS share that does not
 	// open its Feldman commitments). The state directory needs operator
 	// attention; the server must not rejoin from it.
-	ErrStateCorrupt = errors.New("atom: persisted state corrupt")
+	ErrStateCorrupt = taxonomy.ErrStateCorrupt
 
 	// ErrConfigMismatch is returned when two parties disagree on the
 	// canonical group-configuration hash: a member provisioned against a
 	// different config file refuses to join rather than mix under the
 	// wrong parameters.
-	ErrConfigMismatch = errors.New("atom: group-config hash mismatch")
+	ErrConfigMismatch = taxonomy.ErrConfigMismatch
 
 	// ErrSetupFailed is returned when trust establishment fails: a
 	// group's joint-Feldman DKG ceremony or a resharing epoch could not
 	// produce a usable threshold key. The underlying chain carries the
 	// per-member fault attribution (see the dkg package's blame
 	// taxonomy).
-	ErrSetupFailed = errors.New("atom: trust setup failed")
+	ErrSetupFailed = taxonomy.ErrSetupFailed
 
 	// ErrDKGInsufficient is the specific setup failure where, after
 	// disqualifying misbehaving dealers, fewer qualified participants
 	// remain than the ceremony requires. It matches ErrSetupFailed under
 	// errors.Is.
-	ErrDKGInsufficient = fmt.Errorf("%w: too few qualified participants", ErrSetupFailed)
+	ErrDKGInsufficient = taxonomy.ErrDKGInsufficient
+
+	// ErrServiceClosed is returned by Service methods after Close (or
+	// after the serve context ended).
+	ErrServiceClosed = taxonomy.ErrServiceClosed
+
+	// ErrResultExpired is returned by WaitRound for a round whose
+	// outcome has already been evicted from the service's bounded result
+	// history.
+	ErrResultExpired = taxonomy.ErrResultExpired
 )
 
 // BlamedMember extracts the offending group and member (DVSS index)
@@ -111,7 +124,7 @@ var (
 // in-process, over the in-memory network, or over TCP. It reports
 // ok=false for errors without one (trap trips, cancellations, …).
 func BlamedMember(err error) (gid, member int, ok bool) {
-	var b *protocol.Blame
+	var b *taxonomy.Blame
 	if errors.As(err, &b) {
 		return b.GID, b.Member, true
 	}
@@ -122,74 +135,9 @@ func BlamedMember(err error) (gid, member int, ok bool) {
 // member-lost error — the availability counterpart of BlamedMember. It
 // reports ok=false for errors without a loss attribution.
 func LostMember(err error) (gid, member int, ok bool) {
-	var l *protocol.Loss
+	var l *taxonomy.Loss
 	if errors.As(err, &l) {
 		return l.GID, l.Member, true
 	}
 	return 0, 0, false
-}
-
-// apiError pairs a public sentinel with the underlying internal error.
-// errors.Is matches the sentinel (and, because leaf sentinels wrap
-// their parents, the whole taxonomy branch); errors.Unwrap exposes the
-// internal chain, so errors.Is also still matches internal sentinels
-// like protocol.ErrRoundAborted and context.Canceled.
-type apiError struct {
-	sentinel error
-	err      error
-}
-
-func (e *apiError) Error() string { return e.sentinel.Error() + ": " + e.err.Error() }
-
-func (e *apiError) Unwrap() error { return e.err }
-
-func (e *apiError) Is(target error) bool { return errors.Is(e.sentinel, target) }
-
-// wrapErr translates an internal error into the public taxonomy,
-// preserving the full chain for errors.Is/errors.As. Errors that map to
-// no sentinel pass through unchanged.
-func wrapErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	switch {
-	case errors.Is(err, protocol.ErrMemberLost):
-		// Checked first: a loss that exhausted the h−1 budget also
-		// wraps ErrRecoveryNeeded, and the loss is the operative fact —
-		// the public error then matches BOTH sentinels.
-		sentinel := error(ErrMemberLost)
-		if errors.Is(err, protocol.ErrRecoveryNeeded) {
-			sentinel = fmt.Errorf("%w (%w)", ErrMemberLost, ErrRecoveryNeeded)
-		}
-		return &apiError{sentinel: sentinel, err: err}
-	case errors.Is(err, protocol.ErrRoundAborted):
-		return &apiError{sentinel: ErrTrapTripped, err: err}
-	case errors.Is(err, protocol.ErrProofRejected):
-		return &apiError{sentinel: ErrProofRejected, err: err}
-	case errors.Is(err, protocol.ErrDuplicateSubmission):
-		return &apiError{sentinel: ErrDuplicateSubmission, err: err}
-	case errors.Is(err, protocol.ErrBadSubmission):
-		return &apiError{sentinel: ErrBadSubmission, err: err}
-	case errors.Is(err, protocol.ErrRoundClosed):
-		return &apiError{sentinel: ErrRoundClosed, err: err}
-	case errors.Is(err, protocol.ErrRecoveryNeeded):
-		return &apiError{sentinel: ErrRecoveryNeeded, err: err}
-	case errors.Is(err, protocol.ErrWrongVariant):
-		return &apiError{sentinel: ErrVariantMismatch, err: err}
-	case errors.Is(err, protocol.ErrNoSuchGroup):
-		return &apiError{sentinel: ErrNoSuchGroup, err: err}
-	case errors.Is(err, protocol.ErrStateCorrupt), errors.Is(err, store.ErrCorrupt):
-		return &apiError{sentinel: ErrStateCorrupt, err: err}
-	case errors.Is(err, protocol.ErrConfigMismatch):
-		return &apiError{sentinel: ErrConfigMismatch, err: err}
-	case errors.Is(err, dkg.ErrInsufficient):
-		// Checked before the ErrDKG parent so the specific sentinel wins.
-		return &apiError{sentinel: ErrDKGInsufficient, err: err}
-	case errors.Is(err, dkg.ErrDKG):
-		return &apiError{sentinel: ErrSetupFailed, err: err}
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return &apiError{sentinel: ErrRoundAborted, err: err}
-	default:
-		return err
-	}
 }

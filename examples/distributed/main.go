@@ -84,7 +84,7 @@ func main() {
 	submit(rs)
 	res, err = mem.Run(context.Background(), rs, &protocol.RoundHooks{
 		IterationDone: func(it protocol.IterationStats) {
-			fmt.Printf("  memnet iteration %d: %d msgs, %d proofs, %v\n", it.Layer, it.Messages, it.ProofsChecked, it.Duration.Round(time.Millisecond))
+			fmt.Printf("  memnet iteration %d: %d msgs, %d proofs, %v\n", it.Layer, it.Messages, it.ProofsVerified, it.Duration.Round(time.Millisecond))
 		},
 	})
 	if err != nil {

@@ -415,6 +415,39 @@ func (c *Chain) Append(r *Round) error {
 	return nil
 }
 
+// Produce signs, aggregates and appends the chain's next round from the
+// first Threshold of the committee's shares (nil entries — crashed
+// members — are skipped), returning the new head number. It is the
+// in-process stand-in for committee members exchanging partials over a
+// transport; every partial is still verified by Aggregate and the full
+// link by Append.
+func (c *Chain) Produce(keys []*dvss.GroupKey) (uint64, error) {
+	ci := c.Info()
+	head, prev := c.Head()
+	next := head + 1
+	partials := make([]*Partial, 0, ci.Threshold)
+	for _, k := range keys {
+		if k == nil {
+			continue
+		}
+		p, err := ci.SignPartial(k.Index, k.Share, next, prev)
+		if err != nil {
+			return 0, fmt.Errorf("beacon: partial %d: %w", k.Index, err)
+		}
+		if partials = append(partials, p); len(partials) == ci.Threshold {
+			break
+		}
+	}
+	r, err := ci.Aggregate(next, prev, partials)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.Append(r); err != nil {
+		return 0, err
+	}
+	return next, nil
+}
+
 // Catchup appends a batch of consecutive rounds fetched from a peer,
 // verifying every link, and reports how many were accepted. Rounds at
 // or below the current head are skipped (idempotent re-sync); the first

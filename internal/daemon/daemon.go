@@ -12,7 +12,11 @@
 // multiplexed alternative) and Await (a round's published result).
 // Round r+1 ingests while round r mixes. Every client method takes a
 // context.Context whose deadline bounds the request round trip, so a
-// dead server fails the call instead of hanging it.
+// dead server fails the call instead of hanging it. A failed request's
+// reply, like a rejected fast-path ack, carries the error in
+// internal/taxonomy's wire form, so the client returns an error that
+// matches exactly the atom.Err* sentinels (and context errors) the
+// server's did, with the same BlamedMember/LostMember attribution.
 //
 // The daemon hosts the full multi-group deployment in one process —
 // the configuration the paper's single-machine experiments use. The
@@ -28,12 +32,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"atom"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -73,118 +77,14 @@ type RoundInfo struct {
 	TrusteeKey []byte
 }
 
-// errorKind classifies server-side errors so clients can rebuild the
-// atom error taxonomy across the wire (gob cannot ship error chains).
-type errorKind int
-
-const (
-	errNone errorKind = iota
-	errGeneric
-	errBadSubmission
-	errDuplicate
-	errRoundClosed
-	errRoundAborted
-	errTrapTripped
-	errProofRejected
-	errRecoveryNeeded
-	errVariantMismatch
-	errNoSuchGroup
-	errStateCorrupt
-	errConfigMismatch
-	errSetupFailed
-	errDKGInsufficient
-)
-
-// classify maps an error to its wire kind.
-func classify(err error) errorKind {
-	if err == nil {
-		return errNone
-	}
-	switch {
-	case errors.Is(err, atom.ErrDuplicateSubmission):
-		return errDuplicate
-	case errors.Is(err, atom.ErrBadSubmission):
-		return errBadSubmission
-	case errors.Is(err, atom.ErrRoundClosed):
-		return errRoundClosed
-	case errors.Is(err, atom.ErrTrapTripped):
-		return errTrapTripped
-	case errors.Is(err, atom.ErrProofRejected):
-		return errProofRejected
-	case errors.Is(err, atom.ErrRecoveryNeeded):
-		return errRecoveryNeeded
-	case errors.Is(err, atom.ErrRoundAborted):
-		return errRoundAborted
-	case errors.Is(err, atom.ErrVariantMismatch):
-		return errVariantMismatch
-	case errors.Is(err, atom.ErrNoSuchGroup):
-		return errNoSuchGroup
-	case errors.Is(err, atom.ErrStateCorrupt):
-		return errStateCorrupt
-	case errors.Is(err, atom.ErrConfigMismatch):
-		return errConfigMismatch
-	case errors.Is(err, atom.ErrDKGInsufficient):
-		// Before the ErrSetupFailed parent so the specific kind wins.
-		return errDKGInsufficient
-	case errors.Is(err, atom.ErrSetupFailed):
-		return errSetupFailed
-	default:
-		return errGeneric
-	}
-}
-
-// unclassify rebuilds a typed client-side error from the wire kind.
-func unclassify(kind errorKind, msg string) error {
-	msg = strings.TrimPrefix(msg, "daemon: ")
-	wrap := func(sentinel error) error {
-		// The server-side message usually begins with the sentinel's own
-		// text; trim it so the rebuilt error reads once, not twice.
-		trimmed := strings.TrimPrefix(strings.TrimPrefix(msg, sentinel.Error()), ": ")
-		if trimmed == "" {
-			return fmt.Errorf("%w (daemon)", sentinel)
-		}
-		return fmt.Errorf("%w: daemon: %s", sentinel, trimmed)
-	}
-	switch kind {
-	case errDuplicate:
-		return wrap(atom.ErrDuplicateSubmission)
-	case errBadSubmission:
-		return wrap(atom.ErrBadSubmission)
-	case errRoundClosed:
-		return wrap(atom.ErrRoundClosed)
-	case errTrapTripped:
-		return wrap(atom.ErrTrapTripped)
-	case errProofRejected:
-		return wrap(atom.ErrProofRejected)
-	case errRecoveryNeeded:
-		return wrap(atom.ErrRecoveryNeeded)
-	case errRoundAborted:
-		return wrap(atom.ErrRoundAborted)
-	case errVariantMismatch:
-		return wrap(atom.ErrVariantMismatch)
-	case errNoSuchGroup:
-		return wrap(atom.ErrNoSuchGroup)
-	case errStateCorrupt:
-		return wrap(atom.ErrStateCorrupt)
-	case errConfigMismatch:
-		return wrap(atom.ErrConfigMismatch)
-	case errSetupFailed:
-		return wrap(atom.ErrSetupFailed)
-	case errDKGInsufficient:
-		return wrap(atom.ErrDKGInsufficient)
-	default:
-		return fmt.Errorf("daemon: %s", msg)
-	}
-}
-
 // reply is the generic response envelope.
 type reply struct {
-	OK        bool
-	Error     string
-	ErrorKind errorKind
-	Info      *Info
-	Round     *RoundInfo
-	Messages  [][]byte
+	OK bool
+	// Err is a failed request's error in internal/taxonomy's wire form.
+	Err      []byte
+	Info     *Info
+	Round    *RoundInfo
+	Messages [][]byte
 }
 
 // gobBufs pools the scratch buffers the control RPCs encode through.
@@ -209,18 +109,27 @@ func encodeReply(r *reply) []byte {
 			log.Printf("daemon: reply encoding failed (replying with a generic error): %v", err)
 		})
 		buf.Reset()
-		_ = gob.NewEncoder(buf).Encode(&reply{Error: "internal encoding error"})
+		_ = gob.NewEncoder(buf).Encode(&reply{Err: taxonomy.AppendError(nil, errors.New("daemon: internal encoding error"))})
 	}
 	// The transport frame outlives the pooled buffer; copy out.
 	return append([]byte(nil), buf.Bytes()...)
 }
 
+// decodeReply decodes a reply, returning a failed request's error as
+// the typed error the server failed with.
 func decodeReply(b []byte) (*reply, error) {
 	var r reply
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
 		return nil, fmt.Errorf("daemon: decoding reply: %w", err)
 	}
-	return &r, nil
+	if r.Err == nil {
+		return &r, nil
+	}
+	err, _, ok := taxonomy.ReadError(r.Err)
+	if !ok || err == nil {
+		err = fmt.Errorf("daemon: malformed error in reply")
+	}
+	return nil, err
 }
 
 // Server hosts a deployment behind a TCP endpoint.
@@ -394,7 +303,7 @@ func (s *Server) handle(msg *transport.Message) *transport.Message {
 }
 
 func fail(typ string, err error) *transport.Message {
-	return &transport.Message{Type: typ, Payload: encodeReply(&reply{Error: err.Error(), ErrorKind: classify(err)})}
+	return &transport.Message{Type: typ, Payload: encodeReply(&reply{Err: taxonomy.AppendError(nil, err)})}
 }
 
 // Close shuts the daemon down: the fast path stops accepting (its
@@ -512,14 +421,7 @@ func (c *Client) roundTrip(ctx context.Context, req *transport.Message) (*reply,
 		if !ok {
 			return nil, fmt.Errorf("daemon: client closed")
 		}
-		r, err := decodeReply(msg.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if r.Error != "" {
-			return nil, unclassify(r.ErrorKind, r.Error)
-		}
-		return r, nil
+		return decodeReply(msg.Payload)
 	case <-ctx.Done():
 		abandon()
 		return nil, fmt.Errorf("daemon: %s request: %w", req.Type, ctx.Err())

@@ -310,19 +310,6 @@ func TestDaemonRetiredRequests(t *testing.T) {
 	}
 }
 
-// TestPersistenceErrorKindsRoundTrip pins the durable-state sentinels
-// to the gob error envelope: what classify assigns on the server,
-// unclassify must rebuild on the client as an errors.Is match.
-func TestPersistenceErrorKindsRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{atom.ErrStateCorrupt, atom.ErrConfigMismatch} {
-		wire := fmt.Errorf("daemon: refusing join: %w", sentinel)
-		back := unclassify(classify(wire), wire.Error())
-		if !errors.Is(back, sentinel) {
-			t.Fatalf("wire roundtrip of %v rebuilt %v, losing the sentinel", sentinel, back)
-		}
-	}
-}
-
 func TestDaemonClientDeadline(t *testing.T) {
 	// A request to a black-hole address must fail by the context
 	// deadline instead of hanging (the old client hung forever on a

@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"atom/internal/taxonomy"
 )
 
 // FastClient speaks the daemon's binary fast path: thousands of logical
@@ -243,31 +245,24 @@ func (fc *FastClient) readLoop() {
 	}
 }
 
+// handleAcks parses one ack frame's body — server bytes — and settles
+// each verdict's callback; false means the body is malformed.
 func (fc *FastClient) handleAcks(body []byte) bool {
 	count, body, ok := fpUvarint(body)
 	if !ok {
 		return false
 	}
 	for i := uint64(0); i < count; i++ {
-		var seq, round, mlen uint64
+		var seq, round uint64
+		var err error
 		if seq, body, ok = fpUvarint(body); !ok {
 			return false
 		}
-		if len(body) < 1 {
+		if err, body, ok = taxonomy.ReadError(body); !ok {
 			return false
 		}
-		kind := errorKind(body[0])
-		body = body[1:]
 		if round, body, ok = fpUvarint(body); !ok {
 			return false
-		}
-		var err error
-		if kind != errNone {
-			if mlen, body, ok = fpUvarint(body); !ok || mlen > uint64(len(body)) {
-				return false
-			}
-			err = unclassify(kind, string(body[:mlen]))
-			body = body[mlen:]
 		}
 		fc.pmu.Lock()
 		done, found := fc.pending[seq]

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"atom/internal/taxonomy"
 )
 
 // The fast path is the daemon's high-throughput ingestion surface: a
@@ -25,17 +27,18 @@ import (
 // Frame layout (all integers except the length prefix are uvarints):
 //
 //	frame     := u32_be length ‖ type_byte ‖ body
-//	hello     := "ATOMFP1"                                  (client → server, first frame)
+//	hello     := "ATOMFP2"                                  (client → server, first frame)
 //	submit    := count ‖ { seq ‖ user ‖ round ‖ len ‖ wire }×count
-//	ack       := count ‖ { seq ‖ status ‖ round ‖ [len ‖ error] }×count
+//	ack       := count ‖ { seq ‖ error ‖ round }×count
 //	info-req  := (empty)
 //	info-rep  := round ‖ len ‖ trustee-key
 //
-// status 0 admits; any other value is the errorKind of the rejection
-// (the same taxonomy the gob surface ships), followed by the error text,
-// so FastClient rebuilds exactly the typed errors SubmitInto returns.
+// error is internal/taxonomy's wire form: the single byte 0 admits;
+// a rejection carries the sentinels it matches, its attribution and its
+// text, so FastClient rebuilds exactly the typed errors SubmitInto
+// returns.
 const (
-	fpMagic    = "ATOMFP1"
+	fpMagic    = "ATOMFP2"
 	fpMaxFrame = 16 << 20
 	// fpMaxAcks caps how many verdicts one ack frame coalesces.
 	fpMaxAcks = 4096
@@ -116,8 +119,7 @@ type fastSub struct {
 type fpAck struct {
 	seq   uint64
 	round uint64
-	kind  errorKind
-	msg   string
+	err   error
 }
 
 // fastPath is the server half: listener, per-connection readers/writers,
@@ -409,19 +411,20 @@ func (fc *fastConn) ackLoop() {
 				break drain
 			}
 		}
-		buf = append(buf[:0], fpTypeAck)
-		buf = binary.AppendUvarint(buf, uint64(len(pending)))
-		for _, a := range pending {
-			buf = binary.AppendUvarint(buf, a.seq)
-			buf = append(buf, byte(a.kind))
-			buf = binary.AppendUvarint(buf, a.round)
-			if a.kind != errNone {
-				buf = binary.AppendUvarint(buf, uint64(len(a.msg)))
-				buf = append(buf, a.msg...)
-			}
-		}
+		buf = appendAcks(append(buf[:0], fpTypeAck), pending)
 		fc.writeFrame(buf)
 	}
+}
+
+// appendAcks appends an ack frame's body: the count, then each verdict.
+func appendAcks(buf []byte, acks []fpAck) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(acks)))
+	for _, a := range acks {
+		buf = binary.AppendUvarint(buf, a.seq)
+		buf = taxonomy.AppendError(buf, a.err)
+		buf = binary.AppendUvarint(buf, a.round)
+	}
+	return buf
 }
 
 // ack queues one verdict; a connection that stopped draining its acks
@@ -487,7 +490,7 @@ func (fp *fastPath) flush(batch []fastSub) {
 	if svc == nil {
 		err := fmt.Errorf("daemon: not serving (no continuous service)")
 		for _, sub := range batch {
-			sub.fc.ack(fpAck{seq: sub.seq, kind: classify(err), msg: err.Error()})
+			sub.fc.ack(fpAck{seq: sub.seq, err: err})
 			sub.frame.release()
 		}
 		return
@@ -505,11 +508,7 @@ func (fp *fastPath) flush(batch []fastSub) {
 		rounds, errs := svc.SubmitEncodedBatch(pin, users, wires)
 		for k, i := range idxs {
 			sub := batch[i]
-			if errs[k] != nil {
-				sub.fc.ack(fpAck{seq: sub.seq, kind: classify(errs[k]), msg: errs[k].Error()})
-			} else {
-				sub.fc.ack(fpAck{seq: sub.seq, round: rounds[k]})
-			}
+			sub.fc.ack(fpAck{seq: sub.seq, round: rounds[k], err: errs[k]})
 			sub.frame.release()
 		}
 	}

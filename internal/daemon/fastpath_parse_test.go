@@ -3,8 +3,12 @@ package daemon
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"atom/internal/taxonomy"
 )
 
 // appendSubmitBody encodes subs as an fpSubmit body (count ‖ entries),
@@ -99,6 +103,50 @@ func FuzzParseSubmitFrame(f *testing.F) {
 		again, ok := fc.parseSubmit(fb, canon)
 		if !ok || !same(subs, again) {
 			t.Fatalf("re-encoded body does not parse back to the same %d entries", len(subs))
+		}
+	})
+}
+
+// settleAcks parses an ack body the way FastClient's reader does, with a
+// callback pending for every seq below 256, and returns the verdicts in
+// frame order (each as its re-encodable ack) plus whether the body
+// parsed and every verdict found its submission.
+func settleAcks(body []byte) ([]fpAck, bool) {
+	var got []fpAck
+	fc := &FastClient{pending: make(map[uint64]func(uint64, error))}
+	for seq := uint64(0); seq < 256; seq++ {
+		fc.pending[seq] = func(round uint64, err error) { got = append(got, fpAck{seq: seq, round: round, err: err}) }
+	}
+	if !fc.handleAcks(body) {
+		return nil, false
+	}
+	count, _, _ := fpUvarint(body)
+	return got, count == uint64(len(got))
+}
+
+// FuzzHandleAcks: FastClient.handleAcks parses server bytes. It never
+// panics, and a frame whose every verdict settled re-encodes to verdicts
+// with the same seqs, rounds and typed errors.
+func FuzzHandleAcks(f *testing.F) {
+	f.Add(appendAcks(nil, []fpAck{{seq: 1, round: 4}, {seq: 2, err: fmt.Errorf("%w: replay", taxonomy.ErrDuplicateSubmission)}}))
+	f.Add(appendAcks(nil, []fpAck{{seq: 3, err: &taxonomy.Blame{GID: 1, Member: 2, Err: taxonomy.ErrProofRejected}}}))
+	f.Add(append(binary.AppendUvarint(nil, 1<<40), 1, 0, 2)) // count past the body
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		acks, ok := settleAcks(body)
+		if !ok {
+			return
+		}
+		again, ok := settleAcks(appendAcks(nil, acks))
+		if !ok || len(again) != len(acks) {
+			t.Fatalf("re-encoded %d acks parse back as %d (ok=%v)", len(acks), len(again), ok)
+		}
+		for i := range acks {
+			a, b := acks[i], again[i]
+			if a.seq != b.seq || a.round != b.round || (a.err == nil) != (b.err == nil) ||
+				(a.err != nil && !reflect.DeepEqual(answerOf(a.err), answerOf(b.err))) {
+				t.Fatalf("ack %d: %+v re-parsed as %+v", i, a, b)
+			}
 		}
 	})
 }

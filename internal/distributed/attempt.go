@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -34,7 +35,7 @@ var errRejoined = errors.New("distributed: member rejoined with state intact")
 // affected chains over the surviving members and restart the round from
 // its sealed batches (§4.5 availability). A group that cannot be
 // re-planned within its h−1 budget fails the round with a typed
-// protocol.Loss matching both ErrMemberLost and ErrRecoveryNeeded.
+// taxonomy.Loss matching both ErrMemberLost and ErrRecoveryNeeded.
 //
 // Concurrent calls mix concurrently (§4.7 cross-round pipelining: round
 // r+1's layer-0 batches enter the actors while round r traverses later
@@ -52,7 +53,7 @@ func (c *Cluster) MixRound(job *protocol.MixJob) (*protocol.MixOutcome, error) {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-job.Ctx.Done():
-		return nil, fmt.Errorf("distributed: round %d canceled awaiting a pipeline slot: %w", job.Round, job.Ctx.Err())
+		return nil, fmt.Errorf("%w: round %d canceled awaiting a pipeline slot: %w", taxonomy.ErrRoundAborted, job.Round, job.Ctx.Err())
 	}
 	inbox, err := c.registerRound(job.Round)
 	if err != nil {
@@ -72,8 +73,8 @@ func (c *Cluster) MixRound(job *protocol.MixJob) (*protocol.MixOutcome, error) {
 			// back with its persisted state intact (same fleet, same keys,
 			// no budget burned). Replay the attempt from the sealed batches.
 			if attempt+1 > maxRestarts {
-				return nil, &protocol.Loss{GID: -1, Member: -1, Err: fmt.Errorf(
-					"%w: round %d exceeded %d churn restarts", protocol.ErrMemberLost, job.Round, maxRestarts)}
+				return nil, &taxonomy.Loss{GID: -1, Member: -1, Err: fmt.Errorf(
+					"%w: round %d exceeded %d churn restarts", taxonomy.ErrMemberLost, job.Round, maxRestarts)}
 			}
 			c.logf("distributed: round %d: restarting (attempt %d): %v", job.Round, attempt+1, err)
 			continue
@@ -88,8 +89,8 @@ func (c *Cluster) MixRound(job *protocol.MixJob) (*protocol.MixOutcome, error) {
 		}
 		if attempt+1 > maxRestarts {
 			first := lost[0]
-			return nil, &protocol.Loss{GID: first.GID, Member: first.Pos + 1, Err: fmt.Errorf(
-				"%w: round %d exceeded %d churn restarts", protocol.ErrMemberLost, job.Round, maxRestarts)}
+			return nil, &taxonomy.Loss{GID: first.GID, Member: first.Pos + 1, Err: fmt.Errorf(
+				"%w: round %d exceeded %d churn restarts", taxonomy.ErrMemberLost, job.Round, maxRestarts)}
 		}
 		c.logf("distributed: round %d: re-planned, restarting (attempt %d)", job.Round, attempt+1)
 	}
@@ -196,29 +197,48 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 				}
 				col.Exit(gid, vecs)
 			case msgAbort:
-				layer, gid, member, class, text, err := decodeAbortMsg(msg.Payload)
+				layer, abort, err := decodeAbortMsg(msg.Payload)
 				if err != nil {
 					return nil, nil, fmt.Errorf("distributed: bad abort report: %v", err)
 				}
 				reporter := v.member[msg.From]
-				if class == abortPeer {
+				var blame *taxonomy.Blame
+				var loss *taxonomy.Loss
+				switch {
+				case errors.As(abort, &blame):
+					if blame.Member >= 0 && blame.GID != reporter.GID {
+						continue // a member may only blame its own group
+					}
+					if blame.Member < 0 {
+						// A bad batch: a first member names the group that
+						// feeds it at this layer and leaves that group's
+						// first member (−1) for us to resolve — the one
+						// blame that may cross a group boundary. A claim the
+						// wiring cannot back still aborts the reporter's own
+						// round, blaming no one.
+						if gid := blame.GID; gid >= 0 && gid < G && msg.From == v.entry[reporter.GID] && c.feeds(gid, reporter.GID, layer) {
+							blame.Member = v.chains[gid][0] + 1
+						} else {
+							abort = blame.Err
+						}
+					}
+				case errors.As(abort, &loss):
 					// A failed chain delivery: the reporter names the
 					// member it could not reach (−1 = that group's first
 					// member). Accepting the report burns at most one
 					// spare — the same availability power a malicious
 					// member already has by stalling the round.
-					if gid < 0 || gid >= G {
+					if loss.GID < 0 || loss.GID >= G {
 						continue
 					}
-					lostPos := member - 1
-					if member < 0 {
-						lostPos = v.chains[gid][0]
+					lost := MemberID{GID: loss.GID, Pos: loss.Member - 1}
+					if loss.Member < 0 {
+						lost.Pos = v.chains[loss.GID][0]
 					}
-					lost := MemberID{GID: gid, Pos: lostPos}
 					if !v.inChain(lost) {
 						continue // already re-planned away, or fabricated
 					}
-					c.logf("distributed: round %d: g%d/m%d reports %s", job.Round, reporter.GID, reporter.Pos, text)
+					c.logf("distributed: round %d: g%d/m%d reports %v", job.Round, reporter.GID, reporter.Pos, abort)
 					c.cancelRound(wire)
 					// The unreachable member may be mid-restart with its
 					// state intact: grant the grace before burning budget.
@@ -227,23 +247,8 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 					}
 					return nil, []MemberID{lost}, nil
 				}
-				if class == abortProof && member < 0 {
-					// A bad batch: a first member names the group that
-					// feeds it at this layer and leaves that group's first
-					// member (−1) for us to resolve — the one blame that may
-					// cross a group boundary. A claim the wiring cannot
-					// back still aborts the reporter's own round, blaming
-					// no one.
-					if gid >= 0 && gid < G && msg.From == v.entry[reporter.GID] && c.feeds(gid, reporter.GID, layer) {
-						member = v.chains[gid][0] + 1
-					} else {
-						class, gid = abortInternal, reporter.GID
-					}
-				} else if reporter.GID != gid {
-					continue // otherwise a member may only report (and blame) its own group
-				}
 				c.cancelRound(wire)
-				return nil, nil, classifyAbort(layer, gid, member, class, text)
+				return nil, nil, abort
 			}
 		case <-epochStale:
 			// Another round's loss handling re-planned the fleet; this
@@ -284,7 +289,7 @@ func (c *Cluster) attemptRound(job *protocol.MixJob, inbox chan *transport.Messa
 			}
 		case <-ctx.Done():
 			c.cancelRound(wire)
-			return nil, nil, fmt.Errorf("distributed: round %d canceled: %w", job.Round, ctx.Err())
+			return nil, nil, fmt.Errorf("%w: round %d canceled: %w", taxonomy.ErrRoundAborted, job.Round, ctx.Err())
 		case <-roundTimer.C:
 			c.cancelRound(wire)
 			return nil, nil, &TimeoutError{
@@ -320,33 +325,3 @@ func (c *Cluster) cancelRound(wire uint64) {
 		_ = c.coord.SendCtx(ctx, addr, &transport.Message{Type: msgCancel, Round: wire})
 	}
 }
-
-// classifyAbort maps a wire abort back onto the protocol error
-// taxonomy, so errors.Is / errors.As behave identically whether the
-// round ran in-process, over memnet, or over TCP.
-func classifyAbort(layer, gid, member int, class, text string) error {
-	switch class {
-	case abortProof:
-		err := &remoteErr{sentinel: protocol.ErrProofRejected, msg: text}
-		if member >= 0 {
-			return &protocol.Blame{GID: gid, Member: member, Err: err}
-		}
-		return err
-	case abortCanceled:
-		return &remoteErr{sentinel: context.Canceled, msg: text}
-	default:
-		return fmt.Errorf("distributed: group %d member %d aborted at layer %d: %s", gid, member, layer, text)
-	}
-}
-
-// remoteErr reconstitutes a typed error from its wire form: the
-// original message text with the matching sentinel re-attached for
-// errors.Is.
-type remoteErr struct {
-	sentinel error
-	msg      string
-}
-
-func (e *remoteErr) Error() string { return e.msg }
-
-func (e *remoteErr) Unwrap() error { return e.sentinel }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -53,7 +54,7 @@ func churnOptions(t *testing.T, attach AttachFunc) Options {
 //     the reduced membership;
 //  2. a second member of the same group is killed: the next round fails
 //     typed — errors.Is ErrMemberLost AND ErrRecoveryNeeded, with the
-//     lost member attributed via *protocol.Loss;
+//     lost member attributed via *taxonomy.Loss;
 //  3. RecoverGroup reconstructs the lost shares from wire-solicited
 //     buddy-group escrow pieces, installs the replacements through the
 //     join path, and a clean round delivers the full set again.
@@ -154,13 +155,13 @@ func TestTCPChurnDegradedThenRecovery(t *testing.T) {
 	if err == nil {
 		t.Fatal("round with an under-threshold group succeeded")
 	}
-	if !errors.Is(err, protocol.ErrMemberLost) {
+	if !errors.Is(err, taxonomy.ErrMemberLost) {
 		t.Fatalf("got %v, want ErrMemberLost", err)
 	}
-	if !errors.Is(err, protocol.ErrRecoveryNeeded) {
+	if !errors.Is(err, taxonomy.ErrRecoveryNeeded) {
 		t.Fatalf("got %v, want ErrRecoveryNeeded too (budget exhausted)", err)
 	}
-	var loss *protocol.Loss
+	var loss *taxonomy.Loss
 	if !errors.As(err, &loss) || loss.GID != 1 {
 		t.Fatalf("loss not attributed to group 1: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestTCPChurnDegradedThenRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitAll(t, mirror, mc, mrs2, 6)
-	if _, err := mirror.RunRoundCtx(context.Background(), mrs2, nil); !errors.Is(err, protocol.ErrRecoveryNeeded) {
+	if _, err := mirror.RunRoundCtx(context.Background(), mrs2, nil); !errors.Is(err, taxonomy.ErrRecoveryNeeded) {
 		t.Fatalf("in-process mirror: got %v, want ErrRecoveryNeeded", err)
 	}
 
@@ -322,10 +323,10 @@ func TestRemoteMemberLoss(t *testing.T) {
 	}
 	submitAll(t, d, c, rs2, 6)
 	_, err = cluster.Run(context.Background(), rs2, nil)
-	if !errors.Is(err, protocol.ErrMemberLost) {
+	if !errors.Is(err, taxonomy.ErrMemberLost) {
 		t.Fatalf("got %v, want ErrMemberLost", err)
 	}
-	var loss *protocol.Loss
+	var loss *taxonomy.Loss
 	if !errors.As(err, &loss) || loss.GID != 2 {
 		t.Fatalf("loss not attributed to group 2: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/topology"
 	"atom/internal/transport"
 )
@@ -67,7 +68,7 @@ type Options struct {
 	// (store.GroupConfig.Hash) stamped into every member's config. Hosts
 	// started with their own hash (atomd -config) refuse a config
 	// carrying a different one, and the cluster treats such a refusal as
-	// a terminal protocol.ErrConfigMismatch, not churn.
+	// a terminal taxonomy.ErrConfigMismatch, not churn.
 	ConfigHash []byte
 	// Log, when non-nil, receives operator-grade churn events
 	// (detections, re-plans, recoveries). Printf-shaped.
@@ -131,8 +132,8 @@ type ClusterStats struct {
 //
 // The cluster is churn-tolerant end to end: members heartbeat the
 // coordinator, a silent or unreachable member is detected within
-// Options.LivenessTimeout and reported as a typed protocol.Loss
-// (errors.Is(err, protocol.ErrMemberLost)); while the group still has
+// Options.LivenessTimeout and reported as a typed taxonomy.Loss
+// (errors.Is(err, taxonomy.ErrMemberLost)); while the group still has
 // spare members within its h−1 budget the coordinator re-plans the
 // mixing chain over the survivors and restarts the round from its
 // sealed batches, and once a group falls below threshold RecoverGroup
@@ -448,7 +449,7 @@ func (c *Cluster) KillMember(id MemberID) bool {
 func (c *Cluster) Run(ctx context.Context, rs *protocol.RoundState, hooks *protocol.RoundHooks) (*protocol.RoundResult, error) {
 	// A context that is already dead must not consume the round.
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("distributed: round %d not started: %w", rs.ID(), err)
+		return nil, fmt.Errorf("%w: round %d not started: %w", taxonomy.ErrRoundAborted, rs.ID(), err)
 	}
 	sealed, err := c.d.SealRound(rs)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"atom/internal/elgamal"
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 	"atom/internal/wirecodec"
 )
@@ -319,10 +320,10 @@ func checkBlame(t *testing.T, path string, err error, wantGID, wantMember int) {
 	if err == nil {
 		t.Fatalf("%s: tampered round succeeded", path)
 	}
-	if !errors.Is(err, protocol.ErrProofRejected) {
+	if !errors.Is(err, taxonomy.ErrProofRejected) {
 		t.Fatalf("%s: got %v, want ErrProofRejected", path, err)
 	}
-	var blame *protocol.Blame
+	var blame *taxonomy.Blame
 	if !errors.As(err, &blame) {
 		t.Fatalf("%s: no Blame attribution in %v", path, err)
 	}

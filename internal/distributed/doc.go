@@ -44,13 +44,27 @@
 //
 // A chain payload that fails to decode is attributed, not just refused:
 // senderOK has already tied the frame to the one member entitled to send
-// it, so the receiver aborts with a *protocol.Blame on that member —
+// it, so the receiver aborts with a *taxonomy.Blame on that member —
 // the same ErrProofRejected path an undecodable or failing proof takes.
 // A batch names its source, so its origin is checked first: a stranger's
 // batch is dropped before it touches any state, and only a batch from
 // its origin can abort (and blame that origin). The time members spend
 // in this codec rides the chain in the work record (LayerWork.CodecNs)
 // and comes out as StepTrace.Codec / IterationStats.Codec.
+//
+// # Abort reports
+//
+// A seat error aborts the round attempt, and the actor reports it to the
+// coordinator as dist/abort: the layer, then the error in
+// internal/taxonomy's wire form — every sentinel it matches plus its
+// Blame/Loss attribution. A failed chain delivery is a *taxonomy.Loss
+// wrapping ErrMemberLost and naming the unreachable member; the
+// coordinator re-plans around it rather than failing the round. A
+// *taxonomy.Blame with member −1 (a bad batch from another group) is
+// resolved against the wiring to that group's first member, or dropped
+// to an unattributed abort when the wiring cannot back it. Every other
+// report ends the round with the decoded error itself, so errors.Is and
+// errors.As answer exactly as they did at the member.
 //
 // # Member lifecycle
 //
@@ -76,8 +90,8 @@
 //     Options.LivenessTimeout of silence. A failed chain delivery
 //     (transport.Unreachable) short-circuits that wait: the sending
 //     member reports exactly which peer it could not reach. Losses are
-//     typed — errors.Is(err, protocol.ErrMemberLost), with the member
-//     attributed via *protocol.Loss — and are distinct from byzantine
+//     typed — errors.Is(err, taxonomy.ErrMemberLost), with the member
+//     attributed via *taxonomy.Loss — and are distinct from byzantine
 //     blame (ErrProofRejected) and from caller cancellation.
 //
 //   - Degraded-mode re-planning. A group of k members mixes with a

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -62,9 +62,9 @@ func (a *Actor) resume(ctx context.Context) error {
 	switch a.adopt(a.opts.Resume, false) {
 	case ackAccepted:
 	case ackHashMismatch:
-		return fmt.Errorf("%w: persisted member config was provisioned under a different group config", protocol.ErrConfigMismatch)
+		return fmt.Errorf("%w: persisted member config was provisioned under a different group config", taxonomy.ErrConfigMismatch)
 	default:
-		return fmt.Errorf("%w: persisted member config does not decode to a consistent member", protocol.ErrStateCorrupt)
+		return fmt.Errorf("%w: persisted member config does not decode to a consistent member", taxonomy.ErrStateCorrupt)
 	}
 	a.ack(ctx, a.cfg.Coordinator, ackRejoin)
 	return nil

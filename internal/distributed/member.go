@@ -3,7 +3,6 @@ package distributed
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,8 +10,8 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/nizk"
-	"atom/internal/parallel"
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/topology"
 	"atom/internal/transport"
 )
@@ -385,51 +384,23 @@ func (a *Actor) handleShareReq(ctx context.Context, msg *transport.Message) {
 	}
 }
 
-// peerDown marks a failed chain delivery: the member at addr — group
-// gid, DVSS index idx (−1 for "that group's first member") — is
-// unreachable, so the round cannot proceed until the coordinator
-// re-plans around it.
-type peerDown struct {
-	gid, idx int
-	addr     string
-	err      error
-}
-
-func (p *peerDown) Error() string {
-	return fmt.Sprintf("distributed: peer %s (group %d member %d) unreachable: %v", p.addr, p.gid, p.idx, p.err)
-}
-
-func (p *peerDown) Unwrap() error { return p.err }
-
-// sendChain delivers one chain message, classifying an unreachable
-// destination as a peer-down failure attributed to (gid, idx) so the
-// coordinator learns WHICH member is gone instead of receiving an
-// opaque abort.
+// sendChain delivers one chain message. An unreachable destination is
+// a member loss attributed to (gid, idx) — idx −1 for "that group's
+// first member" — so the coordinator learns WHICH member is gone instead
+// of receiving an opaque abort.
 func (a *Actor) sendChain(ctx context.Context, to string, gid, idx int, msg *transport.Message) error {
 	err := a.ep.SendCtx(ctx, to, msg)
 	if err != nil && transport.Unreachable(err) {
-		return &peerDown{gid: gid, idx: idx, addr: to, err: err}
+		return &taxonomy.Loss{GID: gid, Member: idx, Err: fmt.Errorf(
+			"%w: peer %s (group %d member %d) unreachable: %w", taxonomy.ErrMemberLost, to, gid, idx, err)}
 	}
 	return err
 }
 
-// abort reports a member failure to the coordinator, classified for the
-// protocol error taxonomy.
+// abort reports a member failure to the coordinator.
 func (a *Actor) abort(ctx context.Context, round uint64, layer int, err error) {
-	class, gid, member := abortInternal, a.cfg.GID, -1
-	var blame *protocol.Blame
-	var pd *peerDown
-	switch {
-	case errors.As(err, &blame):
-		class, gid, member = abortProof, blame.GID, blame.Member
-	case errors.As(err, &pd):
-		class, gid, member = abortPeer, pd.gid, pd.idx
-	case parallel.Canceled(err):
-		class = abortCanceled
-	}
 	_ = a.ep.SendCtx(ctx, a.cfg.Coordinator, &transport.Message{
-		Type: msgAbort, Round: round,
-		Payload: encodeAbortMsg(layer, gid, member, class, err.Error()),
+		Type: msgAbort, Round: round, Payload: encodeAbortMsg(layer, err),
 	})
 }
 
@@ -512,9 +483,9 @@ func (a *Actor) decodeBatch(msg *transport.Message) (*protocol.Step, int, error)
 			err = fmt.Errorf("out-of-range layer %d", layer)
 		}
 		if err != nil {
-			return nil, layer, &protocol.Blame{GID: src, Member: -1, Err: fmt.Errorf(
+			return nil, layer, &taxonomy.Blame{GID: src, Member: -1, Err: fmt.Errorf(
 				"%w: group %d aborts — group %d's first member sent a bad batch: %v",
-				protocol.ErrProofRejected, a.cfg.GID, src, err)}
+				taxonomy.ErrProofRejected, a.cfg.GID, src, err)}
 		}
 	default:
 		return nil, layer, nil
@@ -532,9 +503,9 @@ func (a *Actor) decodeBatch(msg *transport.Message) (*protocol.Step, int, error)
 // same attribution, or one bad byte aborts rounds anonymously.
 func (a *Actor) blameSender(senderPos int, what string, err error) error {
 	senderIdx := a.cfg.Indices[senderPos]
-	return &protocol.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
+	return &taxonomy.Blame{GID: a.cfg.GID, Member: senderIdx, Err: fmt.Errorf(
 		"%w: group %d aborts — member %d sent an undecodable %s: %v",
-		protocol.ErrProofRejected, a.cfg.GID, senderIdx, what, err)}
+		taxonomy.ErrProofRejected, a.cfg.GID, senderIdx, what, err)}
 }
 
 // Chain implements protocol.SeatLink: encode the step with the hop codec

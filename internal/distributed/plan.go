@@ -7,6 +7,7 @@ import (
 
 	"atom/internal/ecc"
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -170,7 +171,7 @@ func (c *Cluster) provision(ctx context.Context, fresh bool) ([]MemberID, error)
 			if ack.code == ackHashMismatch {
 				// Not churn: the fleet disagrees on its group config.
 				// Retrying cannot help.
-				return nil, fmt.Errorf("%w: %v", protocol.ErrConfigMismatch, refusal)
+				return nil, fmt.Errorf("%w: %v", taxonomy.ErrConfigMismatch, refusal)
 			}
 			if fresh {
 				return nil, fmt.Errorf("distributed: %v", refusal)
@@ -260,11 +261,11 @@ func (c *Cluster) replan(ctx context.Context, round uint64, lost []MemberID, att
 		// A caller cancellation that lands during the re-plan is still a
 		// cancellation — it must never dress up as a member loss.
 		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("distributed: round %d canceled during re-plan: %w", round, cerr)
+			return fmt.Errorf("%w: round %d canceled during re-plan: %w", taxonomy.ErrRoundAborted, round, cerr)
 		}
-		return &protocol.Loss{GID: first.GID, Member: first.Pos + 1, Err: fmt.Errorf(
+		return &taxonomy.Loss{GID: first.GID, Member: first.Pos + 1, Err: fmt.Errorf(
 			"%w: round %d: group %d lost member %d: %w",
-			protocol.ErrMemberLost, round, first.GID, first.Pos+1, perr)}
+			taxonomy.ErrMemberLost, round, first.GID, first.Pos+1, perr)}
 	}
 	c.replans.Add(1)
 	c.bumpEpoch()
@@ -281,7 +282,7 @@ func (c *Cluster) settle(ctx context.Context) error {
 			return err
 		}
 		if budget >= maxRestarts {
-			return fmt.Errorf("%w: %d members still unresponsive after %d re-plans", protocol.ErrMemberLost, len(lost), budget)
+			return fmt.Errorf("%w: %d members still unresponsive after %d re-plans", taxonomy.ErrMemberLost, len(lost), budget)
 		}
 		for _, id := range lost {
 			c.logf("distributed: member g%d/m%d unresponsive during re-plan", id.GID, id.Pos)

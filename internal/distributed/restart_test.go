@@ -11,6 +11,7 @@ import (
 
 	"atom/internal/protocol"
 	"atom/internal/store"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -202,7 +203,7 @@ func TestMemberCrashWithoutStateIsLost(t *testing.T) {
 		})
 	}}
 	_, err = cluster.Run(context.Background(), rs, hooks)
-	if !errors.Is(err, protocol.ErrMemberLost) {
+	if !errors.Is(err, taxonomy.ErrMemberLost) {
 		t.Fatalf("got %v, want ErrMemberLost", err)
 	}
 	// Detection plus the failed re-plan; nowhere near the 30 s a durable
@@ -241,7 +242,7 @@ func TestConfigHashMismatchRefusesProvisioning(t *testing.T) {
 	if err == nil {
 		t.Fatal("provisioning succeeded across mismatched group configs")
 	}
-	if !errors.Is(err, protocol.ErrConfigMismatch) {
-		t.Fatalf("mismatch refusal produced %v, want protocol.ErrConfigMismatch", err)
+	if !errors.Is(err, taxonomy.ErrConfigMismatch) {
+		t.Fatalf("mismatch refusal produced %v, want taxonomy.ErrConfigMismatch", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 	"atom/internal/wirecodec"
 )
 
@@ -37,8 +38,9 @@ const (
 	// msgOut delivers an exit group's plaintext vectors to the
 	// coordinator.
 	msgOut = "dist/out"
-	// msgAbort reports a member failure (typed: class + attribution) to
-	// the coordinator.
+	// msgAbort reports a member failure to the coordinator: the layer
+	// and the error in internal/taxonomy's wire form (sentinels and
+	// Blame/Loss attribution).
 	msgAbort = "dist/abort"
 	// msgCancel tells actors to drop all state and traffic of a round.
 	msgCancel = "dist/cancel"
@@ -61,16 +63,6 @@ const (
 	// returns it.
 	msgShareReq  = "dist/sharereq"
 	msgShareResp = "dist/shareresp"
-)
-
-// Abort classes, mapped back onto the protocol error taxonomy by the
-// coordinator (classifyAbort) so errors.Is behaves identically to the
-// in-process path.
-const (
-	abortProof    = "proof"    // a NIZK step was rejected → ErrProofRejected
-	abortCanceled = "canceled" // the actor's context expired → ctx error
-	abortPeer     = "peer"     // a chain delivery failed → member lost, coordinator re-plans
-	abortInternal = "internal" // anything else
 )
 
 // encWork writes a group's layer accounting, the record that rides the
@@ -310,34 +302,26 @@ func decodeOutMsg(b []byte) (gid int, vecs []elgamal.Vector, err error) {
 	return
 }
 
-// abortMsg: layer, gid, member (DVSS index; −1 when not attributable),
-// class, text.
-func encodeAbortMsg(layer, gid, member int, class, text string) []byte {
+// abortMsg: layer, the error's wire form.
+func encodeAbortMsg(layer int, err error) []byte {
 	var e wirecodec.Enc
 	e.I(layer)
-	e.I(gid)
-	e.I(member)
-	e.Str(class)
-	e.Str(text)
+	e.Bytes(taxonomy.AppendError(nil, err))
 	return e.Out()
 }
 
-func decodeAbortMsg(b []byte) (layer, gid, member int, class, text string, err error) {
+func decodeAbortMsg(b []byte) (layer int, abort error, err error) {
 	d := wirecodec.NewDec(b)
 	if layer, err = d.I(); err != nil {
 		return
 	}
-	if gid, err = d.I(); err != nil {
+	werr, err := d.Bytes()
+	if err != nil {
 		return
 	}
-	if member, err = d.I(); err != nil {
-		return
-	}
-	if class, err = d.Str(); err != nil {
-		return
-	}
-	if text, err = d.Str(); err != nil {
-		return
+	abort, rest, ok := taxonomy.ReadError(werr)
+	if !ok || abort == nil || len(rest) > 0 {
+		return 0, nil, fmt.Errorf("distributed: malformed abort error")
 	}
 	err = d.Done()
 	return

@@ -9,6 +9,7 @@ import (
 
 	"atom/internal/dvss"
 	"atom/internal/ecc"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -29,7 +30,7 @@ func ReshareLambda(dealers []int, d int) (*ecc.Scalar, error) {
 func ReshareSecret(key *dvss.GroupKey, dealers []int) (*ecc.Scalar, error) {
 	lambda, err := ReshareLambda(dealers, key.Index)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDKG, err)
+		return nil, fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, err)
 	}
 	return lambda.Mul(key.Share), nil
 }
@@ -44,7 +45,7 @@ func ReshareBinding(oldCommitments []*ecc.Point, dealers []int) (map[int]*ecc.Po
 	for _, d := range dealers {
 		lambda, err := ReshareLambda(dealers, d)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDKG, err)
+			return nil, fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, err)
 		}
 		out[d] = dvss.ShareCommitment(oldCommitments, d).Mul(lambda)
 	}
@@ -71,7 +72,7 @@ type Seat struct {
 // Ceremony runs a fresh n-member joint-Feldman DKG with threshold t,
 // every member a node on one in-memory network, and returns each
 // member's seat in index order. Honest members' results agree; a seat's
-// Err reports that member's view of an abort (ErrInsufficient et al).
+// Err reports that member's view of an abort (ErrDKGInsufficient et al).
 func Ceremony(ctx context.Context, n, t int, opts Opts) ([]*Seat, error) {
 	if opts.Net == nil {
 		opts.Net = transport.NewMemNetwork(nil, 0)
@@ -123,7 +124,7 @@ type Reshare struct {
 // any dealer-only (departing) members.
 func ReshareCeremony(ctx context.Context, r Reshare, opts Opts) ([]*Seat, error) {
 	if len(r.Dealers) == 0 || len(r.Keys) == 0 {
-		return nil, fmt.Errorf("%w: empty resharing subset", ErrDKG)
+		return nil, fmt.Errorf("%w: empty resharing subset", taxonomy.ErrSetupFailed)
 	}
 	keyByIdx := make(map[int]*dvss.GroupKey, len(r.Keys))
 	for _, k := range r.Keys {
@@ -131,7 +132,7 @@ func ReshareCeremony(ctx context.Context, r Reshare, opts Opts) ([]*Seat, error)
 	}
 	oldComms := r.Keys[0].Commitments
 	if len(r.Dealers) < r.Keys[0].Threshold {
-		return nil, fmt.Errorf("%w: %d dealers for old threshold %d", ErrDKG, len(r.Dealers), r.Keys[0].Threshold)
+		return nil, fmt.Errorf("%w: %d dealers for old threshold %d", taxonomy.ErrSetupFailed, len(r.Dealers), r.Keys[0].Threshold)
 	}
 	binding, err := ReshareBinding(oldComms, r.Dealers)
 	if err != nil {
@@ -182,7 +183,7 @@ func ReshareCeremony(ctx context.Context, r Reshare, opts Opts) ([]*Seat, error)
 		if d, staying := dealerFor[i]; staying {
 			key := keyByIdx[d]
 			if key == nil {
-				return nil, fmt.Errorf("%w: no old key for staying dealer %d", ErrDKG, d)
+				return nil, fmt.Errorf("%w: no old key for staying dealer %d", taxonomy.ErrSetupFailed, d)
 			}
 			secret, err := ReshareSecret(key, r.Dealers)
 			if err != nil {
@@ -200,7 +201,7 @@ func ReshareCeremony(ctx context.Context, r Reshare, opts Opts) ([]*Seat, error)
 		}
 		key := keyByIdx[d]
 		if key == nil {
-			return nil, fmt.Errorf("%w: no old key for dealer %d", ErrDKG, d)
+			return nil, fmt.Errorf("%w: no old key for dealer %d", taxonomy.ErrSetupFailed, d)
 		}
 		secret, err := ReshareSecret(key, r.Dealers)
 		if err != nil {
@@ -241,7 +242,7 @@ func runSeats(ctx context.Context, net *transport.MemNetwork, cfgs []Config) ([]
 	for _, c := range cfgs {
 		ep, err := net.Attach(addr(c))
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrDKG, err)
+			return nil, fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, err)
 		}
 		nodes = append(nodes, attached{cfg: c, ep: ep})
 	}

@@ -46,42 +46,38 @@ import (
 
 	"atom/internal/dvss"
 	"atom/internal/ecc"
+	"atom/internal/taxonomy"
 )
 
-// ErrDKG is the parent of every ceremony failure and blame class.
-var ErrDKG = errors.New("dkg: setup failed")
-
 // Blame taxonomy. Every Fault carries exactly one of these sentinels;
-// all of them match ErrDKG.
+// all of them match ErrSetupFailed, the parent of every
+// ceremony failure.
 var (
 	// ErrComplaint: a receiver's bad-share complaint stood — the dealer
 	// published no justification covering it. Dealer disqualified.
-	ErrComplaint = fmt.Errorf("%w: upheld share complaint", ErrDKG)
+	ErrComplaint = fmt.Errorf("%w: upheld share complaint", taxonomy.ErrSetupFailed)
 	// ErrWithheld: a receiver reported no deal and the dealer never
 	// justified by revealing that share. Dealer disqualified.
-	ErrWithheld = fmt.Errorf("%w: deal withheld", ErrDKG)
+	ErrWithheld = fmt.Errorf("%w: deal withheld", taxonomy.ErrSetupFailed)
 	// ErrEquivocation: a member provably sent conflicting messages —
 	// a dealer whose votes carry more than one commitment hash, or a
 	// voter with conflicting votes about one dealer. Disqualified.
-	ErrEquivocation = fmt.Errorf("%w: equivocation", ErrDKG)
+	ErrEquivocation = fmt.Errorf("%w: equivocation", taxonomy.ErrSetupFailed)
 	// ErrJustification: the dealer answered a complaint, but the
 	// revealed share fails verification (or the justification carries
 	// the wrong commitments). Dealer disqualified.
-	ErrJustification = fmt.Errorf("%w: invalid justification", ErrDKG)
+	ErrJustification = fmt.Errorf("%w: invalid justification", taxonomy.ErrSetupFailed)
 	// ErrFalseComplaint: a complaint was refuted by a valid public
 	// justification. The complainer is blamed; the dealer (and the
 	// complainer's own dealing, which verified) stay qualified.
-	ErrFalseComplaint = fmt.Errorf("%w: refuted complaint", ErrDKG)
+	ErrFalseComplaint = fmt.Errorf("%w: refuted complaint", taxonomy.ErrSetupFailed)
 	// ErrBinding: a resharing dealing is not bound to the dealer's old
 	// share — its degree-0 commitment differs from λ_d·(old share
 	// image). Dealer disqualified.
-	ErrBinding = fmt.Errorf("%w: reshare dealing unbound to old share", ErrDKG)
-	// ErrInsufficient: fewer qualified dealers than the ceremony's
-	// minimum — the key cannot be trusted. The ceremony aborts.
-	ErrInsufficient = fmt.Errorf("%w: insufficient qualified dealers", ErrDKG)
+	ErrBinding = fmt.Errorf("%w: reshare dealing unbound to old share", taxonomy.ErrSetupFailed)
 	// ErrAborted: a resharing epoch lost a subset dealer (the fixed λ
 	// make every one load-bearing). Re-run with a different subset.
-	ErrAborted = fmt.Errorf("%w: resharing aborted", ErrDKG)
+	ErrAborted = fmt.Errorf("%w: resharing aborted", taxonomy.ErrSetupFailed)
 )
 
 // Roles a Fault can blame.
@@ -496,7 +492,7 @@ func (ta *tally) finalize(index, minQual int) (*Result, error) {
 	}
 	if len(res.QUAL) < minQual {
 		return res, fmt.Errorf("%w: %d qualified, need %d (%v)",
-			ErrInsufficient, len(res.QUAL), minQual, res.Faults)
+			taxonomy.ErrDKGInsufficient, len(res.QUAL), minQual, res.Faults)
 	}
 
 	if index > 0 {
@@ -552,7 +548,7 @@ func (ta *tally) shareFrom(d, index int, commitments []*ecc.Point) *ecc.Scalar {
 // recovered from justifications.
 func (ta *tally) buildKey(index int, qual []int) (*dvss.GroupKey, error) {
 	if len(qual) == 0 {
-		return nil, fmt.Errorf("%w: empty qualified set", ErrInsufficient)
+		return nil, fmt.Errorf("%w: empty qualified set", taxonomy.ErrDKGInsufficient)
 	}
 	aggComms := make([]*ecc.Point, ta.threshold)
 	for j := range aggComms {
@@ -563,11 +559,11 @@ func (ta *tally) buildKey(index int, qual []int) (*dvss.GroupKey, error) {
 		hash, _ := ta.consensusHash(d)
 		comms := ta.commitmentsFor(d, hash)
 		if comms == nil || len(comms) != ta.threshold {
-			return nil, fmt.Errorf("%w: no commitments for qualified dealer %d", ErrDKG, d)
+			return nil, fmt.Errorf("%w: no commitments for qualified dealer %d", taxonomy.ErrSetupFailed, d)
 		}
 		s := ta.shareFrom(d, index, comms)
 		if s == nil {
-			return nil, fmt.Errorf("%w: no verified share from qualified dealer %d", ErrDKG, d)
+			return nil, fmt.Errorf("%w: no verified share from qualified dealer %d", taxonomy.ErrSetupFailed, d)
 		}
 		for j := range aggComms {
 			aggComms[j] = aggComms[j].Add(comms[j])
@@ -575,7 +571,7 @@ func (ta *tally) buildKey(index int, qual []int) (*dvss.GroupKey, error) {
 		share = share.Add(s)
 	}
 	if err := dvss.VerifyShare(aggComms, index, share); err != nil {
-		return nil, fmt.Errorf("%w: aggregated share inconsistent: %v", ErrDKG, err)
+		return nil, fmt.Errorf("%w: aggregated share inconsistent: %v", taxonomy.ErrSetupFailed, err)
 	}
 	return &dvss.GroupKey{
 		PK:          aggComms[0].Clone(),

@@ -11,6 +11,7 @@ import (
 	"atom/internal/dvss"
 	"atom/internal/ecc"
 	"atom/internal/parallel"
+	"atom/internal/taxonomy"
 )
 
 const testWindow = 250 * time.Millisecond
@@ -298,7 +299,7 @@ func TestByzantineMatrix(t *testing.T) {
 				{Role: RoleDealer, Index: 4, Err: ErrWithheld},
 				{Role: RoleDealer, Index: 5, Err: ErrWithheld},
 			},
-			wantErr: ErrInsufficient,
+			wantErr: taxonomy.ErrDKGInsufficient,
 		},
 	}
 
@@ -318,8 +319,8 @@ func TestByzantineMatrix(t *testing.T) {
 					if !errors.Is(s.Err, tc.wantErr) {
 						t.Fatalf("member %d: err %v, want %v", s.Index, s.Err, tc.wantErr)
 					}
-					if !errors.Is(s.Err, ErrDKG) {
-						t.Fatalf("member %d: %v does not match ErrDKG", s.Index, s.Err)
+					if !errors.Is(s.Err, taxonomy.ErrSetupFailed) {
+						t.Fatalf("member %d: %v does not match taxonomy.ErrSetupFailed", s.Index, s.Err)
 					}
 					if q := fmt.Sprint(s.Result.QUAL); q != tc.wantQUAL {
 						t.Fatalf("member %d QUAL = %s, want %s", s.Index, q, tc.wantQUAL)
@@ -347,8 +348,8 @@ func assertFaults(t *testing.T, got, want []Fault) {
 		if got[i].Role != want[i].Role || got[i].Index != want[i].Index || !errors.Is(got[i].Err, want[i].Err) {
 			t.Fatalf("fault[%d] = %v, want %s %d %v", i, got[i], want[i].Role, want[i].Index, want[i].Err)
 		}
-		if !errors.Is(got[i].Err, ErrDKG) {
-			t.Fatalf("fault[%d] %v does not match ErrDKG", i, got[i].Err)
+		if !errors.Is(got[i].Err, taxonomy.ErrSetupFailed) {
+			t.Fatalf("fault[%d] %v does not match taxonomy.ErrSetupFailed", i, got[i].Err)
 		}
 	}
 }
@@ -364,7 +365,7 @@ func TestCeremonyUnderChurn(t *testing.T) {
 		t.Fatalf("Ceremony: %v", err)
 	}
 	honest := honestSeats(seats, 3)
-	if !errors.Is(seats[2].Err, ErrDKG) {
+	if !errors.Is(seats[2].Err, taxonomy.ErrSetupFailed) {
 		t.Fatalf("dead member returned %v", seats[2].Err)
 	}
 	keys := assertAgreement(t, honest)

@@ -11,6 +11,7 @@ import (
 
 	"atom/internal/dvss"
 	"atom/internal/ecc"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -49,7 +50,7 @@ type Config struct {
 	// Threshold is t of the resulting (t, n) sharing.
 	Threshold int
 	// MinQual is the minimum qualified-dealer count below which the
-	// ceremony aborts with ErrInsufficient. Defaults to Threshold.
+	// ceremony aborts with ErrDKGInsufficient. Defaults to Threshold.
 	MinQual int
 	// Receivers maps receiver index -> transport address, defining n.
 	Receivers map[int]string
@@ -92,34 +93,34 @@ type Hooks struct {
 }
 
 // errDied marks a hook-induced crash (churn simulation).
-var errDied = fmt.Errorf("%w: participant died mid-ceremony", ErrDKG)
+var errDied = fmt.Errorf("%w: participant died mid-ceremony", taxonomy.ErrSetupFailed)
 
 func (c *Config) validate() error {
 	if c.Threshold < 1 || c.Threshold > len(c.Receivers) {
-		return fmt.Errorf("%w: threshold %d of %d receivers", ErrDKG, c.Threshold, len(c.Receivers))
+		return fmt.Errorf("%w: threshold %d of %d receivers", taxonomy.ErrSetupFailed, c.Threshold, len(c.Receivers))
 	}
 	if len(c.Dealers) == 0 {
-		return fmt.Errorf("%w: no dealers", ErrDKG)
+		return fmt.Errorf("%w: no dealers", taxonomy.ErrSetupFailed)
 	}
 	if c.Index < 0 || c.Index > len(c.Receivers) {
-		return fmt.Errorf("%w: receiver index %d of %d", ErrDKG, c.Index, len(c.Receivers))
+		return fmt.Errorf("%w: receiver index %d of %d", taxonomy.ErrSetupFailed, c.Index, len(c.Receivers))
 	}
 	if c.Index == 0 && c.DealerIndex == 0 {
-		return fmt.Errorf("%w: node is neither dealer nor receiver", ErrDKG)
+		return fmt.Errorf("%w: node is neither dealer nor receiver", taxonomy.ErrSetupFailed)
 	}
 	if c.Index > 0 {
 		if _, ok := c.Receivers[c.Index]; !ok {
-			return fmt.Errorf("%w: receiver index %d not in roster", ErrDKG, c.Index)
+			return fmt.Errorf("%w: receiver index %d not in roster", taxonomy.ErrSetupFailed, c.Index)
 		}
 	}
 	if c.DealerIndex > 0 {
 		if _, ok := c.Dealers[c.DealerIndex]; !ok {
-			return fmt.Errorf("%w: dealer index %d not in roster", ErrDKG, c.DealerIndex)
+			return fmt.Errorf("%w: dealer index %d not in roster", taxonomy.ErrSetupFailed, c.DealerIndex)
 		}
 	}
 	for i := 1; i <= len(c.Receivers); i++ {
 		if _, ok := c.Receivers[i]; !ok {
-			return fmt.Errorf("%w: receiver roster missing index %d", ErrDKG, i)
+			return fmt.Errorf("%w: receiver roster missing index %d", taxonomy.ErrSetupFailed, i)
 		}
 	}
 	return nil
@@ -194,12 +195,12 @@ func (n *node) deal(ctx context.Context) error {
 	if secret == nil {
 		var err error
 		if secret, err = ecc.RandomScalar(n.cfg.Rand); err != nil {
-			return fmt.Errorf("%w: %v", ErrDKG, err)
+			return fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, err)
 		}
 	}
 	dealing, err := dvss.Deal(secret, n.cfg.Threshold, len(n.cfg.Receivers), n.cfg.Rand)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrDKG, err)
+		return fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, err)
 	}
 	n.dealing = dealing
 	for i := 1; i <= len(n.cfg.Receivers); i++ {
@@ -283,14 +284,14 @@ func (n *node) run(ctx context.Context) (*Result, error) {
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: %v", ErrDKG, ctx.Err())
+			return nil, fmt.Errorf("%w: %v", taxonomy.ErrSetupFailed, ctx.Err())
 		case <-timer.C:
 			if res, err, done := advance(); done {
 				return res, err
 			}
 		case msg, ok := <-n.ep.Inbox():
 			if !ok {
-				return nil, fmt.Errorf("%w: endpoint closed mid-ceremony", ErrDKG)
+				return nil, fmt.Errorf("%w: endpoint closed mid-ceremony", taxonomy.ErrSetupFailed)
 			}
 			n.handle(ctx, msg)
 			// The deal phase may close early once every dealer has

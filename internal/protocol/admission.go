@@ -7,6 +7,7 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/nizk"
+	"atom/internal/taxonomy"
 )
 
 // Batched admission: the ingestion frontend collects wire-encoded
@@ -57,7 +58,7 @@ func (rs *RoundState) SubmitEncodedBatch(users []int, wires [][]byte) ([]error, 
 
 	if rs.sealed.Load() {
 		for i := range items {
-			items[i].err = fmt.Errorf("%w: round %d is mixing", ErrRoundClosed, rs.id)
+			items[i].err = fmt.Errorf("%w: round %d is mixing", taxonomy.ErrRoundClosed, rs.id)
 		}
 		return rs.finishBatch(items, &stats)
 	}
@@ -80,7 +81,7 @@ func (rs *RoundState) SubmitEncodedBatch(users []int, wires [][]byte) ([]error, 
 		case VariantNIZK:
 			sub, err := DecodeSubmission(wire)
 			if err != nil {
-				it.err = fmt.Errorf("%w: %v", ErrBadSubmission, err)
+				it.err = fmt.Errorf("%w: %v", taxonomy.ErrBadSubmission, err)
 				continue
 			}
 			g, err := rs.d.groupFor(sub.GID)
@@ -100,7 +101,7 @@ func (rs *RoundState) SubmitEncodedBatch(users []int, wires [][]byte) ([]error, 
 		default:
 			sub, err := DecodeTrapSubmission(wire)
 			if err != nil {
-				it.err = fmt.Errorf("%w: %v", ErrBadSubmission, err)
+				it.err = fmt.Errorf("%w: %v", taxonomy.ErrBadSubmission, err)
 				continue
 			}
 			g, err := rs.d.groupFor(sub.GID)
@@ -205,7 +206,7 @@ func (rs *RoundState) admitVerified(user int, sub *Submission) error {
 	if rs.sealed.Load() {
 		rg.mu.Unlock()
 		rs.release(fp)
-		return fmt.Errorf("%w: round %d is mixing", ErrRoundClosed, rs.id)
+		return fmt.Errorf("%w: round %d is mixing", taxonomy.ErrRoundClosed, rs.id)
 	}
 	rg.batch = append(rg.batch, sub.Ciphertext.Clone())
 	rg.entries = append(rg.entries, entryRecord{User: user, Sub: sub})
@@ -219,7 +220,7 @@ func (rs *RoundState) admitVerified(user int, sub *Submission) error {
 // the sealed-re-check append.
 func (rs *RoundState) admitVerifiedTrap(user int, sub *TrapSubmission) error {
 	if len(sub.Commitment) != 32 {
-		return fmt.Errorf("%w: trap commitment must be 32 bytes, got %d", ErrBadSubmission, len(sub.Commitment))
+		return fmt.Errorf("%w: trap commitment must be 32 bytes, got %d", taxonomy.ErrBadSubmission, len(sub.Commitment))
 	}
 	fp0 := string(sub.Ciphertexts[0].Fingerprint())
 	fp1 := string(sub.Ciphertexts[1].Fingerprint())
@@ -236,13 +237,13 @@ func (rs *RoundState) admitVerifiedTrap(user int, sub *TrapSubmission) error {
 		rg.mu.Unlock()
 		rs.release(fp0)
 		rs.release(fp1)
-		return fmt.Errorf("%w: round %d is mixing", ErrRoundClosed, rs.id)
+		return fmt.Errorf("%w: round %d is mixing", taxonomy.ErrRoundClosed, rs.id)
 	}
 	if _, dup := rg.commitments[string(sub.Commitment)]; dup {
 		rg.mu.Unlock()
 		rs.release(fp0)
 		rs.release(fp1)
-		return fmt.Errorf("%w: trap commitment reused", ErrDuplicateSubmission)
+		return fmt.Errorf("%w: trap commitment reused", taxonomy.ErrDuplicateSubmission)
 	}
 	rg.batch = append(rg.batch, sub.Ciphertexts[0].Clone(), sub.Ciphertexts[1].Clone())
 	rg.commitments[string(sub.Commitment)] = user

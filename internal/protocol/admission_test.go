@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"atom/internal/ecc"
+	"atom/internal/taxonomy"
 )
 
 // mixedNIZKWires builds a batch that exercises every admission outcome:
@@ -107,16 +108,16 @@ func TestBatchAdmissionMatchesSerialNIZK(t *testing.T) {
 	}
 	errs := compareBatchToSerial(t, d, mixedNIZKWires(t, d, c))
 	// Spot-check the typed attribution the daemon relies on.
-	if !errors.Is(errs[5], ErrDuplicateSubmission) {
+	if !errors.Is(errs[5], taxonomy.ErrDuplicateSubmission) {
 		t.Errorf("duplicate: got %v", errs[5])
 	}
-	if !errors.Is(errs[6], ErrBadSubmission) || errors.Is(errs[6], ErrDuplicateSubmission) {
+	if !errors.Is(errs[6], taxonomy.ErrBadSubmission) || errors.Is(errs[6], taxonomy.ErrDuplicateSubmission) {
 		t.Errorf("tampered proof: got %v", errs[6])
 	}
-	if !errors.Is(errs[7], ErrNoSuchGroup) {
+	if !errors.Is(errs[7], taxonomy.ErrNoSuchGroup) {
 		t.Errorf("ghost group: got %v", errs[7])
 	}
-	if !errors.Is(errs[8], ErrBadSubmission) {
+	if !errors.Is(errs[8], taxonomy.ErrBadSubmission) {
 		t.Errorf("garbage: got %v", errs[8])
 	}
 	for i := 0; i < 5; i++ {
@@ -180,13 +181,13 @@ func TestBatchAdmissionMatchesSerialTrap(t *testing.T) {
 	wires = append(wires, append([]byte(nil), wires[1]...))
 
 	errs := compareBatchToSerial(t, d, wires)
-	if !errors.Is(errs[4], ErrBadSubmission) || errors.Is(errs[4], ErrDuplicateSubmission) {
+	if !errors.Is(errs[4], taxonomy.ErrBadSubmission) || errors.Is(errs[4], taxonomy.ErrDuplicateSubmission) {
 		t.Errorf("tampered trap proof: got %v", errs[4])
 	}
-	if !errors.Is(errs[5], ErrDuplicateSubmission) {
+	if !errors.Is(errs[5], taxonomy.ErrDuplicateSubmission) {
 		t.Errorf("commitment reuse: got %v", errs[5])
 	}
-	if !errors.Is(errs[6], ErrDuplicateSubmission) {
+	if !errors.Is(errs[6], taxonomy.ErrDuplicateSubmission) {
 		t.Errorf("replayed trap: got %v", errs[6])
 	}
 	for i := 0; i < 4; i++ {
@@ -280,7 +281,7 @@ func TestBatchAdmissionSealedRound(t *testing.T) {
 	}
 	errs, stats := rs.SubmitEncodedBatch([]int{0, 1}, [][]byte{sub.Encode(), sub.Encode()})
 	for i, e := range errs {
-		if !errors.Is(e, ErrRoundClosed) {
+		if !errors.Is(e, taxonomy.ErrRoundClosed) {
 			t.Errorf("sealed round submission %d: got %v", i, e)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"atom/internal/dvss"
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
+	"atom/internal/taxonomy"
 )
 
 // Blame identifies disruptive users after a trap-variant round aborts
@@ -27,7 +28,7 @@ type BlameReport struct {
 // entry records.
 func (rs *RoundState) IdentifyMaliciousUsers() (*BlameReport, error) {
 	if rs.variant != VariantTrap {
-		return nil, fmt.Errorf("%w: blame procedure applies to the trap variant", ErrWrongVariant)
+		return nil, fmt.Errorf("%w: blame procedure applies to the trap variant", taxonomy.ErrVariantMismatch)
 	}
 	d := rs.d
 

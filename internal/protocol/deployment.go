@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/sha3"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -18,6 +19,8 @@ import (
 	"atom/internal/elgamal"
 	"atom/internal/groupmgr"
 	"atom/internal/nizk"
+	"atom/internal/parallel"
+	"atom/internal/taxonomy"
 	"atom/internal/topology"
 )
 
@@ -215,7 +218,7 @@ func (d *Deployment) GroupRoster(gid int) (*GroupRoster, error) {
 // GroupPK returns the public key of group gid (what users encrypt to).
 func (d *Deployment) GroupPK(gid int) (*ecc.Point, error) {
 	if gid < 0 || gid >= len(d.groups) {
-		return nil, fmt.Errorf("%w: group %d", ErrNoSuchGroup, gid)
+		return nil, fmt.Errorf("%w: group %d", taxonomy.ErrNoSuchGroup, gid)
 	}
 	return d.groups[gid].PK, nil
 }
@@ -239,7 +242,7 @@ func (d *Deployment) takeAdversary() *Adversary {
 
 func (d *Deployment) groupFor(gid int) (*GroupState, error) {
 	if gid < 0 || gid >= len(d.groups) {
-		return nil, fmt.Errorf("%w: group %d", ErrNoSuchGroup, gid)
+		return nil, fmt.Errorf("%w: group %d", taxonomy.ErrNoSuchGroup, gid)
 	}
 	return d.groups[gid], nil
 }
@@ -250,11 +253,11 @@ func (d *Deployment) groupFor(gid int) (*GroupState, error) {
 // enter the combined proof check.
 func checkSubmissionShape(v elgamal.Vector, numPoints int) error {
 	if len(v) != numPoints {
-		return fmt.Errorf("%w: submission has %d points, want %d", ErrBadSubmission, len(v), numPoints)
+		return fmt.Errorf("%w: submission has %d points, want %d", taxonomy.ErrBadSubmission, len(v), numPoints)
 	}
 	for _, ct := range v {
 		if ct.Y != nil {
-			return fmt.Errorf("%w: submission carries a mid-chain Y slot", ErrBadSubmission)
+			return fmt.Errorf("%w: submission carries a mid-chain Y slot", taxonomy.ErrBadSubmission)
 		}
 	}
 	return nil
@@ -265,7 +268,7 @@ func verifySubmissionVector(pk *ecc.Point, v elgamal.Vector, gid int, proof *niz
 		return err
 	}
 	if err := nizk.VerifyEnc(pk, v, uint64(gid), proof); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSubmission, err)
+		return fmt.Errorf("%w: %v", taxonomy.ErrBadSubmission, err)
 	}
 	return nil
 }
@@ -387,7 +390,7 @@ func (s *SealedRound) BatchSize() int {
 // ErrRoundClosed.
 func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
 	if !rs.mixing.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("%w: round %d already sealed", ErrRoundClosed, rs.id)
+		return nil, fmt.Errorf("%w: round %d already sealed", taxonomy.ErrRoundClosed, rs.id)
 	}
 	return &SealedRound{
 		rs:       rs,
@@ -401,7 +404,7 @@ func (d *Deployment) SealRound(rs *RoundState) (*SealedRound, error) {
 // RunRoundCtx seals rs and executes its T mixing iterations on the
 // in-process mixer plus the variant-specific finale, honoring ctx
 // cancellation and deadlines between (and within) iterations. It returns
-// an error wrapping ErrRoundAborted when a defense trips,
+// an error wrapping ErrTrapTripped when a defense trips,
 // ErrProofRejected when a NIZK proof fails, ErrRecoveryNeeded when a
 // group is under threshold, and ctx.Err() when canceled; after an abort
 // the round's records stay available to rs.IdentifyMaliciousUsers.
@@ -412,7 +415,7 @@ func (d *Deployment) RunRoundCtx(ctx context.Context, rs *RoundState, hooks *Rou
 	// A context that is already dead must not consume the round: the
 	// caller can retry (or keep submitting) with a live one.
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("protocol: round %d not started: %w", rs.id, err)
+		return nil, fmt.Errorf("%w: round %d not started: %w", taxonomy.ErrRoundAborted, rs.id, err)
 	}
 	sealed, err := d.SealRound(rs)
 	if err != nil {
@@ -431,11 +434,11 @@ func (d *Deployment) RunRoundCtx(ctx context.Context, rs *RoundState, hooks *Rou
 func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *RoundHooks, mixer Mixer) (*RoundResult, error) {
 	rs := sealed.rs
 	if !sealed.mixing.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("%w: round %d already mixed", ErrRoundClosed, rs.id)
+		return nil, fmt.Errorf("%w: round %d already mixed", taxonomy.ErrRoundClosed, rs.id)
 	}
 	if err := ctx.Err(); err != nil {
 		sealed.mixing.Store(false) // batches survive; retry with a live context
-		return nil, fmt.Errorf("protocol: round %d not started: %w", rs.id, err)
+		return nil, fmt.Errorf("%w: round %d not started: %w", taxonomy.ErrRoundAborted, rs.id, err)
 	}
 	if mixer == nil {
 		// The in-process groups mix one round at a time; taking the lock
@@ -457,6 +460,10 @@ func (d *Deployment) MixSealed(ctx context.Context, sealed *SealedRound, hooks *
 	}
 	out, err := mixer.MixRound(job)
 	if err != nil {
+		// Whichever mixer ran it, a round its context ended is aborted.
+		if parallel.Canceled(err) && !errors.Is(err, taxonomy.ErrRoundAborted) {
+			err = fmt.Errorf("%w: round %d: %w", taxonomy.ErrRoundAborted, rs.id, err)
+		}
 		return nil, err
 	}
 

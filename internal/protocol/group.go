@@ -8,6 +8,7 @@ import (
 	"atom/internal/dvss"
 	"atom/internal/ecc"
 	"atom/internal/groupmgr"
+	"atom/internal/taxonomy"
 )
 
 // GroupState is one anytrust/many-trust group's view of a round: its
@@ -63,7 +64,7 @@ func (g *GroupState) Active() ([]int, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: group %d has only %d live members, needs %d",
-		ErrRecoveryNeeded, g.Info.ID, len(active), g.threshold)
+		taxonomy.ErrRecoveryNeeded, g.Info.ID, len(active), g.threshold)
 }
 
 // LiveMembers returns the count of non-failed members.

@@ -8,6 +8,7 @@ import (
 
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
+	"atom/internal/taxonomy"
 	"atom/internal/topology"
 )
 
@@ -74,7 +75,7 @@ func (c *Collector) Layer(gid, layer int, w LayerWork) {
 			it.Messages += w.Msgs
 			it.Shuffles += w.Shuffles
 			it.ReEncs += w.ReEncs
-			it.ProofsChecked += w.Proofs
+			it.ProofsVerified += w.Proofs
 			it.WorkerBusy += time.Duration(w.BusyNs)
 			it.Codec += time.Duration(w.CodecNs)
 			if w.Msgs > 0 {
@@ -298,11 +299,11 @@ func (m localDriver) MixRound(job *MixJob) (*MixOutcome, error) {
 			}
 		case err := <-n.errs:
 			if ctx.Err() != nil {
-				return nil, fmt.Errorf("protocol: round %d canceled: %w", job.Round, ctx.Err())
+				return nil, fmt.Errorf("%w: round %d canceled: %w", taxonomy.ErrRoundAborted, job.Round, ctx.Err())
 			}
 			return nil, err
 		case <-ctx.Done():
-			return nil, fmt.Errorf("protocol: round %d canceled: %w", job.Round, ctx.Err())
+			return nil, fmt.Errorf("%w: round %d canceled: %w", taxonomy.ErrRoundAborted, job.Round, ctx.Err())
 		}
 	}
 	return col.Outcome()

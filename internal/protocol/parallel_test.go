@@ -9,6 +9,7 @@ import (
 
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
+	"atom/internal/taxonomy"
 )
 
 // mixWorkersConfig is testConfig with an explicit worker-pool size for
@@ -108,8 +109,8 @@ func TestParallelShuffleTamperAborts(t *testing.T) {
 		},
 	})
 	_, err = mixRound(rs)
-	if !errors.Is(err, ErrProofRejected) {
-		t.Fatalf("got %v, want ErrProofRejected", err)
+	if !errors.Is(err, taxonomy.ErrProofRejected) {
+		t.Fatalf("got %v, want taxonomy.ErrProofRejected", err)
 	}
 	if !strings.Contains(err.Error(), "shuffle rejected") {
 		t.Fatalf("rejection not attributed to the shuffle stage: %v", err)
@@ -138,8 +139,8 @@ func TestParallelReEncTamperAborts(t *testing.T) {
 	gk := d.groups[2].Keys[0]
 	gk.Share = gk.Share.Add(ecc.NewScalar(1))
 	_, err = mixRound(rs)
-	if !errors.Is(err, ErrProofRejected) {
-		t.Fatalf("got %v, want ErrProofRejected", err)
+	if !errors.Is(err, taxonomy.ErrProofRejected) {
+		t.Fatalf("got %v, want taxonomy.ErrProofRejected", err)
 	}
 	if !strings.Contains(err.Error(), "reencryption rejected") {
 		t.Fatalf("rejection not attributed to the reencryption stage: %v", err)
@@ -178,7 +179,7 @@ func TestCancellationIsNotBlamedOnMembers(t *testing.T) {
 	if err == nil {
 		t.Fatal("canceled round succeeded")
 	}
-	if errors.Is(err, ErrProofRejected) {
+	if errors.Is(err, taxonomy.ErrProofRejected) {
 		t.Fatalf("cancellation misclassified as a proof rejection: %v", err)
 	}
 	if !errors.Is(err, context.Canceled) {

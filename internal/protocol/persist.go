@@ -10,6 +10,7 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/groupmgr"
+	"atom/internal/taxonomy"
 	"atom/internal/wirecodec"
 )
 
@@ -19,18 +20,6 @@ import (
 // and for sealed-but-unmixed rounds, so internal/store can journal both
 // and a restarted coordinator can resume instead of re-running the DKG
 // under fresh — and therefore useless — keys.
-
-// ErrStateCorrupt marks persisted protocol state that fails decoding or
-// cryptographic validation on restore (a share that does not match its
-// Feldman commitments, a batch count that disagrees with the topology).
-// The atom package re-exports it as the public ErrStateCorrupt.
-var ErrStateCorrupt = fmt.Errorf("protocol: persisted state corrupt")
-
-// ErrConfigMismatch marks a party refusing to operate under a group
-// configuration whose canonical hash differs from its own — the
-// drand-style refuse-on-mismatch contract. The atom package re-exports
-// it as the public ErrConfigMismatch.
-var ErrConfigMismatch = fmt.Errorf("protocol: group-config hash mismatch")
 
 // deployStateVersion guards the deployment codec.
 const deployStateVersion = 1
@@ -102,7 +91,7 @@ func RestoreDeployment(cfg Config, state []byte, lastRound uint64) (*Deployment,
 		return nil, err
 	}
 	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrStateCorrupt, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s", taxonomy.ErrStateCorrupt, fmt.Sprintf(format, args...))
 	}
 	dec := wirecodec.NewDec(state)
 	v, err := dec.Byte()
@@ -288,7 +277,7 @@ func (s *SealedRound) Marshal() []byte {
 // restored id so no later round collides with it.
 func (d *Deployment) RestoreSealedRound(b []byte) (*SealedRound, error) {
 	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("%w: sealed round: %s", ErrStateCorrupt, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: sealed round: %s", taxonomy.ErrStateCorrupt, fmt.Sprintf(format, args...))
 	}
 	dec := wirecodec.NewDec(b)
 	v, err := dec.Byte()

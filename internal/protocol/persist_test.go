@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"atom/internal/taxonomy"
 )
 
 // A restored deployment must carry the original keys: users who
@@ -71,8 +73,8 @@ func TestRestoreRejectsTamperedShare(t *testing.T) {
 	// neither verifies at its index.
 	keys := d.groups[0].Keys
 	keys[0].Share, keys[1].Share = keys[1].Share, keys[0].Share
-	if _, err := RestoreDeployment(cfg, d.MarshalState(), 0); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("RestoreDeployment = %v, want ErrStateCorrupt", err)
+	if _, err := RestoreDeployment(cfg, d.MarshalState(), 0); !errors.Is(err, taxonomy.ErrStateCorrupt) {
+		t.Fatalf("RestoreDeployment = %v, want taxonomy.ErrStateCorrupt", err)
 	}
 }
 
@@ -83,8 +85,8 @@ func TestRestoreRejectsTruncatedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := d.MarshalState()
-	if _, err := RestoreDeployment(cfg, state[:len(state)/2], 0); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("RestoreDeployment = %v, want ErrStateCorrupt", err)
+	if _, err := RestoreDeployment(cfg, state[:len(state)/2], 0); !errors.Is(err, taxonomy.ErrStateCorrupt) {
+		t.Fatalf("RestoreDeployment = %v, want taxonomy.ErrStateCorrupt", err)
 	}
 }
 
@@ -151,7 +153,7 @@ func TestRestoreSealedRoundRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.RestoreSealedRound([]byte{sealedVersion, 1, 2, 3}); !errors.Is(err, ErrStateCorrupt) {
-		t.Fatalf("RestoreSealedRound = %v, want ErrStateCorrupt", err)
+	if _, err := d.RestoreSealedRound([]byte{sealedVersion, 1, 2, 3}); !errors.Is(err, taxonomy.ErrStateCorrupt) {
+		t.Fatalf("RestoreSealedRound = %v, want taxonomy.ErrStateCorrupt", err)
 	}
 }

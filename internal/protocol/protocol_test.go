@@ -10,6 +10,7 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/nizk"
+	"atom/internal/taxonomy"
 )
 
 // testConfig is a small but complete deployment: 12 servers, 4 groups of
@@ -259,8 +260,8 @@ func TestTrapDetectsDroppedCiphertext(t *testing.T) {
 	if err == nil {
 		t.Fatal("trap round succeeded despite a dropped ciphertext")
 	}
-	if !errors.Is(err, ErrRoundAborted) {
-		t.Fatalf("expected ErrRoundAborted, got %v", err)
+	if !errors.Is(err, taxonomy.ErrTrapTripped) {
+		t.Fatalf("expected taxonomy.ErrTrapTripped, got %v", err)
 	}
 	if !rs.trustees.Deleted() {
 		t.Error("trustees did not delete their key shares")
@@ -303,8 +304,8 @@ func TestTrapDetectsDuplicatedCiphertext(t *testing.T) {
 	if err == nil {
 		t.Fatal("trap round succeeded despite a duplicated ciphertext")
 	}
-	if !errors.Is(err, ErrRoundAborted) {
-		t.Fatalf("expected ErrRoundAborted, got %v", err)
+	if !errors.Is(err, taxonomy.ErrTrapTripped) {
+		t.Fatalf("expected taxonomy.ErrTrapTripped, got %v", err)
 	}
 }
 

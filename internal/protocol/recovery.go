@@ -177,6 +177,14 @@ func (d *Deployment) InstallRecoveredShare(gid, pos int, share *ecc.Scalar, repl
 	if !g.failed[pos] {
 		return fmt.Errorf("protocol: group %d position %d is not failed", gid, pos)
 	}
+	return g.installShareLocked(pos, share, replacement)
+}
+
+// installShareLocked verifies a recovered share for failed position pos
+// against the group's public Feldman commitments — a corrupted or
+// mis-reconstructed share never installs — and hands the position to
+// the replacement server. Callers hold d.mu.
+func (g *GroupState) installShareLocked(pos int, share *ecc.Scalar, replacement int) error {
 	if err := dvss.VerifyShare(g.Keys[pos].Commitments, pos+1, share); err != nil {
 		return fmt.Errorf("protocol: recovered share invalid: %w", err)
 	}
@@ -258,21 +266,9 @@ func (d *Deployment) RecoverGroup(gid int, replacements []int) error {
 		if err != nil {
 			return fmt.Errorf("protocol: recovering group %d pos %d: %w", gid, pos, err)
 		}
-		// The replacement verifies the recovered share against the
-		// group's public commitments before trusting it.
-		if err := dvss.VerifyShare(g.Keys[pos].Commitments, pos+1, share); err != nil {
-			return fmt.Errorf("protocol: recovered share invalid: %w", err)
+		if err := g.installShareLocked(pos, share, replacements[i]); err != nil {
+			return err
 		}
-		g.Keys[pos] = &dvss.GroupKey{
-			PK:          g.PK,
-			Share:       share,
-			Index:       pos + 1,
-			Threshold:   g.threshold,
-			Size:        len(g.Info.Members),
-			Commitments: g.Keys[pos].Commitments,
-		}
-		g.Info.Members[pos] = replacements[i]
-		delete(g.failed, pos)
 	}
 	return nil
 }

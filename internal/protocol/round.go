@@ -8,6 +8,7 @@ import (
 
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
+	"atom/internal/taxonomy"
 )
 
 // numShards is the fan-out of the duplicate-submission filter. Sixteen
@@ -146,7 +147,7 @@ func (rs *RoundState) SetMixConfig(m MixConfig) { rs.mix = m }
 // users CCA2-encrypt their inner ciphertexts to it.
 func (rs *RoundState) TrusteePK() (*ecc.Point, error) {
 	if rs.trustees == nil {
-		return nil, fmt.Errorf("%w: round %d has no trustees (variant %v)", ErrWrongVariant, rs.id, rs.variant)
+		return nil, fmt.Errorf("%w: round %d has no trustees (variant %v)", taxonomy.ErrVariantMismatch, rs.id, rs.variant)
 	}
 	return rs.trustees.PK(), nil
 }
@@ -166,7 +167,7 @@ func (rs *RoundState) reserve(fp string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seen[fp] {
-		return fmt.Errorf("%w: submission rejected (replayed ciphertext)", ErrDuplicateSubmission)
+		return fmt.Errorf("%w: submission rejected (replayed ciphertext)", taxonomy.ErrDuplicateSubmission)
 	}
 	s.seen[fp] = true
 	return nil
@@ -191,10 +192,10 @@ func (rs *RoundState) SubmitUser(user int, sub *Submission) error {
 
 func (rs *RoundState) submitUser(user int, sub *Submission) error {
 	if rs.variant != VariantNIZK {
-		return fmt.Errorf("%w: SubmitUser requires the NIZK variant", ErrWrongVariant)
+		return fmt.Errorf("%w: SubmitUser requires the NIZK variant", taxonomy.ErrVariantMismatch)
 	}
 	if rs.sealed.Load() {
-		return fmt.Errorf("%w: round %d is mixing", ErrRoundClosed, rs.id)
+		return fmt.Errorf("%w: round %d is mixing", taxonomy.ErrRoundClosed, rs.id)
 	}
 	g, err := rs.d.groupFor(sub.GID)
 	if err != nil {
@@ -217,10 +218,10 @@ func (rs *RoundState) SubmitTrapUser(user int, sub *TrapSubmission) error {
 
 func (rs *RoundState) submitTrapUser(user int, sub *TrapSubmission) error {
 	if rs.variant != VariantTrap {
-		return fmt.Errorf("%w: SubmitTrapUser requires the trap variant", ErrWrongVariant)
+		return fmt.Errorf("%w: SubmitTrapUser requires the trap variant", taxonomy.ErrVariantMismatch)
 	}
 	if rs.sealed.Load() {
-		return fmt.Errorf("%w: round %d is mixing", ErrRoundClosed, rs.id)
+		return fmt.Errorf("%w: round %d is mixing", taxonomy.ErrRoundClosed, rs.id)
 	}
 	g, err := rs.d.groupFor(sub.GID)
 	if err != nil {
@@ -241,13 +242,13 @@ func (rs *RoundState) SubmitEncoded(user int, wire []byte) error {
 	case VariantNIZK:
 		sub, err := DecodeSubmission(wire)
 		if err != nil {
-			return rs.noteRejected(fmt.Errorf("%w: %v", ErrBadSubmission, err))
+			return rs.noteRejected(fmt.Errorf("%w: %v", taxonomy.ErrBadSubmission, err))
 		}
 		return rs.SubmitUser(user, sub)
 	default:
 		sub, err := DecodeTrapSubmission(wire)
 		if err != nil {
-			return rs.noteRejected(fmt.Errorf("%w: %v", ErrBadSubmission, err))
+			return rs.noteRejected(fmt.Errorf("%w: %v", taxonomy.ErrBadSubmission, err))
 		}
 		return rs.SubmitTrapUser(user, sub)
 	}
@@ -286,15 +287,16 @@ type IterationStats struct {
 	Duration time.Duration
 	// Messages is the number of ciphertext vectors entering the layer.
 	Messages int
-	// Shuffles, ReEncs and ProofsChecked total the per-group work.
-	Shuffles      int
-	ReEncs        int
-	ProofsChecked int
+	// Shuffles and ReEncs count the per-member crypto operations;
+	// ProofsVerified counts NIZK verifications (0 in the trap variant's
+	// mixing iterations).
+	Shuffles       int
+	ReEncs         int
+	ProofsVerified int
 	// Workers is the per-group worker-pool size (MixConfig, resolved);
 	// ActiveGroups counts the groups that held messages this iteration;
 	// WorkerBusy totals the time workers spent inside crypto tasks
-	// across all groups. Utilization of the iteration's pools is
-	// WorkerBusy / (Duration × Workers × ActiveGroups).
+	// across all groups.
 	Workers      int
 	ActiveGroups int
 	WorkerBusy   time.Duration
@@ -307,6 +309,19 @@ type IterationStats struct {
 	// the round is mixing in degraded mode: some group is running on its
 	// h−1 spare budget (§4.5).
 	Members int
+}
+
+// Utilization reports the fraction of the iteration's worker-pool
+// capacity (Workers goroutines in each group that held messages, for
+// the iteration's wall-clock span) that was spent executing crypto
+// tasks — 1.0 means every worker was busy the whole iteration. It
+// returns 0 when the iteration did no work.
+func (s IterationStats) Utilization() float64 {
+	slots := time.Duration(s.Workers*s.ActiveGroups) * s.Duration
+	if slots <= 0 {
+		return 0
+	}
+	return float64(s.WorkerBusy) / float64(slots)
 }
 
 // RoundHooks carries the observability callbacks RunRoundCtx invokes.

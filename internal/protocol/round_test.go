@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"atom/internal/taxonomy"
 )
 
 func TestRoundStatePipelinedIngestion(t *testing.T) {
@@ -97,8 +99,8 @@ func TestRoundStateSealedRejectsLateSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.SubmitUser(1, late); !errors.Is(err, ErrRoundClosed) {
-		t.Fatalf("late submission: got %v, want ErrRoundClosed", err)
+	if err := rs.SubmitUser(1, late); !errors.Is(err, taxonomy.ErrRoundClosed) {
+		t.Fatalf("late submission: got %v, want taxonomy.ErrRoundClosed", err)
 	}
 }
 
@@ -177,8 +179,8 @@ func TestDuplicateFilterSpansGroupsWithinRound(t *testing.T) {
 	if err := rs.SubmitUser(0, sub); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.SubmitUser(5, sub); !errors.Is(err, ErrDuplicateSubmission) {
-		t.Fatalf("replay: got %v, want ErrDuplicateSubmission", err)
+	if err := rs.SubmitUser(5, sub); !errors.Is(err, taxonomy.ErrDuplicateSubmission) {
+		t.Fatalf("replay: got %v, want taxonomy.ErrDuplicateSubmission", err)
 	}
 	// A fresh round has a fresh filter.
 	rs2, err := d.OpenRound()

@@ -10,6 +10,7 @@ import (
 	"atom/internal/elgamal"
 	"atom/internal/nizk"
 	"atom/internal/parallel"
+	"atom/internal/taxonomy"
 	"atom/internal/topology"
 )
 
@@ -258,15 +259,15 @@ func (s *Seat) pool(ctx context.Context, workers int) *parallel.Pool {
 }
 
 // rejected classifies a failed verification of the step chain member idx
-// sent: a *Blame wrapping ErrProofRejected — unless the round's context
+// sent: a *taxonomy.Blame wrapping ErrProofRejected — unless the round's context
 // expired mid-verification, which is a cancellation and never a
 // byzantine fault pinned on an innocent member.
 func (s *Seat) rejected(idx int, what string, err error) error {
 	if parallel.Canceled(err) {
-		return fmt.Errorf("protocol: mixing canceled: %w", err)
+		return fmt.Errorf("%w: mixing canceled: %w", taxonomy.ErrRoundAborted, err)
 	}
-	return &Blame{GID: s.cfg.GID, Member: idx, Err: fmt.Errorf(
-		"%w: group %d aborts — member %d %s rejected: %v", ErrProofRejected, s.cfg.GID, idx, what, err)}
+	return &taxonomy.Blame{GID: s.cfg.GID, Member: idx, Err: fmt.Errorf(
+		"%w: group %d aborts — member %d %s rejected: %v", taxonomy.ErrProofRejected, s.cfg.GID, idx, what, err)}
 }
 
 // checkLayer bounds a layer before it reaches topology arithmetic (a

@@ -11,6 +11,7 @@ import (
 	"atom/internal/dvss"
 	"atom/internal/ecc"
 	"atom/internal/groupmgr"
+	"atom/internal/taxonomy"
 )
 
 // This file is the deployment's trust-establishment surface. The
@@ -203,7 +204,7 @@ func (d *Deployment) ReshareGroup(gid, outPos, newServer int, window time.Durati
 	d.mu.Unlock()
 	if len(dealers) < threshold {
 		return fmt.Errorf("%w: group %d has %d live members to deal a resharing, needs %d",
-			ErrRecoveryNeeded, gid, len(dealers), threshold)
+			taxonomy.ErrRecoveryNeeded, gid, len(dealers), threshold)
 	}
 
 	stay := make(map[int]int, len(dealers))

@@ -11,6 +11,7 @@ import (
 	"atom/internal/ecc"
 	"atom/internal/elgamal"
 	"atom/internal/nizk"
+	"atom/internal/taxonomy"
 )
 
 // Message kind tags, the first byte of every routed plaintext. The paper
@@ -113,7 +114,7 @@ func (c *Client) encryptPayload(payload []byte, entryPK *ecc.Point, gid int, rnd
 // with public key entryPK and id gid.
 func (c *Client) Submit(msg []byte, entryPK *ecc.Point, gid int, rnd io.Reader) (*Submission, error) {
 	if c.cfg.Variant != VariantNIZK {
-		return nil, fmt.Errorf("%w: Submit requires the NIZK variant (have %v)", ErrWrongVariant, c.cfg.Variant)
+		return nil, fmt.Errorf("%w: Submit requires the NIZK variant (have %v)", taxonomy.ErrVariantMismatch, c.cfg.Variant)
 	}
 	padded, err := padMessage(msg, c.cfg.MessageSize)
 	if err != nil {
@@ -164,7 +165,7 @@ func trapGID(trap []byte) (int, error) {
 // group, in random order (§4.4 steps 1–5).
 func (c *Client) SubmitTrap(msg []byte, entryPK, trusteePK *ecc.Point, gid int, rnd io.Reader) (*TrapSubmission, error) {
 	if c.cfg.Variant != VariantTrap {
-		return nil, fmt.Errorf("%w: SubmitTrap requires the trap variant (have %v)", ErrWrongVariant, c.cfg.Variant)
+		return nil, fmt.Errorf("%w: SubmitTrap requires the trap variant (have %v)", taxonomy.ErrVariantMismatch, c.cfg.Variant)
 	}
 	padded, err := padMessage(msg, c.cfg.MessageSize)
 	if err != nil {

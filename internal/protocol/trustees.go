@@ -1,12 +1,12 @@
 package protocol
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"atom/internal/cca2"
 	"atom/internal/ecc"
+	"atom/internal/taxonomy"
 )
 
 // Trustees is the extra anytrust group of the trap variant (§4.4). The
@@ -21,10 +21,6 @@ type Trustees struct {
 	pk     *ecc.Point
 	shares []*ecc.Scalar // share i held by trustee i; nil once deleted
 }
-
-// ErrRoundAborted is returned when the trustees refuse to release the
-// round key because a violation was reported.
-var ErrRoundAborted = errors.New("protocol: round aborted — trustees deleted the decryption key")
 
 // NewTrustees generates the per-round trustee key among n trustees.
 func NewTrustees(n int, rnd io.Reader) (*Trustees, error) {
@@ -94,11 +90,11 @@ func (t *Trustees) Release(reports []ExitReport) ([]*ecc.Scalar, error) {
 		for i := range t.shares {
 			t.shares[i] = nil
 		}
-		return nil, fmt.Errorf("%w: %s", ErrRoundAborted, reason)
+		return nil, fmt.Errorf("%w: %s", taxonomy.ErrTrapTripped, reason)
 	}
 	for _, s := range t.shares {
 		if s == nil {
-			return nil, fmt.Errorf("%w: shares already deleted", ErrRoundAborted)
+			return nil, fmt.Errorf("%w: shares already deleted", taxonomy.ErrTrapTripped)
 		}
 	}
 	return t.shares, nil

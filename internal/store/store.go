@@ -16,7 +16,7 @@
 // power-cut-mid-write artifact — fails its length or CRC check and is
 // truncated away on open; replay then stops at the last consistent
 // state. A frame that passes its CRC but does not decode is not a torn
-// write, it is corruption, and surfaces as ErrCorrupt.
+// write, it is corruption, and surfaces as ErrStateCorrupt.
 package store
 
 import (
@@ -31,17 +31,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"atom/internal/taxonomy"
 )
 
-// ErrCorrupt marks persisted state that fails validation beyond a torn
-// tail: a mid-journal CRC mismatch would truncate (torn writes only
-// ever tear the tail), but a frame that passes its checksum and still
-// does not decode means the bytes were damaged after they were durably
-// written. The atom package re-exports it as ErrStateCorrupt.
-var ErrCorrupt = errors.New("store: persisted state corrupt")
-
 // Record classes. The class byte leads every journal payload; unknown
-// classes fail replay with ErrCorrupt rather than being skipped — a
+// classes fail replay with ErrStateCorrupt rather than being skipped — a
 // store must never silently drop state it does not understand.
 const (
 	classMember     = 1 // marshaled MemberConfig (identity, share, commitments)
@@ -185,7 +180,7 @@ type Store struct {
 // Open opens (creating if needed) the state directory, loads the
 // snapshot, replays the journal on top of it — truncating a torn final
 // frame — and returns the store ready for appends. A journal or
-// snapshot that is damaged beyond a torn tail fails with ErrCorrupt.
+// snapshot that is damaged beyond a torn tail fails with ErrStateCorrupt.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -461,7 +456,7 @@ func (s *Store) apply(class byte, key uint64, value []byte) error {
 	case classOutcome:
 		o, err := decodeOutcome(key, value)
 		if err != nil {
-			return fmt.Errorf("%w: outcome record round %d: %v", ErrCorrupt, key, err)
+			return fmt.Errorf("%w: outcome record round %d: %v", taxonomy.ErrStateCorrupt, key, err)
 		}
 		delete(s.st.Sealed, key)
 		s.st.Outcomes[key] = o
@@ -470,13 +465,13 @@ func (s *Store) apply(class byte, key uint64, value []byte) error {
 	case classDKG:
 		s.st.DKG = value
 	default:
-		return fmt.Errorf("%w: unknown record class %d", ErrCorrupt, class)
+		return fmt.Errorf("%w: unknown record class %d", taxonomy.ErrStateCorrupt, class)
 	}
 	return nil
 }
 
 // loadSnapshot reads the snapshot file, if present, into the state.
-// A snapshot is one frame; any mismatch is ErrCorrupt — snapshots are
+// A snapshot is one frame; any mismatch is ErrStateCorrupt — snapshots are
 // written to a temp file and renamed, so a torn snapshot cannot occur
 // under the posix rename contract.
 func (s *Store) loadSnapshot() (int, error) {
@@ -489,7 +484,7 @@ func (s *Store) loadSnapshot() (int, error) {
 	}
 	payload, n, ok := readFrame(b)
 	if !ok || n != len(b) {
-		return 0, fmt.Errorf("%w: snapshot frame damaged", ErrCorrupt)
+		return 0, fmt.Errorf("%w: snapshot frame damaged", taxonomy.ErrStateCorrupt)
 	}
 	if err := decodeState(payload, &s.st); err != nil {
 		return 0, err
@@ -524,7 +519,7 @@ func (s *Store) replayJournal() (int, error) {
 		}
 		class, key, value, derr := decodeRecord(payload)
 		if derr != nil {
-			return 0, fmt.Errorf("%w: journal record at offset %d: %v", ErrCorrupt, off, derr)
+			return 0, fmt.Errorf("%w: journal record at offset %d: %v", taxonomy.ErrStateCorrupt, off, derr)
 		}
 		if aerr := s.apply(class, key, value); aerr != nil {
 			return 0, aerr
@@ -687,7 +682,7 @@ func encodeState(st *State) []byte {
 
 func decodeState(b []byte, st *State) error {
 	fail := func(what string) error {
-		return fmt.Errorf("%w: snapshot %s", ErrCorrupt, what)
+		return fmt.Errorf("%w: snapshot %s", taxonomy.ErrStateCorrupt, what)
 	}
 	if len(b) < 1 || b[0] < 1 || b[0] > stateVersion {
 		return fail("version")

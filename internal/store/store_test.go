@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"atom/internal/taxonomy"
 )
 
 func TestJournalRoundtrip(t *testing.T) {
@@ -134,8 +136,8 @@ func TestCorruptRecordDetected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open = %v, want ErrCorrupt", err)
+	if _, err := Open(dir); !errors.Is(err, taxonomy.ErrStateCorrupt) {
+		t.Errorf("Open = %v, want taxonomy.ErrStateCorrupt", err)
 	}
 }
 

@@ -38,7 +38,7 @@ func NewMicroblog(n *Network) (*Microblog, error) {
 
 // Post submits one message for the given user into the current round.
 func (m *Microblog) Post(user int, text string) error {
-	return wrapErr(m.svc.Post(user, text, entropy()))
+	return m.svc.Post(user, text, entropy())
 }
 
 // PostOpen submits one message through a continuous Service, into
@@ -48,7 +48,7 @@ func (m *Microblog) Post(user int, text string) error {
 // cadence and PublishOutcome lands each batch on the board.
 func (m *Microblog) PostOpen(svc *Service, user int, text string) error {
 	if err := microblog.ValidatePost(text); err != nil {
-		return wrapErr(err)
+		return err
 	}
 	_, err := svc.Submit(user, []byte(text))
 	return err
@@ -63,7 +63,7 @@ func (m *Microblog) PublishOutcome(out *RoundOutcome) ([]Post, error) {
 	}
 	posts, err := m.svc.PublishResult(out.Round, out.Messages)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	pub := make([]Post, len(posts))
 	for i, p := range posts {
@@ -83,7 +83,7 @@ func (m *Microblog) Publish() ([]Post, error) {
 func (m *Microblog) PublishCtx(ctx context.Context) ([]Post, error) {
 	posts, err := m.svc.RunRoundCtx(ctx)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	out := make([]Post, len(posts))
 	for i, p := range posts {

@@ -9,53 +9,7 @@ import (
 // IterationStats reports one mixing iteration of one round: its
 // wall-clock latency and the cryptographic work the whole network did
 // (all groups run in parallel within an iteration).
-type IterationStats struct {
-	// Round is the round's sequence number.
-	Round uint64
-	// Layer is the 0-based mixing iteration (0 ≤ Layer < T).
-	Layer int
-	// Duration is the iteration's wall-clock latency.
-	Duration time.Duration
-	// Messages is the number of ciphertext vectors entering the layer.
-	Messages int
-	// Shuffles and ReEncs count the per-member crypto operations.
-	Shuffles int
-	ReEncs   int
-	// ProofsVerified counts NIZK verifications (0 in the trap variant's
-	// mixing iterations).
-	ProofsVerified int
-	// Workers is the parallel mixing engine's per-group pool size the
-	// iteration ran with (Config.MixWorkers, resolved).
-	Workers int
-	// ActiveGroups counts the groups that held messages this iteration.
-	ActiveGroups int
-	// WorkerBusy totals the time worker goroutines spent executing
-	// crypto tasks across all groups' pools.
-	WorkerBusy time.Duration
-	// Codec totals the time group members spent encoding and decoding
-	// member-to-member chain messages (zero unless the round ran on the
-	// distributed engine) — the part of a member's time WorkerBusy
-	// cannot see.
-	Codec time.Duration
-	// Members totals the groups' live memberships for the iteration
-	// (Groups × GroupSize when every server is up). A smaller value
-	// means the network mixed in degraded mode: some group is running
-	// on its h−1 spare budget (§4.5).
-	Members int
-}
-
-// Utilization reports the fraction of the iteration's worker-pool
-// capacity (Workers goroutines in each group that held messages, for
-// the iteration's wall-clock span) that was spent executing crypto
-// tasks — 1.0 means every worker was busy the whole iteration. It
-// returns 0 when the iteration did no work.
-func (s IterationStats) Utilization() float64 {
-	slots := time.Duration(s.Workers*s.ActiveGroups) * s.Duration
-	if slots <= 0 {
-		return 0
-	}
-	return float64(s.WorkerBusy) / float64(slots)
-}
+type IterationStats = protocol.IterationStats
 
 // IngestStats reports a round's ingestion-frontend accounting — what
 // the admission control and the round scheduler did before mixing
@@ -84,19 +38,7 @@ type IngestStats struct {
 // wire submissions were admitted together, how long the combined proof
 // verification took, and how the batch split. Surfaced through
 // Observer.AdmissionBatch into the daemon's /metrics.
-type AdmitBatchStats struct {
-	// Size is the number of submissions in the batch; Verified is how
-	// many reached the combined proof check (structurally broken
-	// submissions never do).
-	Size     int
-	Verified int
-	// VerifyTime is the wall time of the combined verification, including
-	// the serial attribution re-scan when the batch check fails.
-	VerifyTime time.Duration
-	// Admitted and Rejected partition the batch.
-	Admitted int
-	Rejected int
-}
+type AdmitBatchStats = protocol.BatchAdmitStats
 
 // RoundStats summarizes a completed round.
 type RoundStats struct {
@@ -193,11 +135,12 @@ func (n *Network) observer() *Observer {
 // statsFromResult converts a protocol round result into public stats.
 func statsFromResult(res *protocol.RoundResult, submissions int) RoundStats {
 	st := RoundStats{
-		Round:       res.Round,
-		Submissions: submissions,
-		Messages:    len(res.Messages),
-		Iterations:  len(res.Iterations),
-		Duration:    res.Duration,
+		Round:        res.Round,
+		Submissions:  submissions,
+		Messages:     len(res.Messages),
+		Iterations:   len(res.Iterations),
+		Duration:     res.Duration,
+		PerIteration: res.Iterations,
 		Ingest: IngestStats{
 			Admitted:    res.Admitted,
 			Rejected:    res.Rejected,
@@ -205,23 +148,9 @@ func statsFromResult(res *protocol.RoundResult, submissions int) RoundStats {
 		},
 	}
 	for _, it := range res.Iterations {
-		st.PerIteration = append(st.PerIteration, IterationStats{
-			Round:          it.Round,
-			Layer:          it.Layer,
-			Duration:       it.Duration,
-			Messages:       it.Messages,
-			Shuffles:       it.Shuffles,
-			ReEncs:         it.ReEncs,
-			ProofsVerified: it.ProofsChecked,
-			Workers:        it.Workers,
-			ActiveGroups:   it.ActiveGroups,
-			WorkerBusy:     it.WorkerBusy,
-			Codec:          it.Codec,
-			Members:        it.Members,
-		})
 		st.Shuffles += it.Shuffles
 		st.ReEncs += it.ReEncs
-		st.ProofsVerified += it.ProofsChecked
+		st.ProofsVerified += it.ProofsVerified
 		st.Workers = it.Workers
 		st.WorkerBusy += it.WorkerBusy
 	}
@@ -235,22 +164,5 @@ func (n *Network) hooksFor() *protocol.RoundHooks {
 	if obs == nil || obs.IterationDone == nil {
 		return nil
 	}
-	return &protocol.RoundHooks{
-		IterationDone: func(it protocol.IterationStats) {
-			obs.IterationDone(IterationStats{
-				Round:          it.Round,
-				Layer:          it.Layer,
-				Duration:       it.Duration,
-				Messages:       it.Messages,
-				Shuffles:       it.Shuffles,
-				ReEncs:         it.ReEncs,
-				ProofsVerified: it.ProofsChecked,
-				Workers:        it.Workers,
-				ActiveGroups:   it.ActiveGroups,
-				WorkerBusy:     it.WorkerBusy,
-				Codec:          it.Codec,
-				Members:        it.Members,
-			})
-		},
-	}
+	return &protocol.RoundHooks{IterationDone: obs.IterationDone}
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"atom/internal/protocol"
 	"atom/internal/store"
+	"atom/internal/taxonomy"
 )
 
 // TestServiceResumesSealedRoundAfterCrash is the coordinator-side
@@ -116,10 +116,10 @@ func TestPublicPersistenceSentinels(t *testing.T) {
 	if _, err := RestoreNetwork(cfg, []byte{0xff, 0x01, 0x02}, 0); !errors.Is(err, ErrStateCorrupt) {
 		t.Fatalf("garbage state restored with %v, want ErrStateCorrupt", err)
 	}
-	if err := wrapErr(fmt.Errorf("daemon: %w", protocol.ErrConfigMismatch)); !errors.Is(err, ErrConfigMismatch) {
+	if err := fmt.Errorf("daemon: %w", taxonomy.ErrConfigMismatch); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("wrapped mismatch is %v, want ErrConfigMismatch", err)
 	}
-	if err := wrapErr(fmt.Errorf("replay: %w", store.ErrCorrupt)); !errors.Is(err, ErrStateCorrupt) {
+	if err := fmt.Errorf("replay: %w", taxonomy.ErrStateCorrupt); !errors.Is(err, ErrStateCorrupt) {
 		t.Fatalf("wrapped store corruption is %v, want ErrStateCorrupt", err)
 	}
 }

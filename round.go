@@ -34,11 +34,11 @@ type Round struct {
 // other round's lifecycle.
 func (n *Network) OpenRound(ctx context.Context) (*Round, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(err)
+		return nil, fmt.Errorf("%w: %w", ErrRoundAborted, err)
 	}
 	rs, err := n.d.OpenRound()
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	r := &Round{n: n, rs: rs}
 	if obs := n.observer(); obs != nil && obs.RoundOpened != nil {
@@ -64,7 +64,7 @@ func (r *Round) Submit(user int, msg []byte) error {
 // use.
 func (r *Round) SubmitTo(user, gid int, msg []byte) error {
 	if err := r.encryptAndSubmit(user, gid, msg); err != nil {
-		return wrapErr(err)
+		return err
 	}
 	if obs := r.n.observer(); obs != nil && obs.SubmissionAccepted != nil {
 		obs.SubmissionAccepted(r.rs.ID(), user, gid)
@@ -108,7 +108,7 @@ func (r *Round) encryptAndSubmit(user, gid int, msg []byte) error {
 // trap variant, to this round's TrusteeKey). Safe for concurrent use.
 func (r *Round) SubmitEncoded(user int, wire []byte) error {
 	if err := r.rs.SubmitEncoded(user, wire); err != nil {
-		return wrapErr(err)
+		return err
 	}
 	if obs := r.n.observer(); obs != nil && obs.SubmissionAccepted != nil {
 		obs.SubmissionAccepted(r.rs.ID(), user, -1)
@@ -124,21 +124,16 @@ func (r *Round) SubmitEncoded(user int, wire []byte) error {
 func (r *Round) SubmitEncodedBatch(users []int, wires [][]byte) []error {
 	errs, stats := r.rs.SubmitEncodedBatch(users, wires)
 	obs := r.n.observer()
+	if obs == nil {
+		return errs
+	}
 	for i, err := range errs {
-		if err != nil {
-			errs[i] = wrapErr(err)
-		} else if obs != nil && obs.SubmissionAccepted != nil {
+		if err == nil && obs.SubmissionAccepted != nil {
 			obs.SubmissionAccepted(r.rs.ID(), users[i], -1)
 		}
 	}
-	if obs != nil && obs.AdmissionBatch != nil {
-		obs.AdmissionBatch(r.rs.ID(), AdmitBatchStats{
-			Size:       stats.Size,
-			Verified:   stats.Verified,
-			VerifyTime: stats.VerifyTime,
-			Admitted:   stats.Admitted,
-			Rejected:   stats.Rejected,
-		})
+	if obs.AdmissionBatch != nil {
+		obs.AdmissionBatch(r.rs.ID(), stats)
 	}
 	return errs
 }
@@ -149,7 +144,7 @@ func (r *Round) SubmitEncodedBatch(users []int, wires [][]byte) []error {
 func (r *Round) TrusteeKey() ([]byte, error) {
 	pk, err := r.rs.TrusteePK()
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	return pk.Bytes(), nil
 }
@@ -168,7 +163,7 @@ func (r *Round) Mix(ctx context.Context) (*Result, error) {
 	// A dead context must not consume the round — the batch survives
 	// and Mix can be retried with a live context.
 	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(err)
+		return nil, fmt.Errorf("%w: %w", ErrRoundAborted, err)
 	}
 	if !r.mixed.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("%w: round %d already mixed", ErrRoundClosed, r.rs.ID())
@@ -177,7 +172,6 @@ func (r *Round) Mix(ctx context.Context) (*Result, error) {
 	res, err := r.n.d.RunRoundCtx(ctx, r.rs, r.n.hooksFor())
 	obs := r.n.observer()
 	if err != nil {
-		err = wrapErr(err)
 		if obs != nil && obs.RoundFailed != nil {
 			obs.RoundFailed(r.rs.ID(), err)
 		}
@@ -206,7 +200,7 @@ func (r *Round) Stats() (stats RoundStats, ok bool) {
 func (r *Round) IdentifyMaliciousUsers() ([]int, map[int]string, error) {
 	report, err := r.rs.IdentifyMaliciousUsers()
 	if err != nil {
-		return nil, nil, wrapErr(err)
+		return nil, nil, err
 	}
 	return report.BadUsers, report.Reasons, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"atom/internal/elgamal"
 	"atom/internal/protocol"
+	"atom/internal/taxonomy"
 )
 
 func TestRoundConcurrentSubmission(t *testing.T) {
@@ -273,9 +274,9 @@ func TestRoundErrorsTaxonomy(t *testing.T) {
 		if errors.Is(err, ErrProofRejected) {
 			t.Fatal("a trap trip must not match ErrProofRejected")
 		}
-		// The internal sentinel remains reachable through the chain.
-		if !errors.Is(err, protocol.ErrRoundAborted) {
-			t.Fatal("internal protocol.ErrRoundAborted lost from the chain")
+		// The protocol layer returns the public sentinel itself.
+		if !errors.Is(err, taxonomy.ErrTrapTripped) {
+			t.Fatal("protocol-layer taxonomy.ErrTrapTripped lost from the chain")
 		}
 	})
 

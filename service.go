@@ -19,14 +19,6 @@ import (
 // selects the in-process engine.
 type Mixer = protocol.Mixer
 
-// ErrServiceClosed is returned by Service methods after Close (or after
-// the serve context ended).
-var ErrServiceClosed = errors.New("atom: service closed")
-
-// ErrResultExpired is returned by WaitRound for a round whose outcome
-// has already been evicted from the service's bounded result history.
-var ErrResultExpired = errors.New("atom: round result no longer retained")
-
 // ServeOptions tunes a continuous Service.
 type ServeOptions struct {
 	// RoundInterval is the round scheduler's seal deadline: an open
@@ -198,7 +190,7 @@ func (n *Network) Serve(ctx context.Context, opts ServeOptions) (*Service, error
 		for _, blob := range pending {
 			sealed, err := n.d.RestoreSealedRound(blob)
 			if err != nil {
-				return nil, wrapErr(err)
+				return nil, err
 			}
 			resumed = append(resumed, &sealedJob{
 				round:  sealed.Round(),
@@ -541,7 +533,7 @@ func (s *Service) dispatch() {
 		out := RoundOutcome{Round: job.round}
 		obs := s.n.observer()
 		if err != nil {
-			out.Err = wrapErr(err)
+			out.Err = err
 			if obs != nil && obs.RoundFailed != nil {
 				obs.RoundFailed(job.round, out.Err)
 			}

@@ -44,11 +44,11 @@ const trustVersion = 1
 func NewNetworkDKG(cfg Config, window time.Duration) (*Network, error) {
 	icfg := cfg.internal()
 	if err := icfg.Validate(); err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	keys, chain, err := bootstrapBeacon(icfg.GroupSize, icfg.Threshold(), icfg.Seed, window)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	d, err := protocol.NewDeploymentSetup(icfg, &protocol.Setup{
 		Source:    chain,
@@ -56,12 +56,12 @@ func NewNetworkDKG(cfg Config, window time.Duration) (*Network, error) {
 		GroupKeys: protocol.DKGGroupKeys(window, nil),
 	})
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	valid := d.Config()
 	client, err := protocol.NewClient(&valid)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	n := &Network{d: d, client: client}
 	n.chain = chain
@@ -89,43 +89,10 @@ func bootstrapBeacon(size, threshold int, seed []byte, window time.Duration) ([]
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := produceRound(chain, keys); err != nil {
+	if _, err := chain.Produce(keys); err != nil {
 		return nil, nil, err
 	}
 	return keys, chain, nil
-}
-
-// produceRound signs, aggregates and appends the chain's next round
-// using the committee's first Threshold shares, returning the new head
-// number. This is the in-process stand-in for the committee members
-// exchanging partials over a transport; every partial is still verified
-// by Aggregate and the full link by Append.
-func produceRound(chain *beacon.Chain, keys []*dvss.GroupKey) (uint64, error) {
-	ci := chain.Info()
-	head, prev := chain.Head()
-	next := head + 1
-	partials := make([]*beacon.Partial, 0, ci.Threshold)
-	for _, k := range keys {
-		if k == nil {
-			continue
-		}
-		p, err := ci.SignPartial(k.Index, k.Share, next, prev)
-		if err != nil {
-			return 0, fmt.Errorf("atom: beacon partial %d: %w", k.Index, err)
-		}
-		partials = append(partials, p)
-		if len(partials) == ci.Threshold {
-			break
-		}
-	}
-	r, err := ci.Aggregate(next, prev, partials)
-	if err != nil {
-		return 0, err
-	}
-	if err := chain.Append(r); err != nil {
-		return 0, err
-	}
-	return next, nil
 }
 
 // BeaconChain exposes the network's verifiable randomness chain (nil on
@@ -140,11 +107,7 @@ func (n *Network) BeaconTick() (uint64, error) {
 	if n.chain == nil {
 		return 0, fmt.Errorf("%w: network has no beacon committee (built without DKG setup)", ErrSetupFailed)
 	}
-	head, err := produceRound(n.chain, n.beaconKeys)
-	if err != nil {
-		return 0, wrapErr(err)
-	}
-	return head, nil
+	return n.chain.Produce(n.beaconKeys)
 }
 
 // ReshareGroup runs one resharing epoch on group gid: the member at
@@ -153,7 +116,7 @@ func (n *Network) BeaconTick() (uint64, error) {
 // ciphertext — is unchanged. The departed member's share lies on the
 // retired polynomial and is useless against future traffic.
 func (n *Network) ReshareGroup(gid, outPos, newServer int) error {
-	return wrapErr(n.d.ReshareGroup(gid, outPos, newServer, n.dkgWindow))
+	return n.d.ReshareGroup(gid, outPos, newServer, n.dkgWindow)
 }
 
 // PersistTrust journals the network's trust material into st: the DKG
@@ -192,27 +155,27 @@ func (n *Network) PersistTrust(st *store.Store) error {
 func (n *Network) RestoreTrust(st *store.Store) error {
 	state := st.State()
 	if state.DKG == nil {
-		return wrapErr(fmt.Errorf("%w: store holds no trust transcript", store.ErrCorrupt))
+		return fmt.Errorf("%w: store holds no trust transcript", ErrStateCorrupt)
 	}
 	info, keys, err := decodeTrust(state.DKG)
 	if err != nil {
-		return wrapErr(err)
+		return err
 	}
 	chain, err := beacon.NewChain(info)
 	if err != nil {
-		return wrapErr(err)
+		return err
 	}
 	rounds := make([]*beacon.Round, 0, len(state.Beacon))
 	for num, enc := range state.Beacon {
 		r, err := beacon.DecodeRound(enc)
 		if err != nil || r.Number != num {
-			return wrapErr(fmt.Errorf("%w: beacon round %d record: %v", store.ErrCorrupt, num, err))
+			return fmt.Errorf("%w: beacon round %d record: %v", ErrStateCorrupt, num, err)
 		}
 		rounds = append(rounds, r)
 	}
 	sort.Slice(rounds, func(i, j int) bool { return rounds[i].Number < rounds[j].Number })
 	if _, err := chain.Catchup(rounds); err != nil {
-		return wrapErr(err)
+		return err
 	}
 	n.chain = chain
 	n.beaconKeys = keys
@@ -249,7 +212,7 @@ func encodeTrust(info *beacon.ChainInfo, keys []*dvss.GroupKey) []byte {
 // re-validating every share against its commitments.
 func decodeTrust(b []byte) (*beacon.ChainInfo, []*dvss.GroupKey, error) {
 	fail := func(what string, err error) (*beacon.ChainInfo, []*dvss.GroupKey, error) {
-		return nil, nil, fmt.Errorf("%w: trust transcript %s: %v", store.ErrCorrupt, what, err)
+		return nil, nil, fmt.Errorf("%w: trust transcript %s: %v", ErrStateCorrupt, what, err)
 	}
 	d := wirecodec.NewDec(b)
 	v, err := d.Byte()
