@@ -9,6 +9,12 @@
 // and points, and Koblitz-style embedding of message bytes into curve
 // points.
 //
+// The coordinate field's multiplication and squaring kernels reduce
+// with P-256's special form (two shifts and one multiplication per
+// Montgomery step) — MULX/ADCX/ADOX assembly on amd64 with ADX, the
+// portable math/bits code in fe_mul.go everywhere else; every point
+// operation, comb evaluation, MSM and decode runs on those two kernels.
+//
 // Wire formats are frozen: Scalar.Bytes is 32-byte big-endian and
 // Point.Bytes is the SEC1 compressed encoding (0x00 for the identity),
 // byte-identical to the crypto/elliptic backend this package replaced,

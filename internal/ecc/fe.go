@@ -244,7 +244,7 @@ func montPow(z, x *[4]uint64, e *[4]uint64, fp *fieldParams) {
 type fe [4]uint64
 
 func feMul(z, x, y *fe) { p256Mul((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(y)) }
-func feSqr(z, x *fe)    { p256Mul((*[4]uint64)(z), (*[4]uint64)(x), (*[4]uint64)(x)) }
+func feSqr(z, x *fe)    { p256Sqr((*[4]uint64)(z), (*[4]uint64)(x)) }
 
 // feAdd and feSub are unrolled for p with branchless conditional
 // reduction: the borrow/carry decides via masks, not a data-dependent

@@ -3,69 +3,112 @@
 package ecc
 
 import (
-	"math/bits"
+	"math/big"
 	"math/rand"
 	"testing"
 )
 
-// TestMulAsmMatchesGeneric cross-checks the ADX assembly multipliers
-// against the portable CIOS code on random and carry-adversarial
-// inputs. Inputs are reduced mod the field first (the multipliers'
-// contract is canonical inputs).
+// TestMulAsmMatchesGeneric cross-checks the ADX assembly kernels — the
+// P-256 multiplier and squaring, and the group-order multiplier —
+// against the portable code and math/big on random and
+// carry-adversarial inputs (kernelEdges). Inputs are reduced mod the
+// field first (the kernels' contract is canonical inputs).
 func TestMulAsmMatchesGeneric(t *testing.T) {
 	if !hasADX {
 		t.Skip("no ADX on this CPU")
 	}
-	reduce := func(v *[4]uint64, m *[4]uint64) {
-		for !limbsLess(v, m) {
-			var r [4]uint64
-			var bb uint64
-			r[0], bb = bits.Sub64(v[0], m[0], 0)
-			r[1], bb = bits.Sub64(v[1], m[1], bb)
-			r[2], bb = bits.Sub64(v[2], m[2], bb)
-			r[3], _ = bits.Sub64(v[3], m[3], bb)
-			*v = r
-		}
-	}
-	edge := [][4]uint64{
+	qEdges := [][4]uint64{
 		{0, 0, 0, 0},
 		{1, 0, 0, 0},
 		{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
 		{^uint64(0), 0, 0, ^uint64(0)},
 		{0, ^uint64(0), ^uint64(0), 0},
-		{pm0 - 1, pm1, pm2, pm3}, // p-1 (limbs)
 		{qm0 - 1, qm1, qm2, qm3}, // q-1 (limbs)
 		{0, 0, 0, 0x8000000000000000},
 	}
+	pEdges := kernelEdges()
 	rng := rand.New(rand.NewSource(7))
 	randLimbs := func() [4]uint64 {
 		return [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
 	}
-	cases := make([][2][4]uint64, 0, 4096+len(edge)*len(edge))
-	for _, a := range edge {
-		for _, b := range edge {
-			cases = append(cases, [2][4]uint64{a, b})
+	var pCases, qCases [][2][4]uint64
+	for _, a := range pEdges {
+		for _, b := range pEdges {
+			pCases = append(pCases, [2][4]uint64{a, b})
+		}
+	}
+	for _, a := range qEdges {
+		for _, b := range qEdges {
+			qCases = append(qCases, [2][4]uint64{a, b})
 		}
 	}
 	for i := 0; i < 4096; i++ {
-		cases = append(cases, [2][4]uint64{randLimbs(), randLimbs()})
+		pCases = append(pCases, [2][4]uint64{randLimbs(), randLimbs()})
+		qCases = append(qCases, [2][4]uint64{randLimbs(), randLimbs()})
 	}
-	for _, c := range cases {
-		for field, m := range map[string]*[4]uint64{"p": {pm0, pm1, pm2, pm3}, "q": {qm0, qm1, qm2, qm3}} {
-			x, y := c[0], c[1]
-			reduce(&x, m)
-			reduce(&y, m)
-			var want, got [4]uint64
-			if field == "p" {
-				p256MulGeneric(&want, &x, &y)
-				p256MulADX(&got, &x, &y)
-			} else {
-				ordMulGeneric(&want, &x, &y)
-				ordMulADX(&got, &x, &y)
-			}
-			if want != got {
-				t.Fatalf("%sMul mismatch on x=%x y=%x: generic %x, asm %x", field, x, y, want, got)
-			}
+
+	for _, c := range pCases {
+		x, y := c[0], c[1]
+		reduceMod(&x, &pParams.m)
+		reduceMod(&y, &pParams.m)
+		checkP256Kernels(t, x, y) // dispatches to the assembly here
+	}
+	qRInv := new(big.Int).ModInverse(bigR, Order)
+	for _, c := range qCases {
+		x, y := c[0], c[1]
+		reduceMod(&x, &qParams.m)
+		reduceMod(&y, &qParams.m)
+		wb := new(big.Int).Mul(limbsBig(&x), limbsBig(&y))
+		wb.Mul(wb, qRInv).Mod(wb, Order)
+		var want, gen, asm [4]uint64
+		bigToLimbs(&want, wb)
+		ordMulGeneric(&gen, &x, &y)
+		ordMulADX(&asm, &x, &y)
+		if gen != want || asm != want {
+			t.Fatalf("ordMul x=%x y=%x: generic %x, asm %x, big %x", x, y, gen, asm, want)
 		}
 	}
+}
+
+// TestPortableCurveMatchesReference reruns the crypto/elliptic
+// differential checks with the assembly switched off, so the portable
+// kernels that carry every non-amd64 build are exercised end to end on
+// this host too: Mul and BaseMul, the batch pipelines (MulSameScalarBatch,
+// BaseMulBatch, MulBatch and the fused forms), MultiScalarMul, and
+// PointFromBytes, whose decompression runs feSqrt and whose Bytes runs
+// feInv.
+func TestPortableCurveMatchesReference(t *testing.T) {
+	saved := hasADX
+	hasADX = false
+	t.Cleanup(func() { hasADX = saved })
+
+	t.Run("Mul", TestDifferentialMulAndBaseMul)
+	t.Run("BatchAPIs", TestDifferentialBatchAPIs)
+	t.Run("MultiScalarMul", TestDifferentialMultiScalarMul)
+	t.Run("MulSameScalarBatch", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(105))
+		pts := testPoints(t, rng, sameScalarMin+8)
+		for _, k := range testScalars(t, rng, 2) {
+			got := MulSameScalarBatch(k, pts)
+			for i, p := range pts {
+				if g, w := toRef(t, got[i]), refMul(toRef(t, p), k); !refEqual(g, w) {
+					t.Fatalf("MulSameScalarBatch[%d] mismatch at k=%x", i, k.Bytes())
+				}
+			}
+		}
+	})
+	t.Run("PointFromBytes", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(106))
+		for _, k := range testScalars(t, rng, 16) {
+			want := refBaseMul(k)
+			enc := fromRefBytes(want)
+			p, err := PointFromBytes(enc)
+			if err != nil {
+				t.Fatalf("decode %x: %v", enc, err)
+			}
+			if got := p.Add(p).Sub(p).Bytes(); string(got) != string(enc) {
+				t.Fatalf("round trip %x -> %x", enc, got)
+			}
+		}
+	})
 }

@@ -2,12 +2,12 @@
 
 package ecc
 
-// On amd64 the Montgomery multipliers dispatch to hand-written
+// On amd64 the Montgomery kernels dispatch to hand-written
 // MULX/ADCX/ADOX assembly when the CPU supports BMI2+ADX (everything
-// since Broadwell); the portable CIOS code in fe_mul.go remains the
-// fallback. The assembly computes the exact same conditionally-reduced
-// CIOS, so results are bit-identical either way — the differential
-// tests exercise both paths.
+// since Broadwell); the portable code in fe_mul.go remains the
+// fallback. Every kernel returns the canonical residue, so results are
+// bit-identical either way — the differential tests exercise both
+// paths.
 
 var hasADX = cpuSupportsADX()
 
@@ -17,6 +17,15 @@ func p256Mul(z, x, y *[4]uint64) {
 		p256MulADX(z, x, y)
 	} else {
 		p256MulGeneric(z, x, y)
+	}
+}
+
+// p256Sqr sets z = x²·R⁻¹ mod p. z may alias x.
+func p256Sqr(z, x *[4]uint64) {
+	if hasADX {
+		p256SqrADX(z, x)
+	} else {
+		p256SqrGeneric(z, x)
 	}
 }
 
@@ -33,6 +42,9 @@ func ordMul(z, x, y *[4]uint64) {
 
 //go:noescape
 func p256MulADX(z, x, y *[4]uint64)
+
+//go:noescape
+func p256SqrADX(z, x *[4]uint64)
 
 //go:noescape
 func ordMulADX(z, x, y *[4]uint64)

@@ -12,8 +12,9 @@ package ecc
 //   - the digit schedule (the scalar's wNAF) is computed once and every
 //     point walks it in lockstep, so the group arithmetic runs through
 //     the batchLanes affine accumulator — one shared field inversion
-//     per digit step, ~6–7 multiplications per point per step against
-//     ~8–14 for the Jacobian formulas; and
+//     per digit step, and per point 5 multiplications and 2 squarings
+//     for a doubling step (5M + 1S for an addition), against 3M + 5S
+//     and 7M + 4S for the Jacobian doubling and mixed addition; and
 //   - the lanes are mutually independent, so the multiplier pipeline
 //     runs at throughput. A single Jacobian double-and-add chain is a
 //     serial dependency on the field multiplier's *latency*, which is
@@ -21,7 +22,10 @@ package ecc
 
 // sameScalarMin is the batch size below which the shared-inversion
 // machinery costs more than it saves (each digit step pays one field
-// inversion, ~300 multiplications, amortized across the lanes).
+// inversion, about 200 multiplications' time, amortized across the
+// lanes). Callers with several small batches under one scalar — a
+// server's re-encryption toward β destinations — concatenate them into
+// one call so the walk pays that inversion once per step.
 const sameScalarMin = 64
 
 // sameScalarBlock bounds how many lanes run in lockstep: the per-block

@@ -119,6 +119,79 @@ func TestReEncBatchParMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestReEncBatchesMatchesPerBatch: one server step over several
+// destinations — one shared peel walk — must equal successive
+// ReEncBatchPar calls on the same randomness stream, output for output
+// and scalar for scalar, at every worker count; empty batches and an
+// exit (nil key) batch among them included, and the exit plaintexts
+// must decode.
+func TestReEncBatchesMatchesPerBatch(t *testing.T) {
+	kp, err := KeyGen(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []*ecc.Point
+	for i := 0; i < 2; i++ {
+		next, err := KeyGen(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, next.PK)
+	}
+	nextPKs := []*ecc.Point{keys[0], nil, keys[1], keys[0], nil}
+	batches := [][]Vector{
+		makeBatch(t, kp.PK, 40),
+		makeBatch(t, kp.PK, 9),
+		makeBatch(t, kp.PK, 27),
+		nil,
+		makeBatch(t, kp.PK, 0),
+	}
+	// A multi-point vector, so slot and vector offsets differ.
+	batches[2][3] = append(batches[2][3], batches[2][4][0], batches[2][5][0])
+
+	rnd := &streamReader{state: 5}
+	var refs [][]Vector
+	var refRands [][][]*ecc.Scalar
+	for b, batch := range batches {
+		out, rs, err := ReEncBatchPar(kp.SK, nextPKs[b], batch, rnd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, refRands = append(refs, out), append(refRands, rs)
+	}
+	for _, workers := range []int{1, 4} {
+		pool := parallel.New(context.Background(), workers)
+		outs, rands, err := ReEncBatches(kp.SK, nextPKs, batches, &streamReader{state: 5}, pool)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for b := range batches {
+			if len(outs[b]) != len(batches[b]) || len(rands[b]) != len(batches[b]) {
+				t.Fatalf("workers=%d batch %d: %d outputs, %d rands for %d vectors", workers, b, len(outs[b]), len(rands[b]), len(batches[b]))
+			}
+			for i := range outs[b] {
+				if !bytes.Equal(outs[b][i].Marshal(), refs[b][i].Marshal()) {
+					t.Fatalf("workers=%d batch %d: output %d diverged", workers, b, i)
+				}
+				for j, k := range rands[b][i] {
+					if !bytes.Equal(k.Bytes(), refRands[b][i][j].Bytes()) {
+						t.Fatalf("workers=%d batch %d: randomness %d.%d diverged", workers, b, i, j)
+					}
+				}
+			}
+		}
+		for i, vec := range outs[1] {
+			got, err := ecc.ExtractChunk(vec[0].C)
+			if err != nil || string(got) != fmt.Sprintf("batch message %06d", i) {
+				t.Fatalf("workers=%d: exit plaintext %d = %q, %v", workers, i, got, err)
+			}
+		}
+	}
+	if _, _, err := ReEncBatches(kp.SK, nextPKs[:2], batches, nil, nil); err == nil {
+		t.Fatal("ReEncBatches accepted more batches than keys")
+	}
+}
+
 // TestMarshalLargeVectorRoundTrip exercises the varint length encoding
 // at and beyond the 255-component boundary where the previous one-byte
 // prefix silently wrapped.

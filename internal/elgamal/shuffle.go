@@ -131,14 +131,14 @@ func shuffleBatch(pk *ecc.Point, in []Vector, rnd io.Reader, pool *parallel.Pool
 // ReEncBatch applies ReEncVector to every vector of a batch, returning
 // the per-vector outputs and randomness.
 func ReEncBatch(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader) ([]Vector, [][]*ecc.Scalar, error) {
-	return reencBatch(sk, nextPK, batch, rnd, nil, nil)
+	return reencOne(sk, nextPK, batch, rnd, nil, nil)
 }
 
 // ReEncBatchPar is ReEncBatch with the point arithmetic fanned over the
 // pool's workers (nil pool = serial). As with ShuffleBatchPar, all
 // randomness is drawn serially up front.
 func ReEncBatchPar(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader, pool *parallel.Pool) ([]Vector, [][]*ecc.Scalar, error) {
-	return reencBatch(sk, nextPK, batch, rnd, pool, nil)
+	return reencOne(sk, nextPK, batch, rnd, pool, nil)
 }
 
 // ReEncBatchPads is ReEncBatchPar drawing the re-encryption randomness
@@ -148,65 +148,125 @@ func ReEncBatchPar(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Rea
 // Slots past the bank fall back to the fresh path mid-batch; the exit
 // layer (nextPK = nil) adds no randomness and never consumes pads.
 func ReEncBatchPads(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) ([]Vector, [][]*ecc.Scalar, error) {
-	return reencBatch(sk, nextPK, batch, rnd, pool, pads)
+	return reencOne(sk, nextPK, batch, rnd, pool, pads)
 }
 
-func reencBatch(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) ([]Vector, [][]*ecc.Scalar, error) {
-	if pads != nil && (nextPK == nil || !pads.base.Equal(nextPK)) {
-		pads = nil
+// ReEncBatches is one server's whole re-encryption step: batch i peeled
+// with sk and re-encrypted toward nextPKs[i] (nil = the exit layer's
+// pure decryption). Every slot of every batch shares one same-scalar
+// peel walk, so the walk's per-step field inversion is paid once per
+// step, not once per destination; the re-encryption combs stay per
+// destination key. Randomness is drawn serially, batch by batch in
+// order, so the stream is consumed exactly as successive ReEncBatchPar
+// calls would consume it.
+func ReEncBatches(sk *ecc.Scalar, nextPKs []*ecc.Point, batches [][]Vector, rnd io.Reader, pool *parallel.Pool) ([][]Vector, [][][]*ecc.Scalar, error) {
+	if len(nextPKs) != len(batches) {
+		return nil, nil, fmt.Errorf("elgamal: reenc: %d batches for %d keys", len(batches), len(nextPKs))
 	}
-	// Flatten as in shuffleBatch. The peel step C − Y^sk is a
-	// variable-base multiplication (every Y differs) whose *scalar* is
-	// shared — the member's one secret — so it runs through the
-	// same-scalar lockstep batch; the re-encryption halves — g^r + R into
-	// the generator comb, nextPK^r + C into nextPK's cached per-key comb —
-	// batch the same way the shuffle does.
-	n := len(batch)
-	offs := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		offs[i+1] = offs[i] + len(batch[i])
+	return reencBatches(sk, nextPKs, batches, rnd, pool, nil)
+}
+
+// reencOne is the one-batch case of reencBatches.
+func reencOne(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) ([]Vector, [][]*ecc.Scalar, error) {
+	outs, rands, err := reencBatches(sk, []*ecc.Point{nextPK}, [][]Vector{batch}, rnd, pool, pads)
+	if err != nil {
+		return nil, nil, err
 	}
-	total := offs[n]
-	flatK := make([]*ecc.Scalar, total)
-	var taken []Pad
-	if nextPK == nil {
-		// Exit layer: pure decryption adds no randomness. The zero value
-		// of ecc.Scalar is the scalar 0, so one slab covers every slot.
-		zeros := make([]ecc.Scalar, total)
-		for t := range flatK {
-			flatK[t] = &zeros[t]
+	return outs[0], rands[0], nil
+}
+
+// reencSeg is one batch's run of flattened slots: [lo, hi), of which
+// [lo, padHi) draw their randomness from the pad bank.
+type reencSeg struct {
+	lo, padHi, hi int
+	nextPK        *ecc.Point // nil: exit layer
+	pads          []Pad
+}
+
+// pieces calls f for every segment's overlap with the slot range
+// [lo, hi).
+func pieces(segs []reencSeg, lo, hi int, f func(seg *reencSeg, a, b int)) {
+	for i := range segs {
+		seg := &segs[i]
+		a, b := max(seg.lo, lo), min(seg.hi, hi)
+		if a < b {
+			f(seg, a, b)
 		}
-	} else {
-		taken = pads.take(total)
-		fresh, err := ecc.RandomScalars(rnd, total-len(taken))
+	}
+}
+
+func reencBatches(sk *ecc.Scalar, nextPKs []*ecc.Point, batches [][]Vector, rnd io.Reader, pool *parallel.Pool, pads *PadPool) ([][]Vector, [][][]*ecc.Scalar, error) {
+	// Flatten as in shuffleBatch, across every batch. The peel step
+	// C − Y^sk is a variable-base multiplication (every Y differs) whose
+	// *scalar* is shared — the server's one secret — so all slots run
+	// through one same-scalar lockstep walk; the re-encryption halves —
+	// g^r + R into the generator comb, nextPK^r + C into each nextPK's
+	// cached per-key comb — batch the same way the shuffle does.
+	nb := len(batches)
+	segs := make([]reencSeg, nb)
+	vecOff := make([]int, nb+1) // batch b's vectors are flat vectors [vecOff[b], vecOff[b+1])
+	for b, batch := range batches {
+		vecOff[b+1] = vecOff[b] + len(batch)
+	}
+	offs := make([]int, vecOff[nb]+1) // flat vector v's slots are [offs[v], offs[v+1])
+	for b, batch := range batches {
+		for i, vec := range batch {
+			v := vecOff[b] + i
+			offs[v+1] = offs[v] + len(vec)
+		}
+	}
+	total := offs[len(offs)-1]
+	flatK := make([]*ecc.Scalar, total)
+	var zeros []ecc.Scalar
+	for b := range batches {
+		seg := &segs[b]
+		seg.lo, seg.hi = offs[vecOff[b]], offs[vecOff[b+1]]
+		seg.nextPK = nextPKs[b]
+		if seg.nextPK == nil {
+			// Exit layer: pure decryption adds no randomness. The zero
+			// value of ecc.Scalar is the scalar 0, so one slab covers
+			// every exit slot.
+			if zeros == nil {
+				zeros = make([]ecc.Scalar, total)
+			}
+			for t := seg.lo; t < seg.hi; t++ {
+				flatK[t] = &zeros[t]
+			}
+			seg.padHi = seg.lo
+			continue
+		}
+		if pads != nil && pads.base.Equal(seg.nextPK) {
+			seg.pads = pads.take(seg.hi - seg.lo)
+		}
+		seg.padHi = seg.lo + len(seg.pads)
+		fresh, err := ecc.RandomScalars(rnd, seg.hi-seg.padHi)
 		if err != nil {
 			return nil, nil, fmt.Errorf("elgamal: reenc batch: %w", err)
 		}
-		for t := range taken {
-			flatK[t] = taken[t].K
+		for t := range seg.pads {
+			flatK[seg.lo+t] = seg.pads[t].K
 		}
-		copy(flatK[len(taken):], fresh)
+		copy(flatK[seg.padHi:seg.hi], fresh)
 	}
-	m := len(taken)
-	rands := make([][]*ecc.Scalar, n)
 	ys := make([]*ecc.Point, total)   // peel base per slot (Y, or first-touch R)
 	rrs := make([]*ecc.Point, total)  // carried R per slot
 	srcC := make([]*ecc.Point, total) // input C per slot
 	peel := make([]*ecc.Point, total) // C − Y^sk
-	for i := 0; i < n; i++ {
-		rands[i] = flatK[offs[i]:offs[i+1]:offs[i+1]]
-		for j, ct := range batch[i] {
-			t := offs[i] + j
-			// First touch within a group: the accumulated randomness moves
-			// into the Y slot and R resets to the identity.
-			y, rr := ct.Y, ct.R
-			if y == nil {
-				y = ct.R
-				rr = ecc.Identity()
+	for b, batch := range batches {
+		for i, vec := range batch {
+			for j, ct := range vec {
+				t := offs[vecOff[b]+i] + j
+				// First touch within a group: the accumulated randomness
+				// moves into the Y slot and R resets to the identity.
+				y, rr := ct.Y, ct.R
+				if y == nil {
+					y = ct.R
+					rr = ecc.Identity()
+				}
+				ys[t] = y
+				rrs[t] = rr
+				srcC[t] = ct.C
 			}
-			ys[t] = y
-			rrs[t] = rr
-			srcC[t] = ct.C
 		}
 	}
 	outR := make([]*ecc.Point, total)
@@ -225,57 +285,60 @@ func reencBatch(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader
 		for j, sky := range ecc.MulSameScalarBatch(sk, ys[lo:hi]) {
 			peel[lo+j] = srcC[lo+j].Sub(sky)
 		}
-		if nextPK == nil {
-			// Exit layer: pure decryption, R carries through untouched.
-			for j := lo; j < hi; j++ {
-				outR[j] = rrs[j].Clone()
+		fresh := 0
+		pieces(segs, lo, hi, func(seg *reencSeg, a, b int) {
+			if seg.nextPK == nil {
+				// Exit layer: R carries through untouched, and the
+				// plaintext leaves affine — one shared inversion here
+				// instead of one per point wherever it is read.
+				for t := a; t < b; t++ {
+					outR[t] = rrs[t].Clone()
+				}
+				ecc.NormalizeBatch(peel[a:b])
+				return
 			}
-			return nil
-		}
-		// Padded slots: R' = g^k + R with g^k from the bank.
-		padHi := hi
-		if padHi > m {
-			padHi = m
-		}
-		for t := lo; t < padHi; t++ {
-			outR[t] = taken[t].GK.Add(rrs[t])
-		}
-		if lo < m {
-			lo = m
-		}
-		if lo < hi {
+			// Padded slots: R' = g^k + R with g^k from the bank.
+			for t := a; t < min(b, seg.padHi); t++ {
+				outR[t] = seg.pads[t-seg.lo].GK.Add(rrs[t])
+			}
+			fresh += b - max(a, seg.padHi)
+		})
+		// Fresh slots: R' = g^k + R. The generator comb is the same for
+		// every destination, so a chunk of only fresh slots (the mixing
+		// path) shares one evaluation across its destinations.
+		if fresh == hi-lo {
 			copy(outR[lo:hi], ecc.BaseMulAddBatch(rrs[lo:hi], flatK[lo:hi]))
+		} else if fresh > 0 {
+			pieces(segs, lo, hi, func(seg *reencSeg, a, b int) {
+				if a = max(a, seg.padHi); seg.nextPK != nil && a < b {
+					copy(outR[a:b], ecc.BaseMulAddBatch(rrs[a:b], flatK[a:b]))
+				}
+			})
 		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	if nextPK != nil {
-		if err := pool.Each(chunks, func(c int) error {
-			lo, hi := c*total/chunks, (c+1)*total/chunks
-			if lo == hi {
-				return nil
+	if err := pool.Each(chunks, func(c int) error {
+		lo, hi := c*total/chunks, (c+1)*total/chunks
+		pieces(segs, lo, hi, func(seg *reencSeg, a, b int) {
+			if seg.nextPK == nil {
+				return
 			}
 			// Padded slots: C' = peel + X'^k with X'^k from the bank.
-			padHi := hi
-			if padHi > m {
-				padHi = m
+			for t := a; t < min(b, seg.padHi); t++ {
+				peel[t] = peel[t].Add(seg.pads[t-seg.lo].BK)
 			}
-			for t := lo; t < padHi; t++ {
-				peel[t] = peel[t].Add(taken[t].BK)
+			if a = max(a, seg.padHi); a < b {
+				copy(peel[a:b], ecc.MulAddBatch(seg.nextPK, peel[a:b], flatK[a:b]))
 			}
-			if lo < m {
-				lo = m
-			}
-			if lo < hi {
-				copy(peel[lo:hi], ecc.MulAddBatch(nextPK, peel[lo:hi], flatK[lo:hi]))
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
+		})
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	out := make([]Vector, n)
+	outs := make([][]Vector, nb)
+	rands := make([][][]*ecc.Scalar, nb)
 	cts := make([]Ciphertext, total)
 	ptrs := make(Vector, total)
 	for t := range ptrs {
@@ -285,8 +348,14 @@ func reencBatch(sk *ecc.Scalar, nextPK *ecc.Point, batch []Vector, rnd io.Reader
 		ct.Y = ys[t].Clone()
 		ptrs[t] = ct
 	}
-	for i := 0; i < n; i++ {
-		out[i] = ptrs[offs[i]:offs[i+1]:offs[i+1]]
+	for b, batch := range batches {
+		outs[b] = make([]Vector, len(batch))
+		rands[b] = make([][]*ecc.Scalar, len(batch))
+		for i := range batch {
+			lo, hi := offs[vecOff[b]+i], offs[vecOff[b]+i+1]
+			outs[b][i] = ptrs[lo:hi:hi]
+			rands[b][i] = flatK[lo:hi:hi]
+		}
 	}
-	return out, rands, nil
+	return outs, rands, nil
 }

@@ -423,25 +423,26 @@ func (s *Seat) reencrypt(ctx context.Context, round uint64, layer int, ins [][]e
 	}
 	pool := s.pool(ctx, w.Workers)
 	me, myPub := s.cfg.Indices[s.cfg.Pos], s.cfg.EffPubs[s.cfg.Pos]
+	// Peel this seat's layer off every batch in one walk and re-encrypt
+	// each toward its destination (nil = decrypt to plaintext at the exit
+	// layer).
+	outs, rss, err := elgamal.ReEncBatches(s.cfg.Secret, pks, ins, rand.Reader, pool)
+	if err != nil {
+		return fmt.Errorf("protocol: group %d member %d reenc: %w", s.cfg.GID, me, err)
+	}
 	batches := make([]ReEncBatch, len(ins))
 	for i, in := range ins {
 		if len(in) == 0 {
 			continue
 		}
-		// Peel this seat's layer and re-encrypt toward the destination
-		// (nil = decrypt to plaintext at the exit layer).
-		out, rss, err := elgamal.ReEncBatchPar(s.cfg.Secret, pks[i], in, rand.Reader, pool)
-		if err != nil {
-			return fmt.Errorf("protocol: group %d member %d reenc: %w", s.cfg.GID, me, err)
-		}
 		w.ReEncs += len(in)
-		batches[i] = ReEncBatch{In: in, Out: out}
+		batches[i] = ReEncBatch{In: in, Out: outs[i]}
 		if s.cfg.Variant == VariantNIZK {
 			// Per-vector proofs are independent: generate them across the
 			// pool (randomness drawn through a locked reader).
 			prnd := parallel.LockedReader(rand.Reader)
 			batches[i].Proofs, err = parallel.Map(pool, len(in), func(vi int) (*nizk.ReEncProof, error) {
-				return nizk.ProveReEnc(s.cfg.Secret, myPub, pks[i], in[vi], out[vi], rss[vi], prnd)
+				return nizk.ProveReEnc(s.cfg.Secret, myPub, pks[i], in[vi], outs[i][vi], rss[i][vi], prnd)
 			})
 			if err != nil {
 				return fmt.Errorf("protocol: group %d member %d reenc proof: %w", s.cfg.GID, me, err)
