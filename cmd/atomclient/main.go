@@ -17,22 +17,20 @@
 //	atomclient -server host:9000 -submit "load %d" -count 256 -await
 //	atomclient -server host:9000 -submit-file messages.txt
 //
-// When the daemon advertises a fast path (atomd -fastpath, through
-// Info), the batch rides its multiplexed binary submit path instead of
-// one gob RPC per message: submissions are pipelined over a single
-// connection and verdicts arrive as coalesced async acks, so one process
-// drives thousands of logical users at wire speed.
+// Every request — info, the pipelined submissions with their coalesced
+// acks, and the awaits — travels on the one connection atomclient
+// dials, so it works from any machine that can reach the daemon's
+// address; a daemon of another protocol version refuses the hello with
+// atom.ErrProtocolVersion.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"atom"
@@ -55,13 +53,12 @@ func main() {
 	}
 
 	ctx := context.Background()
-	cli, err := daemon.Dial(*server)
+	rctx, cancel := context.WithTimeout(ctx, *timeout)
+	cli, err := daemon.DialContext(rctx, *server)
 	if err != nil {
 		log.Fatalf("atomclient: %v", err)
 	}
 	defer cli.Close()
-
-	rctx, cancel := context.WithTimeout(ctx, *timeout)
 	info, err := cli.Info(rctx)
 	cancel()
 	if err != nil {
@@ -83,12 +80,14 @@ func main() {
 		log.Fatalf("atomclient: %v", err)
 	}
 
-	var admitted []uint64
-	if info.SubmitAddr != "" {
-		admitted = fastIngestBatch(ctx, info, ac, *user, msgs, *timeout)
-	} else {
-		admitted = ingestBatch(ctx, cli, ac, info, *user, msgs, *timeout)
+	// The batch bound scales with its size: the encryption is ours.
+	rctx, cancel = context.WithTimeout(ctx, *timeout*time.Duration(len(msgs)))
+	admitted, err := daemon.SubmitBatch(rctx, cli, ac, *user, msgs)
+	cancel()
+	if err != nil {
+		log.Fatalf("atomclient: submitting (admitted into rounds %v before): %v", admitted, err)
 	}
+	fmt.Printf("submitted %d message(s) into round(s) %v\n", len(msgs), admitted)
 	if *await {
 		for _, rid := range admitted {
 			rctx, cancel := context.WithTimeout(ctx, *timeout)
@@ -138,120 +137,6 @@ func buildBatch(submit, file string, count int) [][]byte {
 		msgs = append(msgs, []byte(text))
 	}
 	return msgs
-}
-
-// ingestBatch drives a batch into the continuous service: it fetches
-// the open round, submits until the round seals underneath it, then
-// re-fetches and continues — returning every round id the batch landed
-// in, in order.
-func ingestBatch(ctx context.Context, cli *daemon.Client, ac *atom.Client, info *daemon.Info,
-	base int, msgs [][]byte, timeout time.Duration) []uint64 {
-	var published []uint64
-	remaining := msgs
-	user := base
-	for len(remaining) > 0 {
-		rctx, cancel := context.WithTimeout(ctx, timeout)
-		ri, err := cli.ServeInfo(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: fetching open round: %v", err)
-		}
-		rctx, cancel = context.WithTimeout(ctx, timeout*time.Duration(len(remaining)))
-		n, err := daemon.SubmitBatch(rctx, cli, ac, info, ri, user, remaining)
-		cancel()
-		if n > 0 {
-			fmt.Printf("submitted %d message(s) into round %d\n", n, ri.ID)
-			if len(published) == 0 || published[len(published)-1] != ri.ID {
-				published = append(published, ri.ID)
-			}
-		}
-		user += n
-		remaining = remaining[n:]
-		if err != nil && !errors.Is(err, atom.ErrRoundClosed) {
-			log.Fatalf("atomclient: submitting (after %d accepted): %v", len(msgs)-len(remaining), err)
-		}
-	}
-	return published
-}
-
-// fastIngestBatch drives a batch through the daemon's multiplexed
-// binary submit path: every message is encrypted for the open round and
-// pipelined over one connection, verdicts arrive as async acks, and
-// anything rejected because its round sealed mid-flight is retried
-// against the successor. Returns every round id the batch landed in.
-func fastIngestBatch(ctx context.Context, info *daemon.Info, ac *atom.Client,
-	base int, msgs [][]byte, timeout time.Duration) []uint64 {
-	fc, err := daemon.DialFast(info.SubmitAddr)
-	if err != nil {
-		log.Fatalf("atomclient: dialing fast path %s: %v", info.SubmitAddr, err)
-	}
-	defer fc.Close()
-
-	type item struct {
-		user int
-		msg  []byte
-	}
-	pending := make([]item, len(msgs))
-	for i, m := range msgs {
-		pending[i] = item{base + i, m}
-	}
-	var published []uint64
-	seen := map[uint64]bool{}
-	for len(pending) > 0 {
-		rctx, cancel := context.WithTimeout(ctx, timeout)
-		ri, err := fc.ServeInfo(rctx)
-		cancel()
-		if err != nil {
-			log.Fatalf("atomclient: fetching open round: %v", err)
-		}
-		errs := make([]error, len(pending))
-		rounds := make([]uint64, len(pending))
-		var wg sync.WaitGroup
-		for i, it := range pending {
-			gid := it.user % info.Groups
-			wire, err := ac.EncryptSubmission(it.msg, info.EntryKeys[gid], ri.TrusteeKey, gid)
-			if err != nil {
-				log.Fatalf("atomclient: encrypting for user %d: %v", it.user, err)
-			}
-			wg.Add(1)
-			i := i
-			fc.Submit(ri.ID, it.user, wire, func(round uint64, err error) {
-				rounds[i], errs[i] = round, err
-				wg.Done()
-			})
-		}
-		if err := fc.Flush(); err != nil {
-			log.Fatalf("atomclient: fast path flush: %v", err)
-		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(timeout * time.Duration(len(pending))):
-			log.Fatalf("atomclient: fast path acks never arrived for round %d", ri.ID)
-		}
-		admitted := 0
-		var retry []item
-		for i, e := range errs {
-			switch {
-			case e == nil:
-				admitted++
-				if !seen[rounds[i]] {
-					seen[rounds[i]] = true
-					published = append(published, rounds[i])
-				}
-			case errors.Is(e, atom.ErrRoundClosed):
-				retry = append(retry, pending[i])
-			default:
-				log.Fatalf("atomclient: user %d rejected: %v", pending[i].user, e)
-			}
-		}
-		if admitted > 0 {
-			fmt.Printf("submitted %d message(s) into round %d over the fast path\n", admitted, ri.ID)
-		}
-		pending = retry
-	}
-	return published
 }
 
 func printMessages(msgs [][]byte) {

@@ -7,11 +7,13 @@
 // back to back with up to -inflight in flight.
 //
 //	atomd -listen :9000 -servers 12 -groups 4 -groupsize 3 -variant trap
-//	atomd -listen :9000 -interval 500ms -capacity 1024 -fastpath :9001
+//	atomd -listen :9000 -interval 500ms -capacity 1024
 //
 // Clients keep all secrets: they encrypt and prove locally and ship
-// opaque submissions (see cmd/atomclient), over gob requests or, with
-// -fastpath, the multiplexed binary submit listener.
+// opaque submissions (see cmd/atomclient). -listen is the one client
+// listener: a connection opens with a versioned hello, then carries
+// info, pipelined submits with coalesced acks, and awaits, every reply
+// on the client's own connection.
 //
 // -members hands sealed rounds to a fleet of pre-started atomd -member
 // hosts instead of the in-process engine (addresses GID-major, one per
@@ -106,7 +108,6 @@ func main() {
 		capacity    = flag.Int("capacity", 0, "seal a round early at this many submissions (0 = deadline only)")
 		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth; with -members, rounds in flight over the fleet)")
 		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
-		fastAddr    = flag.String("fastpath", "", "multiplexed binary submit listener address (\":0\" = ephemeral; advertised to clients via Info)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
 		dkgMode     = flag.Bool("dkg", false, "establish trust with the dealerless setup ceremony: per-group joint-Feldman DKGs and a chained verifiable randomness beacon (persisted and resumed with -state-dir)")
 		dkgWindow   = flag.Duration("dkg-window", 500*time.Millisecond, "-dkg: per-phase ceremony message window (honest phases early-advance; this bounds the straggler wait)")
@@ -221,11 +222,6 @@ func main() {
 		}
 	}
 
-	srv, err := daemon.NewServerWith(*listen, cfg, network)
-	if err != nil {
-		log.Fatalf("atomd: %v", err)
-	}
-
 	var obs *atom.Observer
 	if *verbose {
 		obs = verboseObserver()
@@ -243,6 +239,10 @@ func main() {
 			}
 		}()
 		log.Printf("atomd: metrics on %s/metrics", *metricsAddr)
+	}
+	srv, err := daemon.NewServerWith(*listen, cfg, network, m)
+	if err != nil {
+		log.Fatalf("atomd: %v", err)
 	}
 	if *pprofAddr != "" && *pprofAddr != *metricsAddr {
 		go func() {
@@ -280,7 +280,7 @@ func main() {
 
 	// The round scheduler seals at -interval (or -capacity) and rounds mix
 	// back to back, up to -inflight concurrently; clients use
-	// ServeInfo/SubmitInto/Await. With a state dir the pipeline journals
+	// Info/Submit/Await. With a state dir the pipeline journals
 	// through it: seals before dispatch, outcomes on publish, pending
 	// rounds re-dispatched at the next start.
 	opts := atom.ServeOptions{
@@ -317,13 +317,6 @@ func main() {
 	}
 	log.Printf("atomd: continuous service up (interval %v, capacity %d, %d rounds in flight)",
 		*interval, *capacity, *inflight)
-	if *fastAddr != "" {
-		fa, err := srv.EnableFastPath(*fastAddr, daemon.FastPathOptions{Metrics: m})
-		if err != nil {
-			log.Fatalf("atomd: fast path listener: %v", err)
-		}
-		log.Printf("atomd: binary submit path on %s", fa)
-	}
 	fmt.Printf("atomd: serving on %s\n", srv.Addr())
 
 	go srv.Serve()

@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -467,21 +468,22 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight int, interval,
 	start := time.Now()
 	var roundIDs []uint64
 	for r := 0; r < nRounds; r++ {
-		// Fetch the open round; after a full batch sealed the previous
-		// one, the scheduler rotates within microseconds — spin briefly.
-		var ri *daemon.RoundInfo
-		for {
-			if ri, err = clients[0].ServeInfo(ctx); err != nil {
+		// A full batch seals its round, and the scheduler rotates
+		// within microseconds — wait for that, so every batch fills a
+		// round of its own.
+		for r > 0 {
+			info, err := clients[0].Info(ctx)
+			if err != nil {
 				return err
 			}
-			if len(roundIDs) == 0 || ri.ID != roundIDs[len(roundIDs)-1] {
+			if !slices.Contains(roundIDs, info.Round.ID) {
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
-		roundIDs = append(roundIDs, ri.ID)
 		var wg sync.WaitGroup
 		errs := make([]error, fleet)
+		landed := make([][]uint64, fleet)
 		per := perRound / fleet
 		for c := 0; c < fleet; c++ {
 			wg.Add(1)
@@ -496,15 +498,18 @@ func runServe(nRounds, perRound int, nizk bool, workers, inflight int, interval,
 				for i := range msgs {
 					msgs[i] = fmt.Appendf(nil, "serve r%02d u%03d", r, base+i)
 				}
-				_, errs[c] = daemon.SubmitBatch(ctx, clients[c], enc, info, ri, base, msgs)
+				landed[c], errs[c] = daemon.SubmitBatch(ctx, clients[c], enc, base, msgs)
 			}(c)
 		}
 		wg.Wait()
-		for _, e := range errs {
+		for c, e := range errs {
 			if e != nil {
-				return fmt.Errorf("fleet submission into round %d: %w", ri.ID, e)
+				return fmt.Errorf("fleet submission %d: %w", r, e)
 			}
+			roundIDs = append(roundIDs, landed[c]...)
 		}
+		slices.Sort(roundIDs)
+		roundIDs = slices.Compact(roundIDs)
 	}
 
 	// Collect every round's publication over the wire.

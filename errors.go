@@ -10,8 +10,8 @@ import (
 // classified with errors.Is against these sentinels — no string
 // matching required. Each is declared once, in internal/taxonomy, and
 // every layer (protocol, dkg, store, the distributed engine, the
-// daemon) returns or wraps that same value; both daemon wire protocols
-// and the distributed engine's abort report carry an error as the set
+// daemon) returns or wraps that same value; the daemon's client protocol,
+// the connection hello and the distributed engine's abort report carry an error as the set
 // of sentinels it matches plus its Blame/Loss attribution, so the
 // answer to errors.Is and errors.As is the same in process and after
 // any hop. The sentinels form a small hierarchy:
@@ -116,6 +116,14 @@ var (
 	// outcome has already been evicted from the service's bounded result
 	// history.
 	ErrResultExpired = taxonomy.ErrResultExpired
+
+	// ErrProtocolVersion is returned when a peer's connection hello names
+	// another wire protocol version (or no Atom hello at all): a client
+	// and daemon, or two fleet members, built from releases that cannot
+	// talk to each other. It carries no Blame or Loss — the peer is
+	// neither misbehaving nor gone — so a skewed member fails its join
+	// instead of being re-planned around. Upgrade both sides together.
+	ErrProtocolVersion = taxonomy.ErrProtocolVersion
 )
 
 // BlamedMember extracts the offending group and member (DVSS index)

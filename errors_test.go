@@ -31,6 +31,7 @@ var publicSentinels = map[string][2]error{
 	"ErrDKGInsufficient":     {ErrDKGInsufficient, taxonomy.ErrDKGInsufficient},
 	"ErrServiceClosed":       {ErrServiceClosed, taxonomy.ErrServiceClosed},
 	"ErrResultExpired":       {ErrResultExpired, taxonomy.ErrResultExpired},
+	"ErrProtocolVersion":     {ErrProtocolVersion, taxonomy.ErrProtocolVersion},
 }
 
 // TestSentinelsAreTheInternalValues: every public sentinel is the very

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"atom"
+	"atom/internal/taxonomy"
 	"atom/internal/transport"
 )
 
@@ -39,6 +41,9 @@ func sealAt(n int) atom.ServeOptions {
 	return atom.ServeOptions{RoundInterval: time.Hour, MaxBatch: n, MaxInFlight: 2}
 }
 
+// TestDaemonEndToEndNIZK drives info, submits and an await over the
+// client's one connection: the client has no listener of its own, so
+// every answer arrives on the connection the request went out on.
 func TestDaemonEndToEndNIZK(t *testing.T) {
 	srv, cfg := startServeServer(t, atom.NIZK, sealAt(8))
 	cli, err := Dial(srv.Addr())
@@ -107,15 +112,21 @@ func submitTrapRound(t *testing.T, cli *Client, ac *atom.Client, info *Info, ri 
 	}
 }
 
-// nextRound polls ServeInfo until the open round is no longer prev.
+// openRound fetches the service's open round.
+func openRound(t *testing.T, cli *Client) *RoundInfo {
+	t.Helper()
+	info, err := cli.Info(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &info.Round
+}
+
+// nextRound polls Info until the open round is no longer prev.
 func nextRound(t *testing.T, cli *Client, prev uint64) *RoundInfo {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		ri, err := cli.ServeInfo(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ri.ID != prev {
+		if ri := openRound(t, cli); ri.ID != prev {
 			return ri
 		}
 		if time.Now().After(deadline) {
@@ -186,10 +197,7 @@ func TestDaemonPipelinedRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := cli.ServeInfo(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r0 := openRound(t, cli)
 	release := make(chan struct{})
 	srv.Network().SetObserver(&atom.Observer{IterationDone: func(it atom.IterationStats) {
 		if it.Round == r0.ID && it.Layer == 0 {
@@ -265,9 +273,30 @@ func TestDaemonTypedErrorsOverWire(t *testing.T) {
 	}
 }
 
-// TestDaemonRetiredRequests: the request types of the retired
-// one-shot and round-handle surfaces get the typed unknown-request reply
-// an older atomclient can act on, and none of them seals the open round.
+// rawConn opens a connection to addr that has passed the hello, for
+// writing frames by hand.
+func rawConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := transport.DialHello(t.Context(), addr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// writeRaw writes one length-prefixed frame.
+func writeRaw(t *testing.T, c net.Conn, frame []byte) {
+	t.Helper()
+	if _, err := c.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDaemonRetiredRequests: a frame of a type the daemon does not serve
+// — the retired fast-path hello, a reply type sent the wrong way,
+// anything else — drops the connection, and none of them
+// admits a submission or seals the open round.
 func TestDaemonRetiredRequests(t *testing.T) {
 	srv, cfg := startServeServer(t, atom.NIZK, sealAt(64))
 	cli, err := Dial(srv.Addr())
@@ -288,53 +317,139 @@ func TestDaemonRetiredRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid := binary.BigEndian.AppendUint64(nil, open)
-	for typ, payload := range map[string][]byte{
-		"run":          nil,
-		"open":         nil,
-		"mix":          rid,
-		"submit":       append(binary.BigEndian.AppendUint64(nil, 1), wire...),
-		"submit-round": append(binary.BigEndian.AppendUint64(rid, 1), wire...),
-	} {
-		_, err := cli.roundTrip(t.Context(), &transport.Message{Type: typ, Payload: payload})
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown request %q", typ)) {
-			t.Errorf("%s request: got %v, want the unknown-request error", typ, err)
-		}
-	}
-	ri, err := cli.ServeInfo(t.Context())
+	another, err := ac.EncryptSubmission([]byte("never admitted"), info.EntryKeys[1], nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, typ := range []byte{0, 1, typeAck, typeInfoReply, typeAwaitReply, 8, 0xff} {
+		c := rawConn(t, srv.Addr())
+		frame := append([]byte{typ}, binary.AppendUvarint(nil, 1)...)
+		frame = append(frame, another...)
+		writeRaw(t, c, frame)
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("frame type %d: read %d bytes, %v; want the connection dropped", typ, n, err)
+		}
+	}
+	ri := openRound(t, cli)
 	if pending, queued := srv.Service().Pending(); ri.ID != open || pending != 1 || queued != 0 {
 		t.Fatalf("open round %d (was %d) holds %d submissions, %d rounds sealed: a retired request acted", ri.ID, open, pending, queued)
 	}
 }
 
+// TestDaemonClientDeadline: a server that accepts a connection and
+// never answers it must fail the client by its context deadline, in the
+// hello and in a request, instead of hanging it.
 func TestDaemonClientDeadline(t *testing.T) {
-	// A request to a black-hole address must fail by the context
-	// deadline instead of hanging (the old client hung forever on a
-	// dead server when its fixed timeout was disabled).
-	cli, err := Dial("127.0.0.1:1") // nothing listens here
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	answerHello := make(chan bool, 2)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			if <-answerHello {
+				_, _ = transport.AcceptHello(c, false) // then never a frame
+			}
+		}
+	}()
+
+	answerHello <- false
+	ctx, cancel := context.WithTimeout(t.Context(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := DialContext(ctx, ln.Addr().String()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("dialing a silent server: %v, want DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("hello deadline not honored: took %v", elapsed)
+	}
+
+	answerHello <- true
+	cli, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.SetTimeout(0) // disable the default bound; rely on ctx only
-	ctx, cancel := context.WithTimeout(t.Context(), 200*time.Millisecond)
+	ctx, cancel = context.WithTimeout(t.Context(), 200*time.Millisecond)
 	defer cancel()
-	start := time.Now()
-	_, err = cli.Info(ctx)
-	if err == nil {
-		t.Fatal("Info against a dead server succeeded")
+	start = time.Now()
+	if _, err := cli.Info(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Info against a mute server: %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline not honored: took %v", elapsed)
+		t.Fatalf("request deadline not honored: took %v", elapsed)
+	}
+}
+
+// TestDaemonProtocolSkew: over real TCP, a hello with another version is
+// refused typed by the daemon, and a daemon of another version makes
+// Dial fail with atom.ErrProtocolVersion.
+func TestDaemonProtocolSkew(t *testing.T) {
+	srv, _ := startServeServer(t, atom.NIZK, sealAt(64))
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := transport.AppendHello(nil, "")
+	hello[len("ATOM")]++ // the next version
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	verdict, _ := io.ReadAll(c)
+	refusal, _, ok := taxonomy.ReadError(verdict)
+	if !ok || !errors.Is(refusal, atom.ErrProtocolVersion) {
+		t.Fatalf("a next-version hello got verdict %x (%v), want ErrProtocolVersion and a close", verdict, refusal)
+	}
+
+	// A daemon of the next version refuses this build's hello the same way.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := transport.ReadHello(c); err == nil {
+			_, _ = c.Write(taxonomy.AppendError(nil, fmt.Errorf("%w: peer speaks wire protocol version %d, this build speaks %d",
+				taxonomy.ErrProtocolVersion, transport.Version, transport.Version+1)))
+		}
+	}()
+	cli, err := Dial(ln.Addr().String())
+	if !errors.Is(err, atom.ErrProtocolVersion) {
+		if cli != nil {
+			cli.Close()
+		}
+		t.Fatalf("dialing a next-version daemon: %v, want ErrProtocolVersion", err)
+	}
+	if _, _, blamed := atom.BlamedMember(err); blamed {
+		t.Errorf("a version skew carries a blame: %v", err)
 	}
 }
 
 // startServeServer builds a daemon with the continuous ingestion
-// pipeline enabled.
+// pipeline enabled, serving.
 func startServeServer(t *testing.T, variant atom.Variant, opts atom.ServeOptions) (*Server, atom.Config) {
+	t.Helper()
+	srv, cfg := newServeServer(t, variant, opts)
+	go srv.Serve()
+	return srv, cfg
+}
+
+// newServeServer is startServeServer before Serve.
+func newServeServer(t *testing.T, variant atom.Variant, opts atom.ServeOptions) (*Server, atom.Config) {
 	t.Helper()
 	cfg := atom.Config{
 		Servers:     12,
@@ -352,7 +467,6 @@ func startServeServer(t *testing.T, variant atom.Variant, opts atom.ServeOptions
 	if err := srv.EnableService(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve()
 	t.Cleanup(func() { srv.Close() })
 	return srv, cfg
 }
@@ -388,10 +502,7 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1info, err := cli.ServeInfo(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1info := openRound(t, cli)
 	admitted, err := cli.SubmitInto(ctx, r1info.ID, 1, wire)
 	if err != nil || admitted != r1info.ID {
 		t.Fatalf("first submission into round %d: admitted=%d err=%v", r1info.ID, admitted, err)
@@ -406,7 +517,7 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		fill = append(fill, []byte(fmt.Sprintf("filler %d", i)))
 	}
-	if _, err := SubmitBatch(ctx, cli, ac, info, r1info, 10, fill); err != nil {
+	if _, err := SubmitBatch(ctx, cli, ac, 10, fill); err != nil {
 		t.Fatalf("filling round %d: %v", r1info.ID, err)
 	}
 	r2info := nextRound(t, cli, r1info.ID)
@@ -425,7 +536,7 @@ func TestDaemonIngestDuplicateAcrossPipelinedRounds(t *testing.T) {
 	}
 
 	// Fill round r+1 to its seal target so it publishes too.
-	if _, err := SubmitBatch(ctx, cli, ac, info, r2info, 20, [][]byte{[]byte("filler r2"), []byte("filler r2b")}); err != nil {
+	if _, err := SubmitBatch(ctx, cli, ac, 20, [][]byte{[]byte("filler r2"), []byte("filler r2b")}); err != nil {
 		t.Fatalf("filling round %d: %v", r2info.ID, err)
 	}
 

@@ -41,6 +41,7 @@ var publicSentinels = []struct {
 	{"ResultExpired", atom.ErrResultExpired},
 	{"Canceled", context.Canceled},
 	{"DeadlineExceeded", context.DeadlineExceeded},
+	{"ProtocolVersion", atom.ErrProtocolVersion},
 }
 
 // answer is everything a caller can learn from an error without
@@ -70,27 +71,32 @@ func answerOf(err error) answer {
 // errOf drops a call's value, keeping its error.
 func errOf[T any](_ T, err error) error { return err }
 
-// overGob ships err as a failed request's gob reply and returns the
-// error the client decodes from it.
-func overGob(t *testing.T, err error) error {
+// overReply ships err as a failed control request's reply — an await
+// reply and an info reply — and returns the error the client decodes
+// from the await reply, after checking the info reply decodes the same.
+func overReply(t *testing.T, err error) error {
 	t.Helper()
-	r, got := decodeReply(fail(msgAwaitReply, err).Payload)
-	if r != nil || got == nil {
-		t.Fatalf("gob reply for %v decoded as success", err)
+	seq, msgs, got, ok := parseAwaitReply(appendAwaitReply(nil, 9, nil, err))
+	if !ok || seq != 9 || msgs != nil || got == nil {
+		t.Fatalf("await reply for %v decoded as seq %d, %v, ok=%v", err, seq, got, ok)
+	}
+	seq, info, again, ok := parseInfoReply(appendInfoReply(nil, 9, nil, err))
+	if !ok || seq != 9 || info != nil || !reflect.DeepEqual(answerOf(again), answerOf(got)) || again.Error() != got.Error() {
+		t.Fatalf("info reply for %v decoded as seq %d, %v, ok=%v", err, seq, again, ok)
 	}
 	return got
 }
 
-// overAck ships err as a rejection in a fast-path ack frame and returns
-// the error FastClient hands the submission's callback.
+// overAck ships err as a rejection in an ack frame and returns the error
+// Client hands the submission's callback.
 func overAck(t *testing.T, err error) error {
 	t.Helper()
 	var got error
 	settled := false
-	fc := &FastClient{pending: map[uint64]func(uint64, error){
+	c := &Client{pending: map[uint64]func(uint64, error){
 		7: func(_ uint64, err error) { got, settled = err, true },
 	}}
-	if !fc.handleAcks(appendAcks(nil, []fpAck{{seq: 7, err: err}})) || !settled {
+	if !c.handleAcks(appendAcks(nil, []ack{{seq: 7, err: err}})) || !settled {
 		t.Fatalf("ack for %v did not settle its submission", err)
 	}
 	return got
@@ -118,7 +124,7 @@ func TestErrorKindRoundTrip(t *testing.T) {
 	}
 	for _, sentinel := range sentinels {
 		wrapped := fmt.Errorf("%w: some detail", sentinel)
-		for path, rebuilt := range map[string]error{"gob": overGob(t, wrapped), "ack": overAck(t, wrapped)} {
+		for path, rebuilt := range map[string]error{"control frame": overReply(t, wrapped), "ack": overAck(t, wrapped)} {
 			if !errors.Is(rebuilt, sentinel) {
 				t.Errorf("%s hop of %v = %v, loses the sentinel", path, sentinel, rebuilt)
 			}
@@ -130,7 +136,7 @@ func TestErrorKindRoundTrip(t *testing.T) {
 	// ErrMemberLost crosses the wire as itself and as its
 	// ErrRoundAborted parent, never as a generic error.
 	lost := fmt.Errorf("%w: server 7", atom.ErrMemberLost)
-	rebuilt := overGob(t, lost)
+	rebuilt := overReply(t, lost)
 	if !errors.Is(rebuilt, atom.ErrMemberLost) || !errors.Is(rebuilt, atom.ErrRoundAborted) {
 		t.Errorf("member-lost error crossed the wire as %v, want ErrMemberLost and ErrRoundAborted", rebuilt)
 	}
@@ -141,25 +147,25 @@ func TestErrorKindRoundTrip(t *testing.T) {
 // the wire, not collapse into the generic setup failure.
 func TestSetupErrorKindsSpecific(t *testing.T) {
 	insufficient := fmt.Errorf("%w: 2 of 5 qualified", atom.ErrDKGInsufficient)
-	rebuilt := overGob(t, insufficient)
+	rebuilt := overReply(t, insufficient)
 	if !errors.Is(rebuilt, atom.ErrDKGInsufficient) || !errors.Is(rebuilt, atom.ErrSetupFailed) {
 		t.Fatalf("rebuilt insufficient error %v loses its taxonomy branch", rebuilt)
 	}
 
 	setup := fmt.Errorf("%w: group 3 ceremony aborted", atom.ErrSetupFailed)
-	rebuilt = overGob(t, setup)
+	rebuilt = overReply(t, setup)
 	if !errors.Is(rebuilt, atom.ErrSetupFailed) || errors.Is(rebuilt, atom.ErrDKGInsufficient) {
 		t.Fatalf("rebuilt setup error %v has the wrong specificity", rebuilt)
 	}
 }
 
 // TestPersistenceErrorKindsRoundTrip pins the durable-state sentinels
-// to the gob error envelope: what the server fails with, the client
+// to the control-frame error: what the server fails with, the client
 // rebuilds as an errors.Is match.
 func TestPersistenceErrorKindsRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{atom.ErrStateCorrupt, atom.ErrConfigMismatch} {
 		wire := fmt.Errorf("daemon: refusing join: %w", sentinel)
-		if back := overGob(t, wire); !errors.Is(back, sentinel) {
+		if back := overReply(t, wire); !errors.Is(back, sentinel) {
 			t.Fatalf("wire roundtrip of %v rebuilt %v, losing the sentinel", sentinel, back)
 		}
 	}
@@ -199,8 +205,8 @@ func tamperedRound(t *testing.T, variant atom.Variant, tamper func([]elgamal.Vec
 
 // TestTaxonomySameAnswerEveryPath: every failure of the taxonomy gives
 // the same answer — the public sentinels it matches and its
-// BlamedMember/LostMember attribution — in process, after a gob reply
-// and after a fast-path ack; the memnet Cluster round lost past budget
+// BlamedMember/LostMember attribution — in process, after a control
+// reply and after an ack; the memnet Cluster round lost past budget
 // also after daemon.Client.Await end to end. The distributed engine's
 // abort report is held to the same round aborts in distributed's
 // TestAbortReportSameAnswer.
@@ -330,7 +336,7 @@ func TestTaxonomySameAnswerEveryPath(t *testing.T) {
 			if got := answerOf(row.err); !reflect.DeepEqual(got, want) {
 				t.Fatalf("in process: %v answers %+v, want %+v", row.err, got, want)
 			}
-			hops := map[string]error{"gob reply": overGob(t, row.err), "fast-path ack": overAck(t, row.err)}
+			hops := map[string]error{"control reply": overReply(t, row.err), "ack": overAck(t, row.err)}
 			for path, hopped := range row.hops {
 				hops[path] = hopped
 			}
@@ -374,14 +380,6 @@ func clusterLossPastBudget(t *testing.T) (local, remote error) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	info, err := cli.Info(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, err := cli.ServeInfo(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !cluster.KillMember(distributed.MemberID{GID: 1, Pos: 1}) {
 		t.Fatal("victim not hosted locally")
 	}
@@ -390,13 +388,14 @@ func clusterLossPastBudget(t *testing.T) (local, remote error) {
 		t.Fatal(err)
 	}
 	msgs := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
-	if _, err := SubmitBatch(t.Context(), cli, enc, info, ri, 0, msgs); err != nil {
-		t.Fatal(err)
+	rounds, err := SubmitBatch(t.Context(), cli, enc, 0, msgs)
+	if err != nil || len(rounds) != 1 {
+		t.Fatalf("submitting the round: rounds %v, %v", rounds, err)
 	}
 	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
 	defer cancel()
-	_, remote = cli.Await(ctx, ri.ID)
-	out, err := srv.Service().WaitRound(ctx, ri.ID)
+	_, remote = cli.Await(ctx, rounds[0])
+	out, err := srv.Service().WaitRound(ctx, rounds[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// BenchmarkSubmitPath measures the fast-path framing hot loop: a client
+// BenchmarkSubmitPath measures the submit framing hot loop: a client
 // encoding a 64-submission pipelined frame, and the server parsing it
 // with pooled buffers and zero-copy wire slices. Crypto is excluded —
 // this is the per-frame overhead the binary protocol adds on top of
@@ -14,9 +14,9 @@ import (
 func BenchmarkSubmitPath(b *testing.B) {
 	wire := bytes.Repeat([]byte{0xA7}, 600) // typical NIZK submission size
 	const perFrame = 64
-	fp := &fastPath{}
-	fp.bufs.New = func() any { return &frameBuf{pool: &fp.bufs} }
-	fc := &fastConn{fp: fp}
+	srv := &Server{}
+	srv.bufs.New = func() any { return &frameBuf{pool: &srv.bufs} }
+	fc := &conn{s: srv}
 	var entries []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -32,12 +32,12 @@ func BenchmarkSubmitPath(b *testing.B) {
 		}
 		// Server half: pooled frame buffer, zero-copy parse, refcounted
 		// release as each submission finishes.
-		fb := fp.bufs.Get().(*frameBuf)
+		fb := srv.bufs.Get().(*frameBuf)
 		need := 1 + binary.MaxVarintLen64 + len(entries)
 		if cap(fb.b) < need {
 			fb.b = make([]byte, 0, need)
 		}
-		fb.b = append(fb.b[:0], fpTypeSubmit)
+		fb.b = append(fb.b[:0], typeSubmit)
 		fb.b = binary.AppendUvarint(fb.b, perFrame)
 		fb.b = append(fb.b, entries...)
 		subs, ok := fc.parseSubmit(fb, fb.b[1:])

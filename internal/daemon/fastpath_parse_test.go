@@ -13,7 +13,7 @@ import (
 
 // appendSubmitBody encodes subs as an fpSubmit body (count ‖ entries),
 // the inverse of parseSubmit.
-func appendSubmitBody(dst []byte, subs []fastSub) []byte {
+func appendSubmitBody(dst []byte, subs []sub) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(subs)))
 	for _, s := range subs {
 		dst = binary.AppendUvarint(dst, s.seq)
@@ -34,11 +34,11 @@ func hostileCountBody(count uint64, n int) []byte {
 // TestParseSubmitHostileCount: the entry count is an unauthenticated
 // peer's claim, so it must not size an allocation. A frame claiming as
 // many entries as it has bytes (the most the old bound let through, at
-// 64 B of fastSub each) and one claiming exactly what the four-byte
+// 64 B of sub each) and one claiming exactly what the four-byte
 // minimum allows are both rejected having allocated next to nothing.
 func TestParseSubmitHostileCount(t *testing.T) {
 	const n = 1 << 20
-	fc := &fastConn{fp: &fastPath{}}
+	fc := &conn{s: &Server{}}
 	for name, count := range map[string]uint64{"count=len": n, "count=len/4": n / 4} {
 		body := hostileCountBody(count, n)
 		var before, after runtime.MemStats
@@ -60,9 +60,9 @@ func TestParseSubmitHostileCount(t *testing.T) {
 // the input spent no more bytes than the canonical encoding does.
 func FuzzParseSubmitFrame(f *testing.F) {
 	wire := bytes.Repeat([]byte{0xa7}, 600) // typical NIZK submission size
-	real := make([]fastSub, 64)
+	real := make([]sub, 64)
 	for i := range real {
-		real[i] = fastSub{seq: uint64(i + 1), user: i, round: uint64(i % 3), wire: wire}
+		real[i] = sub{seq: uint64(i + 1), user: i, round: uint64(i % 3), wire: wire}
 	}
 	frame := appendSubmitBody(nil, real)
 	f.Add(frame)
@@ -75,9 +75,9 @@ func FuzzParseSubmitFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 
-	fc := &fastConn{fp: &fastPath{}}
+	fc := &conn{s: &Server{}}
 	fb := &frameBuf{}
-	same := func(a, b []fastSub) bool {
+	same := func(a, b []sub) bool {
 		if len(a) != len(b) {
 			return false
 		}
@@ -111,16 +111,16 @@ func FuzzParseSubmitFrame(f *testing.F) {
 // callback pending for every seq below 256, and returns the verdicts in
 // frame order (each as its re-encodable ack) plus whether the body
 // parsed and every verdict found its submission.
-func settleAcks(body []byte) ([]fpAck, bool) {
-	var got []fpAck
+func settleAcks(body []byte) ([]ack, bool) {
+	var got []ack
 	fc := &FastClient{pending: make(map[uint64]func(uint64, error))}
 	for seq := uint64(0); seq < 256; seq++ {
-		fc.pending[seq] = func(round uint64, err error) { got = append(got, fpAck{seq: seq, round: round, err: err}) }
+		fc.pending[seq] = func(round uint64, err error) { got = append(got, ack{seq: seq, round: round, err: err}) }
 	}
 	if !fc.handleAcks(body) {
 		return nil, false
 	}
-	count, _, _ := fpUvarint(body)
+	count, _, _ := uvarint(body)
 	return got, count == uint64(len(got))
 }
 
@@ -128,8 +128,8 @@ func settleAcks(body []byte) ([]fpAck, bool) {
 // panics, and a frame whose every verdict settled re-encodes to verdicts
 // with the same seqs, rounds and typed errors.
 func FuzzHandleAcks(f *testing.F) {
-	f.Add(appendAcks(nil, []fpAck{{seq: 1, round: 4}, {seq: 2, err: fmt.Errorf("%w: replay", taxonomy.ErrDuplicateSubmission)}}))
-	f.Add(appendAcks(nil, []fpAck{{seq: 3, err: &taxonomy.Blame{GID: 1, Member: 2, Err: taxonomy.ErrProofRejected}}}))
+	f.Add(appendAcks(nil, []ack{{seq: 1, round: 4}, {seq: 2, err: fmt.Errorf("%w: replay", taxonomy.ErrDuplicateSubmission)}}))
+	f.Add(appendAcks(nil, []ack{{seq: 3, err: &taxonomy.Blame{GID: 1, Member: 2, Err: taxonomy.ErrProofRejected}}}))
 	f.Add(append(binary.AppendUvarint(nil, 1<<40), 1, 0, 2)) // count past the body
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -146,6 +146,66 @@ func FuzzHandleAcks(f *testing.F) {
 			if a.seq != b.seq || a.round != b.round || (a.err == nil) != (b.err == nil) ||
 				(a.err != nil && !reflect.DeepEqual(answerOf(a.err), answerOf(b.err))) {
 				t.Fatalf("ack %d: %+v re-parsed as %+v", i, a, b)
+			}
+		}
+	})
+}
+
+// FuzzParseCall: the info and await request decoders read client bytes.
+// They never panic, and what they accept is exactly the canonical
+// encoding of the seq (and round) they decoded, or a longer spelling
+// of it.
+func FuzzParseCall(f *testing.F) {
+	f.Add(typeInfo, binary.AppendUvarint(nil, 7))
+	f.Add(typeAwait, binary.AppendUvarint(binary.AppendUvarint(nil, 7), 1<<40))
+	f.Add(typeAwait, binary.AppendUvarint(nil, 7)) // round missing
+	f.Add(typeInfo, []byte{1, 0})                  // trailing byte
+	f.Add(typeInfo, []byte{})
+	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
+		seq, round, ok := parseCall(typ, body)
+		if !ok {
+			return
+		}
+		canon := binary.AppendUvarint(nil, seq)
+		if typ == typeAwait {
+			canon = binary.AppendUvarint(canon, round)
+		} else if round != 0 {
+			t.Fatalf("a type-%d request decoded a round", typ)
+		}
+		if len(canon) > len(body) || (len(canon) == len(body) && !bytes.Equal(canon, body)) {
+			t.Fatalf("%x decoded as seq %d round %d", body, seq, round)
+		}
+	})
+}
+
+// FuzzParseReply: the info and await reply decoders read daemon bytes.
+// They never panic, and what they accept re-encodes to a body that
+// decodes to the same reply.
+func FuzzParseReply(f *testing.F) {
+	info := &Info{Groups: 2, MessageSize: 32, Trap: true, EntryKeys: [][]byte{{2, 1}, {3, 4}},
+		Round: RoundInfo{ID: 9, TrusteeKey: []byte{2, 9, 9}}}
+	f.Add(appendInfoReply(nil, 1, info, nil))
+	f.Add(appendInfoReply(nil, 2, nil, fmt.Errorf("%w: not yet", taxonomy.ErrServiceClosed)))
+	f.Add(appendAwaitReply(nil, 3, [][]byte{[]byte("a"), {}, []byte("ccc")}, nil))
+	f.Add(appendAwaitReply(nil, 4, nil, &taxonomy.Loss{GID: 1, Member: 2, Err: taxonomy.ErrMemberLost}))
+	f.Add(append(binary.AppendUvarint([]byte{5, 0}, 1<<40), 1, 2)) // count past the body
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if seq, info, err, ok := parseInfoReply(body); ok {
+			seq2, info2, err2, ok := parseInfoReply(appendInfoReply(nil, seq, info, err))
+			if !ok || seq2 != seq || !reflect.DeepEqual(info2, info) || !reflect.DeepEqual(answerOf(err2), answerOf(err)) {
+				t.Fatalf("info reply %x does not survive a re-encode", body)
+			}
+		}
+		if seq, msgs, err, ok := parseAwaitReply(body); ok {
+			seq2, msgs2, err2, ok := parseAwaitReply(appendAwaitReply(nil, seq, msgs, err))
+			if !ok || seq2 != seq || len(msgs2) != len(msgs) || !reflect.DeepEqual(answerOf(err2), answerOf(err)) {
+				t.Fatalf("await reply %x does not survive a re-encode", body)
+			}
+			for i := range msgs {
+				if !bytes.Equal(msgs[i], msgs2[i]) {
+					t.Fatalf("await reply %x: message %d changed in a re-encode", body, i)
+				}
 			}
 		}
 	})

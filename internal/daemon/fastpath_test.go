@@ -25,21 +25,24 @@ func tamperProof(t *testing.T, wire []byte) []byte {
 	return sub.Encode()
 }
 
-// TestFastPathAttribution drives the multiplexed binary submit path end
-// to end: a pipelined batch carrying one tampered proof and one
-// duplicate among valid submissions yields exactly the right typed
-// rejection for each offender, admits the rest, and the admitted
-// messages come out of the mix. Runs at 1 and 4 admission workers.
+// TestFastPathAttribution drives the pipelined submit path end to end,
+// over the extra listener EnableFastPath opens: a batch carrying one
+// tampered proof and one duplicate among valid submissions yields
+// exactly the right typed rejection for each offender, admits the rest,
+// and the admitted messages come out of the mix, awaited over the main
+// listener. Runs at 1 and 4 admission workers.
 func TestFastPathAttribution(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const valid = 6
-			srv, cfg := startServeServer(t, atom.NIZK, atom.ServeOptions{
+			srv, cfg := newServeServer(t, atom.NIZK, atom.ServeOptions{
 				RoundInterval: time.Hour, // sealing driven by MaxBatch only
 				MaxBatch:      valid,
 				MaxInFlight:   2,
 			})
-			addr, err := srv.EnableFastPath("127.0.0.1:0", FastPathOptions{Workers: workers})
+			srv.workers = workers
+			go srv.Serve()
+			addr, err := srv.EnableFastPath("127.0.0.1:0", FastPathOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,9 +54,6 @@ func TestFastPathAttribution(t *testing.T) {
 			info, err := cli.Info(t.Context())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if info.SubmitAddr != addr {
-				t.Fatalf("Info.SubmitAddr = %q, want %q", info.SubmitAddr, addr)
 			}
 			ac, err := atom.NewClient(cfg)
 			if err != nil {
@@ -84,7 +84,7 @@ func TestFastPathAttribution(t *testing.T) {
 			dupIdx := len(wires)
 			wires = append(wires, append([]byte(nil), wires[0]...))
 
-			fast, err := DialFast(info.SubmitAddr)
+			fast, err := DialFast(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +157,8 @@ func TestFastPathAttribution(t *testing.T) {
 	}
 }
 
-// TestFastPathInfo exercises the in-band info request and the rejection
-// of submissions before the continuous service starts.
+// TestFastPathInfo exercises the info request over EnableFastPath's
+// listener: the same deployment and open round as over the main one.
 func TestFastPathInfo(t *testing.T) {
 	srv, _ := startServeServer(t, atom.NIZK, atom.ServeOptions{
 		RoundInterval: time.Hour,
@@ -173,17 +173,18 @@ func TestFastPathInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	ri, err := fast.ServeInfo(t.Context())
+	info, err := fast.Info(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ri.ID == 0 {
-		t.Fatalf("ServeInfo round = 0, want the open round")
+	if info.Round.ID == 0 || info.Groups != 4 || len(info.EntryKeys) != 4 {
+		t.Fatalf("info %+v, want the open round and 4 entry keys", info)
 	}
 }
 
-// TestFastPathNotServing verifies a fast-path submission into a daemon
-// that never enabled the service fails typed instead of hanging.
+// TestFastPathNotServing verifies a submission (and an info or await
+// request) into a daemon that never enabled the service fails typed
+// instead of hanging.
 func TestFastPathNotServing(t *testing.T) {
 	srv, cfg := startServer(t, atom.NIZK)
 	addr, err := srv.EnableFastPath("127.0.0.1:0", FastPathOptions{})
@@ -219,5 +220,11 @@ func TestFastPathNotServing(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no verdict for a submission without a service")
+	}
+	if _, err := fast.Info(t.Context()); err == nil {
+		t.Fatal("info answered with no service running")
+	}
+	if _, err := fast.Await(t.Context(), 1); err == nil {
+		t.Fatal("await answered with no service running")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -244,5 +245,96 @@ func TestConfigHashMismatchRefusesProvisioning(t *testing.T) {
 	}
 	if !errors.Is(err, taxonomy.ErrConfigMismatch) {
 		t.Fatalf("mismatch refusal produced %v, want taxonomy.ErrConfigMismatch", err)
+	}
+}
+
+// nextVersionMember listens on addr (":0" for an ephemeral port) as a
+// member host built from the next wire protocol version: it reads each
+// dialer's hello and refuses it, as that build's transport would.
+func nextVersionMember(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := transport.ReadHello(c); err == nil {
+				_, _ = c.Write(taxonomy.AppendError(nil, fmt.Errorf("%w: peer speaks wire protocol version %d, this build speaks %d",
+					taxonomy.ErrProtocolVersion, transport.Version, transport.Version+1)))
+			}
+			c.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// checkSkew asserts err is the typed version skew, with no attribution.
+func checkSkew(t *testing.T, what string, err error) {
+	t.Helper()
+	var blame *taxonomy.Blame
+	var loss *taxonomy.Loss
+	if !errors.Is(err, taxonomy.ErrProtocolVersion) || errors.As(err, &blame) || errors.As(err, &loss) {
+		t.Fatalf("%s: %v, want ErrProtocolVersion with no Blame and no Loss", what, err)
+	}
+}
+
+// TestMemberProtocolSkew: over real TCP, a member host of another wire
+// protocol version fails the coordinator's join at once with the typed
+// skew — not after the join timeout, and not as a lost member — and a
+// member that comes back on another version fails the round the same
+// way, with no re-plan and no buddy recovery.
+func TestMemberProtocolSkew(t *testing.T) {
+	d, c := newDeployment(t, protocol.VariantNIZK, 1)
+	start := time.Now()
+	_, err := NewCluster(d, Options{
+		Attach: TCPAttach("127.0.0.1"),
+		Remote: map[MemberID]string{{GID: 0, Pos: 1}: nextVersionMember(t, "127.0.0.1:0")},
+	})
+	checkSkew(t, "joining a next-version member", err)
+	if took := time.Since(start); took > joinTimeout/2 {
+		t.Fatalf("the skew surfaced only after %v", took)
+	}
+
+	// The entry member of group 0 is hosted remotely, then replaced by a
+	// next-version build at the same address. Heartbeats are off, so
+	// nothing but the round's own traffic can notice.
+	node, err := transport.ListenTCP("127.0.0.1:0", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := node.Addr()
+	hostCtx, hostCancel := context.WithCancel(context.Background())
+	defer hostCancel()
+	go func() { _ = HostMember(hostCtx, node, HostOptions{}) }()
+	cluster, err := NewCluster(d, Options{
+		Attach:    TCPAttach("127.0.0.1"),
+		Remote:    map[MemberID]string{{GID: 0, Pos: 0}: addr},
+		Heartbeat: -1,
+		Log:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	hostCancel()
+	node.Close()
+	nextVersionMember(t, addr)
+	time.Sleep(50 * time.Millisecond) // let the peers' cached links to the old host see its FIN
+
+	rs, err := d.OpenRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, d, c, rs, 6)
+	_, err = cluster.Run(context.Background(), rs, nil)
+	checkSkew(t, "a round through a next-version member", err)
+	if stats := cluster.Stats(); stats.Replans != 0 || stats.Recoveries != 0 {
+		t.Fatalf("a version skew was handled as churn: %+v", stats)
 	}
 }

@@ -14,45 +14,13 @@ package ecc
 // and a batch of nothing else costs no inversion at all. The points are
 // only read.
 func normalizeBatch(ps []*Point) (aff []affinePoint, isID []bool) {
-	n := len(ps)
-	aff = make([]affinePoint, n)
-	isID = make([]bool, n)
-	// prefix[i] is the product of the Z of the Jacobian points before i;
-	// allocated on the first one.
-	var prefix []fe
-	acc := feOne
+	aff = make([]affinePoint, len(ps))
+	isID = make([]bool, len(ps))
 	for i, p := range ps {
-		switch {
-		case p.IsIdentity():
-			isID[i] = true
-		case feEqual(&p.z, &feOne):
-			aff[i] = affinePoint{p.x, p.y}
-		default:
-			if prefix == nil {
-				prefix = make([]fe, n)
-			}
-			prefix[i] = acc
-			feMul(&acc, &acc, &p.z)
-		}
+		isID[i] = p.IsIdentity()
+		aff[i] = affinePoint{p.x, p.y}
 	}
-	if prefix == nil {
-		return aff, isID
-	}
-	var inv fe
-	feInv(&inv, &acc)
-	for i := n - 1; i >= 0; i-- {
-		p := ps[i]
-		if isID[i] || feEqual(&p.z, &feOne) {
-			continue
-		}
-		var zinv, zinv2 fe
-		feMul(&zinv, &inv, &prefix[i])
-		feMul(&inv, &inv, &p.z)
-		feSqr(&zinv2, &zinv)
-		feMul(&aff[i].x, &p.x, &zinv2)
-		feMul(&zinv2, &zinv2, &zinv)
-		feMul(&aff[i].y, &p.y, &zinv2)
-	}
+	toAffine(ps, aff)
 	return aff, isID
 }
 
@@ -60,16 +28,52 @@ func normalizeBatch(ps []*Point) (aff []affinePoint, isID []bool) {
 // point has Z = 1, sharing a single field inversion across the slice.
 // Call it before a stretch of per-point Bytes() calls (marshalling,
 // transcript absorption): each Bytes() on a normalized point skips its
-// own inversion.
-func NormalizeBatch(ps []*Point) {
-	aff, isID := normalizeBatch(ps)
+// own inversion. It allocates only the prefix products (32 B per point);
+// ps must not hold the same *Point twice.
+func NormalizeBatch(ps []*Point) { toAffine(ps, nil) }
+
+// toAffine converts every point of ps that is neither the identity nor
+// already affine with one field inversion for the whole slice, writing
+// the affine coordinates to aff[i] — or, with aff nil, over ps[i]
+// itself, setting its Z to 1.
+func toAffine(ps []*Point, aff []affinePoint) {
+	// prefix[i] is the product of the Z of the Jacobian points before i;
+	// allocated on the first one.
+	var prefix []fe
+	acc := feOne
 	for i, p := range ps {
-		if isID[i] {
+		if p.IsIdentity() || feEqual(&p.z, &feOne) {
 			continue
 		}
-		p.x = aff[i].x
-		p.y = aff[i].y
-		p.z = feOne
+		if prefix == nil {
+			prefix = make([]fe, len(ps))
+		}
+		prefix[i] = acc
+		feMul(&acc, &acc, &p.z)
+	}
+	if prefix == nil {
+		return
+	}
+	var inv fe
+	feInv(&inv, &acc)
+	for i := len(ps) - 1; i >= 0; i-- {
+		p := ps[i]
+		if p.IsIdentity() || feEqual(&p.z, &feOne) {
+			continue
+		}
+		var zinv, zinv2 fe
+		feMul(&zinv, &inv, &prefix[i])
+		feMul(&inv, &inv, &p.z)
+		feSqr(&zinv2, &zinv)
+		x, y := &p.x, &p.y
+		if aff != nil {
+			x, y = &aff[i].x, &aff[i].y
+		} else {
+			p.z = feOne
+		}
+		feMul(x, &p.x, &zinv2)
+		feMul(&zinv2, &zinv2, &zinv)
+		feMul(y, &p.y, &zinv2)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/elliptic"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -152,6 +153,51 @@ func TestDecodeUncompressedRejects(t *testing.T) {
 		var dst [1]Point
 		if _, err := DecodeUncompressedBatch(dst[:], b); err == nil {
 			t.Errorf("%s: accepted %x", name, b)
+		}
+	}
+}
+
+// TestNormalizeBatchInPlace: NormalizeBatch leaves every point of a
+// batch mixing identity, affine and Jacobian inputs equal to crypto/
+// elliptic's affine answer with Z = 1, and normalizing 1 024 Jacobian
+// points allocates no more than their prefix products.
+func TestNormalizeBatchInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var ps []*Point
+	for _, p := range testPoints(t, rng, 40) {
+		ps = append(ps, p, jacobian(rng, p))
+	}
+	want := make([][]byte, len(ps))
+	for i, p := range ps {
+		want[i] = uncompressedRef(t, p)
+	}
+	NormalizeBatch(ps)
+	for i, p := range ps {
+		if got := uncompressedRef(t, p); !bytes.Equal(got, want[i]) {
+			t.Fatalf("point %d normalized to %x, crypto/elliptic says %x", i, got, want[i])
+		}
+		if !p.IsIdentity() && p.z != feOne {
+			t.Fatalf("point %d left with Z ≠ 1", i)
+		}
+	}
+
+	const n = 1024
+	batch := make([]*Point, n)
+	wantBatch := make([][]byte, n)
+	for i := range batch {
+		batch[i] = jacobian(rng, ps[2+i%(len(ps)-2)].Clone())
+		wantBatch[i] = uncompressedRef(t, batch[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NormalizeBatch(batch)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 33<<10 {
+		t.Fatalf("normalizing %d Jacobian points allocated %d B, want ≤ 33 KiB", n, got)
+	}
+	for i, p := range batch {
+		if !bytes.Equal(uncompressedRef(t, p), wantBatch[i]) || p.z != feOne {
+			t.Fatalf("point %d of the large batch normalized wrong", i)
 		}
 	}
 }

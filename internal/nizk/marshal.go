@@ -12,7 +12,8 @@ import (
 
 // Wire encoding for EncProof, the one proof that travels from users to
 // servers (shuffle and reencryption proofs travel between servers, which
-// in this codebase share a process or use the daemon's gob framing).
+// in this codebase share a process or exchange distributed chain
+// messages).
 // Layout: u16 count ‖ count × (33-byte commit point ‖ 32-byte response).
 
 // Marshal encodes the proof.

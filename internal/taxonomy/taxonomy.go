@@ -41,6 +41,7 @@ var (
 	ErrDKGInsufficient     = fmt.Errorf("%w: too few qualified participants", ErrSetupFailed)
 	ErrServiceClosed       = errors.New("atom: service closed")
 	ErrResultExpired       = errors.New("atom: round result no longer retained")
+	ErrProtocolVersion     = errors.New("atom: peer speaks another protocol version")
 )
 
 // table maps wire bit positions to sentinels. Append only: a position,
@@ -64,6 +65,7 @@ var table = [...]error{
 	15: ErrResultExpired,
 	16: context.Canceled,
 	17: context.DeadlineExceeded,
+	18: ErrProtocolVersion,
 }
 
 // Blame attaches the offending group and member to a round-abort error

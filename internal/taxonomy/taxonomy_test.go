@@ -33,6 +33,7 @@ func TestTableBitsPinned(t *testing.T) {
 		ErrResultExpired,
 		context.Canceled,
 		context.DeadlineExceeded,
+		ErrProtocolVersion,
 	}
 	if len(table) != len(pinned) {
 		t.Fatalf("table has %d bits, pinned %d: append new sentinels to both", len(table), len(pinned))

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,16 +12,25 @@ import (
 )
 
 // TCPNode is a TCP-backed Endpoint for real multi-process deployments
-// (cmd/atomd). Frames are length-prefixed gob-encoded Messages. Peers
-// are addressed by "host:port"; connections are dialed lazily and kept
-// open. A production deployment would wrap the dialed connections in
-// crypto/tls with pinned server certificates to realize the
-// authenticated channels of §2.1 — the framing below is agnostic to the
-// underlying net.Conn.
+// (cmd/atomd). Peers are addressed by "host:port"; connections are
+// dialed lazily, open with the hello (hello.go) that names the dialer's
+// listen address, and are kept open. Each connection carries frames one
+// way, dialer to acceptor, in a binary envelope:
+//
+//	frame := u32_be len ‖ uvarint len(kind) ‖ kind ‖ uvarint round ‖ payload
+//
+// with no From and no To: the receiver stamps From with the address its
+// connection's hello named and To with its own. A production deployment
+// would wrap the connections in crypto/tls with pinned certificates to
+// realize the authenticated channels of §2.1; the hello is then where
+// the authenticated identity replaces the claimed address.
 type TCPNode struct {
 	addr     string
 	listener net.Listener
 	inbox    chan *Message
+	// done closes with the node, releasing readers blocked on a full
+	// inbox.
+	done     chan struct{}
 	maxFrame int64
 
 	mu      sync.Mutex
@@ -33,11 +41,10 @@ type TCPNode struct {
 }
 
 // tcpConn pairs an outbound connection with a write mutex: concurrent
-// Sends to one peer (the daemon's async mix replies, the client's
-// concurrency-safe methods) must not interleave their length-prefixed
-// frames on the shared connection. dlmu/seq/writing guard the
-// cancellation watcher: a late-firing watcher may only expire the
-// write deadline while its own send is still the one in flight.
+// Sends to one peer must not interleave their length-prefixed frames on
+// the shared connection. dlmu/seq/writing guard the cancellation
+// watcher: a late-firing watcher may only expire the write deadline
+// while its own send is still the one in flight.
 type tcpConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
@@ -47,35 +54,18 @@ type tcpConn struct {
 	writing bool
 }
 
-// DefaultMaxFrame bounds a frame to 64 MiB unless TCPOptions overrides
-// it, stopping a malformed (or hostile) length prefix from allocating
-// unbounded memory — a 4-byte prefix can claim up to 4 GiB.
-const DefaultMaxFrame = 64 << 20
-
-// TCPOptions tunes a TCP endpoint.
-type TCPOptions struct {
-	// Buffer is the inbox capacity (default 1024).
-	Buffer int
-	// MaxFrame is the largest frame accepted on read or produced on
-	// write, in bytes (default DefaultMaxFrame). Oversized frames fail
-	// with ErrFrameTooLarge; on read the connection is dropped before
-	// the claimed length is allocated.
-	MaxFrame int64
-}
+// maxFrame bounds a frame to 64 MiB, stopping a malformed (or hostile)
+// length prefix from allocating unbounded memory — a 4-byte prefix can
+// claim up to 4 GiB. Oversized frames fail with ErrFrameTooLarge; on
+// read the connection is dropped before the claimed length is
+// allocated.
+const maxFrame = 64 << 20
 
 // ListenTCP starts a TCP endpoint on addr ("host:port", ":0" for an
-// ephemeral port) with default options.
+// ephemeral port) whose inbox holds buffer messages (default 1024).
 func ListenTCP(addr string, buffer int) (*TCPNode, error) {
-	return ListenTCPOpts(addr, TCPOptions{Buffer: buffer})
-}
-
-// ListenTCPOpts starts a TCP endpoint with explicit options.
-func ListenTCPOpts(addr string, opts TCPOptions) (*TCPNode, error) {
-	if opts.Buffer <= 0 {
-		opts.Buffer = 1024
-	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
+	if buffer <= 0 {
+		buffer = 1024
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -84,8 +74,9 @@ func ListenTCPOpts(addr string, opts TCPOptions) (*TCPNode, error) {
 	n := &TCPNode{
 		addr:     l.Addr().String(),
 		listener: l,
-		inbox:    make(chan *Message, opts.Buffer),
-		maxFrame: opts.MaxFrame,
+		inbox:    make(chan *Message, buffer),
+		done:     make(chan struct{}),
+		maxFrame: maxFrame,
 		conns:    make(map[string]*tcpConn),
 		inbound:  make(map[net.Conn]bool),
 	}
@@ -124,27 +115,27 @@ func (n *TCPNode) acceptLoop() {
 				delete(n.inbound, conn)
 				n.mu.Unlock()
 			}()
-			n.readLoop(conn)
+			if from, err := AcceptHello(conn, true); err == nil {
+				n.readLoop(conn, from)
+			}
 		}()
 	}
 }
 
-func (n *TCPNode) readLoop(conn net.Conn) {
+// readLoop delivers one connection's frames, stamped with the sender its
+// hello named, until the connection fails or the node closes.
+func (n *TCPNode) readLoop(conn net.Conn, from string) {
 	for {
 		msg, err := readFrame(conn, n.maxFrame)
 		if err != nil {
 			return
 		}
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
+		msg.From, msg.To = from, n.addr
+		select {
+		case n.inbox <- msg:
+		case <-n.done:
 			return
 		}
-		func() {
-			defer func() { _ = recover() }() // inbox may close concurrently
-			n.inbox <- msg
-		}()
 	}
 }
 
@@ -166,10 +157,9 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 	tc, ok := n.conns[to]
 	n.mu.Unlock()
 	if !ok {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", to)
+		conn, err := DialHello(ctx, to, n.addr)
 		if err != nil {
-			return fmt.Errorf("transport: dial %s: %w", to, err)
+			return err
 		}
 		tc = &tcpConn{conn: conn}
 		n.mu.Lock()
@@ -188,9 +178,6 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 		}
 		n.mu.Unlock()
 	}
-	cp := *msg
-	cp.From = n.addr
-	cp.To = to
 	tc.wmu.Lock()
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = tc.conn.SetWriteDeadline(deadline)
@@ -223,7 +210,7 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 			}
 		}()
 	}
-	err := writeFrame(tc.conn, &cp, n.maxFrame)
+	err := writeFrame(tc.conn, msg, n.maxFrame)
 	if watchStop != nil {
 		tc.dlmu.Lock()
 		tc.writing = false
@@ -252,8 +239,8 @@ func (n *TCPNode) SendCtx(ctx context.Context, to string, msg *Message) error {
 }
 
 // watchStale evicts an outbound connection the moment its peer hangs
-// up. The framing protocol never delivers data on outbound connections
-// (peers reply by dialing the sender's listen address), so the only
+// up. After the hello's verdict no data arrives on an outbound
+// connection (peers reply by dialing the sender's listen address), so the only
 // thing a blocking read can ever return is the peer's FIN or RST — or
 // garbage, equally disqualifying. Without this, a crashed peer leaves a
 // half-closed connection in the cache and the FIRST frame written to it
@@ -281,6 +268,7 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
+	close(n.done)
 	for _, c := range n.conns {
 		c.conn.Close()
 	}
@@ -296,28 +284,24 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
+// writeFrame writes msg's envelope as one frame.
 func writeFrame(w io.Writer, msg *Message, maxFrame int64) error {
-	var payload []byte
-	{
-		var buf frameBuffer
-		if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-			return err
-		}
-		payload = buf.b
+	size := uvarintLen(uint64(len(msg.Type))) + len(msg.Type) + uvarintLen(msg.Round) + len(msg.Payload)
+	if int64(size) > maxFrame {
+		return fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, size, maxFrame)
 	}
-	if int64(len(payload)) > maxFrame {
-		return fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, len(payload), maxFrame)
-	}
-	// One Write per frame: the length prefix and payload go out
+	// One Write per frame: the length prefix and the envelope go out
 	// together (callers additionally serialize on a per-connection
 	// mutex; a single buffer also halves the syscalls).
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
+	frame := make([]byte, 4, 4+size)
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	frame = appendEnvelope(frame, msg)
 	_, err := w.Write(frame)
 	return err
 }
 
+// readFrame reads one frame and decodes its envelope; the payload
+// aliases the frame's own buffer.
 func readFrame(r io.Reader, maxFrame int64) (*Message, error) {
 	var ln [4]byte
 	if _, err := io.ReadFull(r, ln[:]); err != nil {
@@ -328,36 +312,48 @@ func readFrame(r io.Reader, maxFrame int64) (*Message, error) {
 	if int64(size) > maxFrame {
 		return nil, fmt.Errorf("%w: %d-byte frame exceeds the %d-byte limit", ErrFrameTooLarge, size, maxFrame)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := make([]byte, size)
+	if _, err := io.ReadFull(r, frame); err != nil {
 		return nil, err
 	}
-	var msg Message
-	if err := gob.NewDecoder(&frameReader{b: payload}).Decode(&msg); err != nil {
-		return nil, err
+	msg, ok := parseEnvelope(frame)
+	if !ok {
+		return nil, errors.New("transport: malformed frame")
 	}
-	return &msg, nil
+	return msg, nil
 }
 
-// frameBuffer is a minimal append-only writer (avoids importing bytes
-// for two call sites).
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
+// appendEnvelope appends msg's kind, round and payload in the member
+// envelope (the frame minus its length prefix).
+func appendEnvelope(b []byte, msg *Message) []byte {
+	b = binary.AppendUvarint(b, uint64(len(msg.Type)))
+	b = append(b, msg.Type...)
+	b = binary.AppendUvarint(b, msg.Round)
+	return append(b, msg.Payload...)
 }
 
-type frameReader struct {
-	b []byte
-	i int
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	if f.i >= len(f.b) {
-		return 0, io.EOF
+// parseEnvelope decodes one frame body into a Message with no From or
+// To; ok is false when b is not a well-formed envelope. The payload
+// aliases b.
+func parseEnvelope(b []byte) (msg *Message, ok bool) {
+	kl, k := binary.Uvarint(b)
+	if k <= 0 || kl > uint64(len(b)-k) {
+		return nil, false
 	}
-	n := copy(p, f.b[f.i:])
-	f.i += n
-	return n, nil
+	kind := string(b[k : k+int(kl)])
+	b = b[k+int(kl):]
+	round, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, false
+	}
+	return &Message{Type: kind, Round: round, Payload: b[k:]}, true
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }

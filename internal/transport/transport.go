@@ -53,10 +53,12 @@ var ErrFrameTooLarge = errors.New("transport: frame too large")
 // Unreachable classifies a Send/SendCtx error as a peer-liveness
 // failure: the destination endpoint is gone (closed, departed, refusing
 // or dropping connections) rather than the message being malformed or
-// the caller's context expired. The distributed round engine uses it to
-// turn a failed delivery into a member-lost report instead of an opaque
-// abort — on the in-memory network that is ErrClosed/ErrUnknownNode, on
-// TCP any network-level dial or write failure.
+// the caller's context expired — or the peer refused the hello for a
+// version skew (taxonomy.ErrProtocolVersion, a typed verdict from a live
+// peer). The distributed round engine uses it to turn a failed delivery
+// into a member-lost report instead of an opaque abort — on the
+// in-memory network that is ErrClosed/ErrUnknownNode, on TCP any
+// network-level dial or write failure.
 func Unreachable(err error) bool {
 	if err == nil {
 		return false

@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"atom/internal/taxonomy"
 )
 
 func TestMemNetworkBasicDelivery(t *testing.T) {
@@ -293,10 +298,11 @@ func TestMemSendCtxCancellation(t *testing.T) {
 // TestTCPFrameTooLargeWrite checks the typed error on oversized writes
 // (and that the connection survives, since nothing hit the wire).
 func TestTCPFrameTooLargeWrite(t *testing.T) {
-	a, _ := ListenTCPOpts("127.0.0.1:0", TCPOptions{Buffer: 4, MaxFrame: 1 << 10})
-	b, _ := ListenTCPOpts("127.0.0.1:0", TCPOptions{Buffer: 4, MaxFrame: 1 << 10})
+	a, _ := ListenTCP("127.0.0.1:0", 4)
+	b, _ := ListenTCP("127.0.0.1:0", 4)
 	defer a.Close()
 	defer b.Close()
+	a.maxFrame, b.maxFrame = 1<<10, 1<<10
 	err := a.Send(b.Addr(), &Message{Type: "big", Payload: make([]byte, 1<<11)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized send returned %v, want ErrFrameTooLarge", err)
@@ -317,10 +323,12 @@ func TestTCPFrameTooLargeWrite(t *testing.T) {
 // TestTCPFrameTooLargeRead checks a hostile length prefix is rejected
 // before allocation: the reader's limit is lower than the writer's.
 func TestTCPFrameTooLargeRead(t *testing.T) {
-	b, _ := ListenTCPOpts("127.0.0.1:0", TCPOptions{Buffer: 4, MaxFrame: 256})
+	b, _ := ListenTCP("127.0.0.1:0", 4)
 	defer b.Close()
-	a, _ := ListenTCPOpts("127.0.0.1:0", TCPOptions{Buffer: 4, MaxFrame: 1 << 20})
+	b.maxFrame = 256
+	a, _ := ListenTCP("127.0.0.1:0", 4)
 	defer a.Close()
+	a.maxFrame = 1 << 20
 	if err := a.Send(b.Addr(), &Message{Type: "big", Payload: make([]byte, 4096)}); err != nil {
 		t.Fatalf("send within the writer's limit: %v", err)
 	}
@@ -330,4 +338,167 @@ func TestTCPFrameTooLargeRead(t *testing.T) {
 	case <-time.After(150 * time.Millisecond):
 		// Dropped before allocation, connection torn down: correct.
 	}
+}
+
+// TestTCPCloseUnblocksFullInbox: a reader blocked delivering into a
+// full inbox nobody drains must not hold Close up — the TCP twin of
+// TestMemCloseUnblocksFullInboxPush.
+func TestTCPCloseUnblocksFullInbox(t *testing.T) {
+	a, err := ListenTCP("127.0.0.1:0", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenTCP("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := a.Send(b.Addr(), &Message{Type: "fill", Round: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wait until the inbox is full: the reader is then parked on the
+	// second frame.
+	for deadline := time.Now().Add(5 * time.Second); len(b.Inbox()) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no frame arrived")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close hangs behind a reader blocked on the full inbox")
+	}
+}
+
+// TestTCPLinkNamesSender: the receiver stamps From with the address the
+// sender's hello named and To with its own — nothing in the frame — and
+// refuses a hello that names no sender.
+func TestTCPLinkNamesSender(t *testing.T) {
+	a, _ := ListenTCP("127.0.0.1:0", 4)
+	defer a.Close()
+	b, _ := ListenTCP("127.0.0.1:0", 4)
+	defer b.Close()
+	if c, err := DialHello(t.Context(), b.Addr(), ""); err == nil {
+		c.Close()
+		t.Fatal("a member accepted a hello naming no sender")
+	}
+	if err := a.Send(b.Addr(), &Message{Type: "x", From: "forged", To: "elsewhere"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case msg := <-b.Inbox():
+		if msg.From != a.Addr() || msg.To != b.Addr() {
+			t.Fatalf("From %q To %q, want %q and %q", msg.From, msg.To, a.Addr(), b.Addr())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("message never arrived")
+	}
+}
+
+// TestTCPVersionSkew: over real TCP, a node refuses a hello of another
+// version with taxonomy.ErrProtocolVersion and delivers nothing from
+// that connection, and a node dialing a peer of another version fails
+// its send with the same typed error, which Unreachable does not count
+// as a dead peer.
+func TestTCPVersionSkew(t *testing.T) {
+	b, _ := ListenTCP("127.0.0.1:0", 4)
+	defer b.Close()
+	c, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := AppendHello(nil, "127.0.0.1:1")
+	hello[len(helloMagic)]++
+	if _, err := c.Write(append(hello, 0, 0, 0, 3, 1, 'x', 0)); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	verdict, _ := io.ReadAll(c)
+	if refusal, _, ok := taxonomy.ReadError(verdict); !ok || !errors.Is(refusal, taxonomy.ErrProtocolVersion) {
+		t.Fatalf("a next-version hello got verdict %x (%v)", verdict, refusal)
+	}
+	select {
+	case msg := <-b.Inbox():
+		t.Fatalf("a refused connection delivered %+v", msg)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := ReadHello(c); err == nil {
+			_, _ = c.Write(taxonomy.AppendError(nil, fmt.Errorf("%w: peer speaks wire protocol version %d, this build speaks %d",
+				taxonomy.ErrProtocolVersion, Version, Version+1)))
+		}
+	}()
+	a, _ := ListenTCP("127.0.0.1:0", 4)
+	defer a.Close()
+	err = a.Send(ln.Addr().String(), &Message{Type: "x"})
+	if !errors.Is(err, taxonomy.ErrProtocolVersion) || Unreachable(err) {
+		t.Fatalf("send to a next-version peer: %v (unreachable %v), want ErrProtocolVersion, not unreachable", err, Unreachable(err))
+	}
+}
+
+// FuzzHello: the hello reader takes the first bytes of every accepted
+// connection, from anyone. It never panics, refuses anything but a
+// well-formed current-version hello with a typed or read error, and
+// what it accepts re-encodes to the bytes it read.
+func FuzzHello(f *testing.F) {
+	f.Add(AppendHello(nil, "127.0.0.1:9100"))
+	f.Add(AppendHello(nil, ""))
+	f.Add([]byte("ATOM\x02\x00"))
+	f.Add([]byte("ATOM\x01\xff"))
+	f.Add([]byte{0, 0, 0, 8, 1, 'A', 'T', 'O', 'M', 'F', 'P', '2'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		addr, err := ReadHello(r)
+		if err != nil {
+			return
+		}
+		used := data[:len(data)-r.Len()]
+		if !bytes.Equal(AppendHello(nil, addr), used) {
+			t.Fatalf("hello %x read as %q, which re-encodes differently", used, addr)
+		}
+	})
+}
+
+// FuzzEnvelope: the member envelope decoder reads peer bytes. It never
+// panics, and what it accepts re-encodes to the same bytes whenever the
+// input used minimal uvarints.
+func FuzzEnvelope(f *testing.F) {
+	f.Add(appendEnvelope(nil, &Message{Type: "dist/batch", Round: 7 << 8, Payload: []byte{1, 2, 3}}))
+	f.Add(appendEnvelope(nil, &Message{Type: "", Round: 0}))
+	f.Add([]byte{0x80})
+	f.Add([]byte{5, 'a'})
+	f.Add([]byte{1, 'a', 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, ok := parseEnvelope(data)
+		if !ok {
+			return
+		}
+		enc := appendEnvelope(nil, msg)
+		if len(enc) > len(data) {
+			t.Fatalf("%x decoded to %+v, whose encoding is longer", data, msg)
+		}
+		again, ok := parseEnvelope(enc)
+		if !ok || again.Type != msg.Type || again.Round != msg.Round || !bytes.Equal(again.Payload, msg.Payload) {
+			t.Fatalf("%+v does not survive a re-encode", msg)
+		}
+	})
 }
