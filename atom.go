@@ -51,6 +51,10 @@
 package atom
 
 import (
+	"crypto/sha3"
+	"encoding/json"
+	"fmt"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -79,35 +83,31 @@ func (v Variant) internal() protocol.Variant {
 	return protocol.VariantNIZK
 }
 
-// Config describes an Atom deployment.
+// Config describes an Atom deployment — the one set of parameters every
+// server and client of the deployment agrees on (paper §2–§4.1). It is
+// also the operator's group-config file: LoadConfig reads it from JSON
+// under the tags below, and Hash is the digest every party of one
+// deployment compares before joining.
 type Config struct {
 	// Servers is the total server roster size N.
-	Servers int
+	Servers int `json:"servers"`
 	// Groups is G, the number of anytrust groups (one per vertex and
 	// layer of the permutation network).
-	Groups int
+	Groups int `json:"groups"`
 	// GroupSize is k, the servers per group. Use RequiredGroupSize to
 	// derive it from the adversarial fraction.
-	GroupSize int
+	GroupSize int `json:"group_size"`
 	// HonestServers is h: the deployment tolerates h−1 benign failures
 	// per group. Zero means 1 (plain anytrust).
-	HonestServers int
-	// Fraction is the assumed adversarial server fraction f (default
-	// 0.2, the paper's evaluation setting).
-	Fraction float64
+	HonestServers int `json:"honest"`
 	// MessageSize is the fixed plaintext size; submissions are padded.
-	MessageSize int
+	MessageSize int `json:"message_size"`
 	// Variant selects the active-attack defense.
-	Variant Variant
+	Variant Variant `json:"variant"`
 	// Iterations is T, the number of mixing iterations (default 10).
-	Iterations int
+	Iterations int `json:"iterations"`
 	// Topology is "square" (default) or "butterfly".
-	Topology string
-	// Trustees is the trap variant's trustee-group size (default: k).
-	Trustees int
-	// Buddies is the number of buddy groups escrowing each group's key
-	// shares for crash recovery (0 disables escrow).
-	Buddies int
+	Topology string `json:"topology"`
 	// MixWorkers is the parallel mixing engine's per-group worker
 	// count (paper Figure 7: a mixing iteration scales near-linearly
 	// with cores). Every group fans its per-message cryptography —
@@ -115,10 +115,97 @@ type Config struct {
 	// verification — over a bounded pool of this size. Zero or
 	// negative selects the automatic policy: the machine's CPUs
 	// divided evenly among the in-process groups.
-	MixWorkers int
+	MixWorkers int `json:"workers,omitempty"`
+	// Buddies is the number of buddy groups escrowing each group's key
+	// shares for crash recovery (0 disables escrow).
+	Buddies int `json:"buddies,omitempty"`
 	// Seed seeds the public randomness beacon (group formation);
 	// deployments must agree on it.
-	Seed []byte
+	Seed Seed `json:"seed,omitempty"`
+	// Coordinator is the coordinator's listen address (recorded and
+	// hashed; nothing dials it).
+	Coordinator string `json:"coordinator,omitempty"`
+	// Members lists pre-started member hosts (atomd -member), one per
+	// group member, group-major: group 0's k members first. Empty
+	// mixes in-process; otherwise it is G·k long.
+	Members []string `json:"members,omitempty"`
+}
+
+// Seed is the beacon seed's bytes; in a config file it is a plain JSON
+// string.
+type Seed []byte
+
+// MarshalText encodes the seed as its raw bytes.
+func (s Seed) MarshalText() ([]byte, error) { return s, nil }
+
+// UnmarshalText copies the raw bytes of a config file's seed string.
+func (s *Seed) UnmarshalText(b []byte) error {
+	*s = append(Seed(nil), b...)
+	return nil
+}
+
+// MarshalText encodes the variant as "trap" or "nizk" (any value but
+// Trap runs the NIZK variant).
+func (v Variant) MarshalText() ([]byte, error) {
+	if v == Trap {
+		return []byte("trap"), nil
+	}
+	return []byte("nizk"), nil
+}
+
+// UnmarshalText parses "nizk" or "trap".
+func (v *Variant) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "nizk":
+		*v = NIZK
+	case "trap":
+		*v = Trap
+	default:
+		return fmt.Errorf("variant must be nizk or trap (got %q)", b)
+	}
+	return nil
+}
+
+// LoadConfig reads a group-config file: the JSON form of Config.
+// Trailing data, unknown keys, an unknown variant, and a members list
+// that is neither empty nor G·k non-empty addresses are rejected, so a
+// typo'd knob cannot silently split two servers' views of the
+// deployment; everything else is checked where the deployment is built.
+func LoadConfig(path string) (Config, error) {
+	var c Config
+	f, err := os.Open(path)
+	if err != nil {
+		return c, fmt.Errorf("atom: group config: %w", err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
+		return c, fmt.Errorf("atom: group config %s: %w", path, err)
+	}
+	if dec.More() {
+		return c, fmt.Errorf("atom: group config %s: trailing data after the config object", path)
+	}
+	if n := len(c.Members); n > 0 && n != c.Groups*c.GroupSize {
+		return c, fmt.Errorf("atom: group config %s: %d members, want groups×group_size = %d×%d = %d",
+			path, n, c.Groups, c.GroupSize, c.Groups*c.GroupSize)
+	}
+	for i, addr := range c.Members {
+		if addr == "" {
+			return c, fmt.Errorf("atom: group config %s: member address %d is empty", path, i)
+		}
+	}
+	return c, nil
+}
+
+// Hash returns the SHA3-256 digest of the config's canonical encoding
+// (compact JSON, keys in declaration order): two files that parse to
+// the same deployment hash identically whatever their key order or
+// whitespace. Coordinator and members compare it before joining.
+func (c Config) Hash() []byte {
+	b, _ := json.Marshal(c) // ints, strings and text marshalers cannot fail
+	sum := sha3.Sum256(b)
+	return sum[:]
 }
 
 func (c Config) internal() protocol.Config {
@@ -127,12 +214,10 @@ func (c Config) internal() protocol.Config {
 		NumGroups:   c.Groups,
 		GroupSize:   c.GroupSize,
 		HonestMin:   c.HonestServers,
-		Fraction:    c.Fraction,
 		MessageSize: c.MessageSize,
 		Variant:     c.Variant.internal(),
 		Iterations:  c.Iterations,
 		Topology:    c.Topology,
-		NumTrustees: c.Trustees,
 		BuddyCount:  c.Buddies,
 		Mix:         protocol.MixConfig{Workers: c.MixWorkers},
 		Seed:        c.Seed,

@@ -8,8 +8,6 @@
 //	go test -bench 'BenchmarkTable3' -benchmem     # Table 3
 //	go test -bench 'BenchmarkFigure5' -benchtime 1x
 //	go test -bench . -benchmem                     # everything
-//
-// EXPERIMENTS.md records paper-vs-measured values for each experiment.
 package atom
 
 import (

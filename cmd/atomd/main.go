@@ -6,8 +6,14 @@
 // round scheduler seals at -interval or -capacity, and sealed rounds mix
 // back to back with up to -inflight in flight.
 //
-//	atomd -listen :9000 -servers 12 -groups 4 -groupsize 3 -variant trap
+//	atomd -listen :9000 -config deployment.json
 //	atomd -listen :9000 -interval 500ms -capacity 1024
+//
+// The deployment — roster, topology, crypto parameters, beacon seed and
+// any member fleet — comes from one group-config file (-config: the JSON
+// form of atom.Config, see atom.LoadConfig), or without one from the
+// built-in defaults: 12 servers in 4 groups of 3, h = 1, 160-byte
+// messages, the trap variant, T = 3 on the square network, seed "atomd".
 //
 // Clients keep all secrets: they encrypt and prove locally and ship
 // opaque submissions (see cmd/atomclient). -listen is the one client
@@ -15,11 +21,9 @@
 // info, pipelined submits with coalesced acks, and awaits, every reply
 // on the client's own connection.
 //
-// -members hands sealed rounds to a fleet of pre-started atomd -member
-// hosts instead of the in-process engine (addresses GID-major, one per
-// member):
-//
-//	atomd -listen :9000 -members host1:9100,host1:9101,…
+// A config file with a non-empty "members" list hands sealed rounds to
+// that fleet of pre-started atomd -member hosts instead of the
+// in-process engine (addresses GID-major, one per member).
 //
 // With -member, atomd instead hosts one group member of a distributed
 // round engine (internal/distributed.HostMember): it listens on a TCP
@@ -61,11 +65,10 @@
 //
 //	atomd -listen :9000 -dkg -beacon-interval 30s -state-dir /var/lib/atomd
 //
-// A group-config file (-config, JSON — see store.GroupConfig) replaces
-// the roster/topology/crypto flags, and its canonical hash rides every
-// config message: a coordinator and members started from the same file
-// join, a member started with one file refuses a coordinator started
-// from another (atom.ErrConfigMismatch).
+// The config's canonical hash (atom.Config.Hash) rides every config
+// message the coordinator sends, and a member started with -config
+// refuses one carrying another file's hash (atom.ErrConfigMismatch):
+// a coordinator and members started from the same file join.
 //
 // -metrics serves Prometheus text-format counters at /metrics.
 package main
@@ -79,7 +82,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"atom"
@@ -92,72 +94,46 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", ":9000", "TCP listen address")
-		servers     = flag.Int("servers", 12, "server roster size N")
-		groups      = flag.Int("groups", 4, "number of anytrust groups G")
-		groupSize   = flag.Int("groupsize", 3, "servers per group k")
-		honest      = flag.Int("honest", 1, "required honest servers per group h (tolerates h-1 failures)")
-		messageSize = flag.Int("msgsize", 160, "fixed message size in bytes")
-		variant     = flag.String("variant", "trap", "active-attack defense: nizk or trap")
-		iterations  = flag.Int("iterations", 3, "mixing iterations T")
-		topo        = flag.String("topology", "square", "permutation network: square or butterfly")
-		workers     = flag.Int("workers", 0, "parallel mixing engine: worker goroutines per group (0 = CPUs/groups)")
-		seed        = flag.String("seed", "atomd", "beacon seed (all participants must agree)")
 		verbose     = flag.Bool("verbose", true, "log per-round and per-iteration statistics")
 		member      = flag.Bool("member", false, "host one distributed-round group member instead of a full deployment")
 		interval    = flag.Duration("interval", time.Second, "round scheduler's seal deadline (Options.RoundInterval)")
 		capacity    = flag.Int("capacity", 0, "seal a round early at this many submissions (0 = deadline only)")
-		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth; with -members, rounds in flight over the fleet)")
-		membersF    = flag.String("members", "", "comma-separated addresses of pre-started atomd -member hosts, GID-major (g0/m0,g0/m1,…): coordinate distributed rounds over them instead of mixing in-process")
+		inflight    = flag.Int("inflight", 2, "rounds mixing concurrently (bounded pipeline depth; with the config's members, rounds in flight over the fleet)")
 		stateDir    = flag.String("state-dir", "", "persist durable state (journal + snapshots) here and resume from it on restart")
 		dkgMode     = flag.Bool("dkg", false, "establish trust with the dealerless setup ceremony: per-group joint-Feldman DKGs and a chained verifiable randomness beacon (persisted and resumed with -state-dir)")
 		dkgWindow   = flag.Duration("dkg-window", 500*time.Millisecond, "-dkg: per-phase ceremony message window (honest phases early-advance; this bounds the straggler wait)")
 		beaconTick  = flag.Duration("beacon-interval", 0, "-dkg: produce a verified beacon round this often (0 = only the setup rounds)")
-		configPath  = flag.String("config", "", "group-config file (JSON); replaces the roster/topology/crypto flags and gates joins by its hash")
+		configPath  = flag.String("config", "", "group-config file (JSON form of atom.Config): the deployment's roster, topology, crypto parameters and member fleet; members gate joins by its hash (default: the built-in 12/4/3 trap deployment)")
 		metricsAddr = flag.String("metrics", "", "serve Prometheus text-format counters at this address under /metrics (empty = off)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof at this address under /debug/pprof/ (empty = off; may equal -metrics to share one listener)")
 	)
 	flag.Parse()
 
-	var gc *store.GroupConfig
-	var configHash []byte // nil without -config: the fleet is not gated
+	cfg := atom.Config{
+		Servers: 12, Groups: 4, GroupSize: 3, HonestServers: 1,
+		MessageSize: 160, Variant: atom.Trap, Iterations: 3, Topology: "square",
+		Seed: []byte("atomd"),
+	}
 	if *configPath != "" {
 		var err error
-		if gc, err = store.LoadGroupConfig(*configPath); err != nil {
+		if cfg, err = atom.LoadConfig(*configPath); err != nil {
 			log.Fatalf("atomd: %v", err)
 		}
-		configHash = gc.Hash()
 	}
+	configHash := cfg.Hash()
 
 	if *member {
-		hostMember(*listen, *stateDir, *metricsAddr, *pprofAddr, configHash)
+		// The member-side gate is opt-in: without -config a member
+		// adopts whatever its coordinator sends.
+		var gate []byte
+		if *configPath != "" {
+			gate = configHash
+		}
+		hostMember(*listen, *stateDir, *metricsAddr, *pprofAddr, gate)
 		return
 	}
-
-	var cfg atom.Config
-	if gc != nil {
-		cfg = configFromFile(gc)
+	if *configPath != "" {
 		log.Printf("atomd: group config %s (hash %x)", *configPath, configHash[:8])
-	} else {
-		v := atom.Trap
-		switch *variant {
-		case "trap":
-		case "nizk":
-			v = atom.NIZK
-		default:
-			log.Fatalf("atomd: unknown variant %q (want nizk or trap)", *variant)
-		}
-		cfg = atom.Config{
-			Servers:       *servers,
-			Groups:        *groups,
-			GroupSize:     *groupSize,
-			HonestServers: *honest,
-			MessageSize:   *messageSize,
-			Variant:       v,
-			Iterations:    *iterations,
-			Topology:      *topo,
-			MixWorkers:    *workers,
-			Seed:          []byte(*seed),
-		}
 	}
 
 	var st *store.Store
@@ -291,17 +267,17 @@ func main() {
 	if st != nil {
 		opts.Journal = st
 	}
-	if *membersF != "" {
+	if len(cfg.Members) > 0 {
 		// Remote fleet: every group member is a pre-started
 		// `atomd -member` host; this daemon only coordinates.
-		remote, err := memberBook(*membersF, cfg.Groups, cfg.GroupSize)
-		if err != nil {
-			log.Fatalf("atomd: -members: %v", err)
+		remote := make(map[distributed.MemberID]string, len(cfg.Members))
+		for i, addr := range cfg.Members {
+			remote[distributed.MemberID{GID: i / cfg.GroupSize, Pos: i % cfg.GroupSize}] = addr
 		}
 		cluster, err := distributed.NewCluster(srv.Network().Deployment(), distributed.Options{
 			Attach:     distributed.TCPAttach(coordHost(*listen)),
 			Remote:     remote,
-			Workers:    *workers,
+			Workers:    cfg.MixWorkers,
 			ConfigHash: configHash,
 			Log:        log.Printf,
 		})
@@ -329,25 +305,6 @@ func main() {
 	}
 }
 
-// memberBook parses -members: G·k comma-separated addresses, GID-major
-// (group 0's k members first), one per pre-started atomd -member host.
-func memberBook(list string, groups, groupSize int) (map[distributed.MemberID]string, error) {
-	addrs := strings.Split(list, ",")
-	if len(addrs) != groups*groupSize {
-		return nil, fmt.Errorf("got %d addresses, want groups×groupsize = %d×%d = %d",
-			len(addrs), groups, groupSize, groups*groupSize)
-	}
-	book := make(map[distributed.MemberID]string, len(addrs))
-	for i, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return nil, fmt.Errorf("address %d is empty", i)
-		}
-		book[distributed.MemberID{GID: i / groupSize, Pos: i % groupSize}] = a
-	}
-	return book, nil
-}
-
 // coordHost picks the host the round coordinator binds its ephemeral
 // endpoint to — the -listen host, so the address shipped in join
 // messages is reachable wherever the daemon itself is. A bare ":port"
@@ -358,28 +315,6 @@ func coordHost(listen string) string {
 		return host
 	}
 	return "127.0.0.1"
-}
-
-// configFromFile maps the operator's group-config file onto the public
-// Config.
-func configFromFile(gc *store.GroupConfig) atom.Config {
-	v := atom.NIZK
-	if gc.Variant == "trap" {
-		v = atom.Trap
-	}
-	return atom.Config{
-		Servers:       gc.Servers,
-		Groups:        gc.Groups,
-		GroupSize:     gc.GroupSize,
-		HonestServers: gc.Honest,
-		MessageSize:   gc.MessageSize,
-		Variant:       v,
-		Iterations:    gc.Iterations,
-		Topology:      gc.Topology,
-		MixWorkers:    gc.Workers,
-		Buddies:       gc.Buddies,
-		Seed:          []byte(gc.Seed),
-	}
 }
 
 // verboseObserver is the -verbose round-lifecycle logger.

@@ -64,11 +64,11 @@ type Options struct {
 	// few beacon periods wide: heartbeats ride the same links as
 	// batches, so a too-tight bound turns WAN jitter into churn.
 	LivenessTimeout time.Duration
-	// ConfigHash is the canonical group-config hash
-	// (store.GroupConfig.Hash) stamped into every member's config. Hosts
-	// started with their own hash (atomd -config) refuse a config
-	// carrying a different one, and the cluster treats such a refusal as
-	// a terminal taxonomy.ErrConfigMismatch, not churn.
+	// ConfigHash is the canonical group-config hash (atom.Config.Hash)
+	// stamped into every member's config. Hosts started with their own
+	// hash (atomd -config) refuse a config carrying a different one, and
+	// the cluster treats such a refusal as a terminal
+	// taxonomy.ErrConfigMismatch, not churn.
 	ConfigHash []byte
 	// Log, when non-nil, receives operator-grade churn events
 	// (detections, re-plans, recoveries). Printf-shaped.

@@ -13,7 +13,7 @@ import (
 // config message (or replays from Resume).
 type HostOptions struct {
 	// ConfigHash is the canonical hash of the group-config file this
-	// host was provisioned from (store.GroupConfig.Hash). When set, a
+	// host was provisioned from (atom.Config.Hash). When set, a
 	// config carrying a different hash — over the wire or in Resume — is
 	// refused instead of adopted: the coordinator and every member must
 	// agree on the file. Empty disables the check.

@@ -73,7 +73,7 @@ type MemberConfig struct {
 	// member's own secret.
 	Escrows []protocol.EscrowPiece
 	// ConfigHash is the canonical hash of the deployment's group-config
-	// file (store.GroupConfig.Hash). A host started with its own hash
+	// file (atom.Config.Hash). A host started with its own hash
 	// refuses joins carrying a different one — both parties must be
 	// provisioned from the same file. Empty disables the check.
 	ConfigHash []byte

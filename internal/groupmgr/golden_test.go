@@ -15,7 +15,7 @@ import (
 // three.
 func TestFormGoldenVector(t *testing.T) {
 	b := beacon.New([]byte("atom/golden/v1"))
-	cfg := Config{NumServers: 16, NumGroups: 4, GroupSize: 4, HonestMin: 2, Fraction: 0.2, BuddyCount: 1}
+	cfg := Config{NumServers: 16, NumGroups: 4, GroupSize: 4, HonestMin: 2, BuddyCount: 1}
 	groups, err := Form(cfg, b, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -33,62 +33,5 @@ func TestFormGoldenVector(t *testing.T) {
 		if !reflect.DeepEqual(g, want[i]) {
 			t.Errorf("group %d = %+v, want %+v", i, g, want[i])
 		}
-	}
-}
-
-// TestFormWeightedGoldenVector pins the weighted sampler on the same
-// seed: the inverse-transform draw order is as consensus-critical as
-// the uniform one.
-func TestFormWeightedGoldenVector(t *testing.T) {
-	b := beacon.New([]byte("atom/golden/v1"))
-	cfg := Config{NumServers: 16, NumGroups: 4, GroupSize: 4, HonestMin: 2, Fraction: 0.2, BuddyCount: 1}
-	weights := make([]float64, 16)
-	for i := range weights {
-		weights[i] = float64(1 + i%4)
-	}
-	groups, err := FormWeighted(cfg, weights, b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{
-		{14, 9, 11, 0},
-		{5, 10, 15, 0},
-		{7, 14, 6, 12},
-		{13, 6, 7, 3},
-	}
-	for i, g := range groups {
-		if !reflect.DeepEqual(g.Members, want[i]) {
-			t.Errorf("weighted group %d members = %v, want %v", i, g.Members, want[i])
-		}
-	}
-}
-
-// TestFormPurposeSeparation checks the uniform and weighted samplers
-// consume domain-separated streams: the same beacon value must not
-// yield correlated draws across purposes.
-func TestFormPurposeSeparation(t *testing.T) {
-	b := beacon.New([]byte("atom/golden/v1"))
-	cfg := Config{NumServers: 16, NumGroups: 4, GroupSize: 4, HonestMin: 2}
-	uniform, err := Form(cfg, b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := make([]float64, 16)
-	for i := range weights {
-		weights[i] = 1
-	}
-	weighted, err := FormWeighted(cfg, weights, b, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range uniform {
-		if !reflect.DeepEqual(uniform[i].Members, weighted[i].Members) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("uniform and weighted (equal-weight) draws identical: purpose separation lost")
 	}
 }

@@ -88,8 +88,9 @@ func RequiredGroupSize(f float64, G, h, bits int) (int, error) {
 }
 
 // RequiredGroupSizeFinite is the sampling-without-replacement variant of
-// RequiredGroupSize: the adversary controls exactly ⌊f·N⌋ of N concrete
-// servers and groups are drawn without replacement, so the per-group
+// RequiredGroupSize: the adversary controls exactly m = ⌊f·N⌋ of N
+// concrete servers (the floor: a fractional f·N rounds down to whole
+// servers) and groups are drawn without replacement, so the per-group
 // failure probability is a hypergeometric rather than binomial tail.
 // This models a real deployment with a fixed server roster (the paper's
 // 1,024-server evaluation) and yields slightly smaller k than the
@@ -98,7 +99,7 @@ func RequiredGroupSize(f float64, G, h, bits int) (int, error) {
 // Note on the paper's numbers: Appendix B's formula is the binomial
 // union bound, which yields k = 32 for h = 1 (matching §4.1) but k = 35
 // for h = 2, whereas §4.5 reports k ≥ 33; the finite-roster model closes
-// most of that gap. EXPERIMENTS.md discusses the discrepancy.
+// most of that gap.
 func RequiredGroupSizeFinite(f float64, N, G, h, bits int) (int, error) {
 	if f <= 0 || f >= 1 {
 		return 0, fmt.Errorf("groupmgr: adversarial fraction %v out of (0,1)", f)
@@ -159,12 +160,11 @@ type Group struct {
 
 // Config parameterizes group formation for a round.
 type Config struct {
-	NumServers int     // N: servers available this round
-	NumGroups  int     // G: groups to form
-	GroupSize  int     // k: servers per group
-	HonestMin  int     // h: honest servers required (threshold = k-(h-1))
-	Fraction   float64 // f: assumed adversarial fraction (for records)
-	BuddyCount int     // buddy groups per group (0 disables escrow)
+	NumServers int // N: servers available this round
+	NumGroups  int // G: groups to form
+	GroupSize  int // k: servers per group
+	HonestMin  int // h: honest servers required (threshold = k-(h-1))
+	BuddyCount int // buddy groups per group (0 disables escrow)
 }
 
 // Threshold returns the number of members that must participate in a

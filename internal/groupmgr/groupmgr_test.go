@@ -122,7 +122,6 @@ func testConfig() Config {
 		NumGroups:  16,
 		GroupSize:  8,
 		HonestMin:  2,
-		Fraction:   0.2,
 		BuddyCount: 2,
 	}
 }

@@ -105,7 +105,6 @@ func newDeployment(cfg Config, s Setup) (*Deployment, error) {
 		NumGroups:  cfg.NumGroups,
 		GroupSize:  cfg.GroupSize,
 		HonestMin:  cfg.HonestMin,
-		Fraction:   cfg.Fraction,
 		BuddyCount: cfg.BuddyCount,
 	}, s.Source, s.Round)
 	if err != nil {

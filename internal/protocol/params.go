@@ -89,9 +89,6 @@ type Config struct {
 	// HonestMin is h: the deployment tolerates h−1 failures per group
 	// (§4.5). h = 1 gives plain anytrust groups.
 	HonestMin int
-	// Fraction is f, the assumed adversarial server fraction (recorded;
-	// group sizing uses it via groupmgr).
-	Fraction float64
 	// MessageSize is the fixed plaintext size in bytes; every submission
 	// is padded to it (§2: "each user pads her message up to a fixed
 	// length").

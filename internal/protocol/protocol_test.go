@@ -21,7 +21,6 @@ func testConfig(variant Variant) Config {
 		NumGroups:   4,
 		GroupSize:   3,
 		HonestMin:   1,
-		Fraction:    0.2,
 		MessageSize: 32,
 		Variant:     variant,
 		Iterations:  3,

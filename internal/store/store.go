@@ -91,8 +91,8 @@ type State struct {
 	Deployment []byte
 	// Epoch is the group/epoch counter at the last epoch record.
 	Epoch uint64
-	// ConfigHash is the canonical group-config hash recorded with the
-	// epoch (nil when no config file is in force).
+	// ConfigHash is the canonical group-config hash (atom.Config.Hash)
+	// recorded with the epoch (nil when none was recorded).
 	ConfigHash []byte
 	// Sealed maps round id → sealed-round codec bytes for every round
 	// that sealed but never published — the batches a restarted

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -205,49 +204,5 @@ func TestFailedOutcomeRoundtrip(t *testing.T) {
 	o := s2.State().Outcomes[5]
 	if o.Failure != "atom: round aborted" || len(o.Messages) != 0 {
 		t.Errorf("failed outcome = %+v", o)
-	}
-}
-
-func TestGroupConfigHash(t *testing.T) {
-	dir := t.TempDir()
-	// Two files, same config, different key order and whitespace.
-	a := `{"servers":32,"groups":4,"group_size":8,"honest":2,
-	       "message_size":160,"variant":"nizk","iterations":4,"topology":"square"}`
-	b := `{
-	  "topology": "square", "iterations": 4, "variant": "nizk",
-	  "message_size": 160, "honest": 2, "group_size": 8,
-	  "groups": 4, "servers": 32
-	}`
-	pa := filepath.Join(dir, "a.json")
-	pb := filepath.Join(dir, "b.json")
-	os.WriteFile(pa, []byte(a), 0o644)
-	os.WriteFile(pb, []byte(b), 0o644)
-	ca, err := LoadGroupConfig(pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := LoadGroupConfig(pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ca.Hash(), cb.Hash()) {
-		t.Error("hash differs across formatting of the same config")
-	}
-	cb.Iterations = 5
-	if bytes.Equal(ca.Hash(), cb.Hash()) {
-		t.Error("hash identical across different configs")
-	}
-	if len(ca.Hash()) != 32 {
-		t.Errorf("hash length = %d", len(ca.Hash()))
-	}
-
-	// Unknown fields and invalid values are rejected.
-	os.WriteFile(pa, []byte(`{"servers":1,"bogus":2}`), 0o644)
-	if _, err := LoadGroupConfig(pa); err == nil {
-		t.Error("unknown field accepted")
-	}
-	os.WriteFile(pa, []byte(`{"servers":4,"groups":2,"group_size":2,"message_size":64,"variant":"zk"}`), 0o644)
-	if _, err := LoadGroupConfig(pa); err == nil {
-		t.Error("bad variant accepted")
 	}
 }

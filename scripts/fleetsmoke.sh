@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # fleetsmoke.sh — the member lifecycle with real processes: four
 # `atomd -member` hosts and one coordinator started from the SAME
-# group-config file (so the config-hash gate is live) publish a round;
+# group-config file (so the config-hash gate is live; its "members"
+# list is the fleet the coordinator mixes over) publish a round;
 # one member is kill -9'd, a second round is submitted while it is down,
 # and it is restarted on the same address and state dir; the second
 # round publishes; and the coordinator's log must show the restart
@@ -38,7 +39,8 @@ cat >"$work/gc.json" <<'EOF'
 {
   "servers": 4, "groups": 2, "group_size": 2, "honest": 1,
   "message_size": 32, "variant": "trap", "iterations": 2,
-  "topology": "square", "seed": "fleetsmoke"
+  "topology": "square", "seed": "fleetsmoke",
+  "members": ["127.0.0.1:9701", "127.0.0.1:9702", "127.0.0.1:9703", "127.0.0.1:9704"]
 }
 EOF
 
@@ -66,7 +68,6 @@ for m in 1 2 3 4; do start_member "$m"; done
 for m in 1 2 3 4; do await_port "970$m"; done
 
 "$work/atomd" -listen 127.0.0.1:9700 -config "$work/gc.json" -interval 250ms \
-	-members 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703,127.0.0.1:9704 \
 	-metrics 127.0.0.1:9709 >"$work/coord.log" 2>&1 &
 pids+=($!)
 coord_pid=$!

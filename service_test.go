@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"atom/internal/distributed"
+	"atom/internal/protocol"
 	"atom/internal/transport"
 )
 
@@ -20,6 +21,7 @@ type pipelineTrace struct {
 	mu       sync.Mutex
 	sealed   []uint64 // seal order
 	layer0At map[uint64]time.Time
+	layer0Ch chan struct{} // closed and replaced at every new layer0At entry
 	mixedAt  map[uint64]time.Time
 	mixed    map[uint64]RoundStats
 	ingest   map[uint64]IngestStats
@@ -28,6 +30,7 @@ type pipelineTrace struct {
 func newPipelineTrace() *pipelineTrace {
 	return &pipelineTrace{
 		layer0At: make(map[uint64]time.Time),
+		layer0Ch: make(chan struct{}),
 		mixedAt:  make(map[uint64]time.Time),
 		mixed:    make(map[uint64]RoundStats),
 		ingest:   make(map[uint64]IngestStats),
@@ -47,6 +50,8 @@ func (p *pipelineTrace) observer(onIteration func(IterationStats)) *Observer {
 			if it.Layer == 0 {
 				if _, seen := p.layer0At[it.Round]; !seen {
 					p.layer0At[it.Round] = time.Now()
+					close(p.layer0Ch)
+					p.layer0Ch = make(chan struct{})
 				}
 			}
 			p.mu.Unlock()
@@ -145,6 +150,51 @@ func serialParity(t *testing.T, cfg Config, ids []uint64, expected map[uint64][]
 	return out
 }
 
+// layer0After reports whether any round later than r has finished its
+// layer 0, and otherwise returns a channel closed at the next layer-0
+// record.
+func (p *pipelineTrace) layer0After(r uint64) (bool, <-chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id := range p.layer0At {
+		if id > r {
+			return true, nil
+		}
+	}
+	return false, p.layer0Ch
+}
+
+// overlapGate holds each round before the last gated one until a later
+// round has finished its layer 0, so that round r cannot publish before
+// round r+1 has started mixing. A service that serializes rounds never
+// starts that layer, and the gate fails the round after timeout instead
+// of hanging.
+type overlapGate struct {
+	Mixer
+	trace   *pipelineTrace
+	last    uint64 // rounds before this one wait for a successor
+	timeout time.Duration
+}
+
+func (g *overlapGate) MixRound(job *protocol.MixJob) (*protocol.MixOutcome, error) {
+	out, err := g.Mixer.MixRound(job)
+	if err != nil || job.Round >= g.last {
+		return out, err
+	}
+	timeout := time.After(g.timeout)
+	for {
+		seen, next := g.trace.layer0After(job.Round)
+		if seen {
+			return out, nil
+		}
+		select {
+		case <-next:
+		case <-timeout:
+			return nil, fmt.Errorf("round %d mixed, but no later round finished layer 0 within %v: rounds did not overlap", job.Round, g.timeout)
+		}
+	}
+}
+
 func collectOutcomes(t *testing.T, svc *Service, ids []uint64) map[uint64][]string {
 	t.Helper()
 	got := make(map[uint64][]string)
@@ -168,11 +218,14 @@ func collectOutcomes(t *testing.T, svc *Service, ids []uint64) map[uint64][]stri
 	return got
 }
 
-// TestServicePipelineOverlap is the tentpole's acceptance check: over a
-// distributed cluster with bounded in-flight rounds, round r+1's
-// layer-0 mixing completes before round r publishes (asserted from
-// Observer timestamps), while every round's plaintext set matches the
-// serial lock-step path exactly.
+// TestServicePipelineOverlap checks the pipeline over a distributed
+// cluster with bounded in-flight rounds: round r+1's layer-0 mixing
+// completes before round r publishes (asserted from Observer
+// timestamps), while every round's plaintext set matches the serial
+// lock-step path exactly. An overlapGate around the cluster holds round
+// r's result until round r+1's layer 0 is on the trace, so the overlap
+// does not depend on host load; a service that mixed one round at a time
+// fails the round at the gate's timeout.
 func TestServicePipelineOverlap(t *testing.T) {
 	cfg := Config{
 		Servers: 12, Groups: 4, GroupSize: 3,
@@ -186,11 +239,6 @@ func TestServicePipelineOverlap(t *testing.T) {
 	trace := newPipelineTrace()
 	n.SetObserver(trace.observer(nil))
 
-	// Latency-dominated layers make the overlap deterministic: each of
-	// the T=3 layers costs several network hops, so round r+1's layer 0
-	// lands long before round r's exit. 30 ms keeps the layers dominant
-	// over race-instrumented ingestion now that the crypto core mixes a
-	// 6-message batch in single-digit milliseconds.
 	net := transport.NewMemNetwork(transport.UniformLatency(30*time.Millisecond), 256)
 	cluster, err := distributed.NewCluster(n.Deployment(), distributed.Options{
 		Attach:  distributed.MemAttach(net),
@@ -205,7 +253,7 @@ func TestServicePipelineOverlap(t *testing.T) {
 		RoundInterval: 5 * time.Second, // the MaxBatch trigger seals long before the deadline
 		MaxBatch:      6,
 		MaxInFlight:   2,
-		Mixer:         cluster,
+		Mixer:         &overlapGate{Mixer: cluster, trace: trace, last: 3, timeout: 10 * time.Second}, // rounds 1 and 2 wait
 	})
 	if err != nil {
 		t.Fatal(err)
